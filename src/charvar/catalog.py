@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter
 from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
-from .tracealg import (TRIPLES, TraceVector, s_from_t, typeI_residuals,
-                       typeII_residuals)
+from .tracealg import (PAIRS, TRIPLES, TraceVector, _shift, s_from_t,
+                       typeI_residuals, typeII_residuals)
 
 COMPONENTS = ("X11", "X12", "X21", "X22", "X3", "X4",
               "X51", "X52", "X61", "X62")
@@ -480,93 +479,175 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 _UNKNOWNS = ("t12", "t23", "t34", "t14", "t13", "t24",
              "t123", "t124", "t134", "t234")
 
-# coordinate indices (t12, t13, t14, t23, t24, t123, t124) of the base trace
-# equations after each subscript rotation
-_EQ_IDX = ((0, 4, 3, 1, 5, 6, 7),
-           (1, 5, 0, 2, 4, 9, 6),
-           (2, 4, 1, 3, 5, 8, 9),
-           (3, 5, 2, 0, 4, 7, 8))
-
-_TRIPLE_IDX = ((6, (0, 1, 4)), (7, (0, 5, 3)), (8, (4, 2, 3)), (9, (1, 2, 5)))
-
-# s-pair index of (i, j), 1-based, mirroring the y-vector pair order
-_PAIR_AT = {(1, 2): 0, (2, 3): 1, (3, 4): 2, (1, 4): 3, (1, 3): 4, (2, 4): 5}
+#: starts advanced together as one array; bounds the probe's working memory
+#: (each start's iteration does not depend on it)
+_PROBE_BLOCK = 32
 
 
-def _vec_of(t: complex, y) -> TraceVector:
-    return TraceVector(t=t, **dict(zip(_UNKNOWNS, y)))
+def _pair_col(i: int, j: int) -> int:
+    return PAIRS.index((min(i, j), max(i, j)))
 
 
-def _probe_residual(t: complex, y) -> list[complex]:
-    """Raw residuals of {12 trace equations, 4 type II, 16 type I} at the
-    coordinate vector y; hand-inlined hot path of the public functions."""
-    tt = t * t
-    a = tt - 1
-    out = []
-    for i12, i13, i14, i23, i24, i123, i124 in _EQ_IDX:
-        t12, t13, t14 = y[i12], y[i13], y[i14]
-        t23, t24 = y[i23], y[i24]
-        dq = y[i124] - y[i123]
-        sq = y[i124] + y[i123]
-        out.append(a * dq + t * (t13 - t24) - t * (t12 - 1) * (t14 - t23))
-        out.append(t * (t12 + tt - 2) * dq + (t12 + tt - 1) * (t13 - t24)
-                   - (t12 * t12 + a * t12 - tt - 1) * (t14 - t23))
-        out.append(t * (tt - 2 - t12) * sq + (t12 + 1 - tt) * (t13 + t24)
-                   - (1 - t12 * t12 + a * t12 - tt) * (t14 + t23))
-    s0 = tt / 2 - 2
-    sp = [y[k] - tt / 2 for k in range(6)]
-    st = [y[k] - (t / 2) * (y[p0] + y[p1] + y[p2]) + t ** 3 / 2
-          for k, (p0, p1, p2) in _TRIPLE_IDX]
+def _triple_col(*idx: int) -> int:
+    return 6 + TRIPLES.index(tuple(sorted(idx)))
 
-    def s2(i, j):
-        return s0 if i == j else sp[_PAIR_AT[(i, j) if i < j else (j, i)]]
 
-    for i in (1, 2, 3, 4):
-        out.append(s2(i, 1) * st[3] - s2(i, 2) * st[2]
-                   + s2(i, 3) * st[1] - s2(i, 4) * st[0])
-    for ai, I in enumerate(TRIPLES):
-        for bi, J in enumerate(TRIPLES):
-            m = [[s2(p, q) for q in J] for p in I]
-            det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                   - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                   + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-            out.append(2 * st[ai] * st[bi] + det)
+# columns of (t12, t13, t14, t23, t24, t123, t124) after each subscript
+# rotation p, and the residual rows 3p + (tr0, tr1-tr2, tr1+tr2) they enter
+_EQ_COLS = np.array([
+    [_pair_col(i1, i2), _pair_col(i1, i3), _pair_col(i1, i4),
+     _pair_col(i2, i3), _pair_col(i2, i4),
+     _triple_col(i1, i2, i3), _triple_col(i1, i2, i4)]
+    for i1, i2, i3, i4 in ([_shift(i, p) for i in (1, 2, 3, 4)]
+                           for p in range(4))])
+_EQ_JAC_ROWS, _EQ_JAC_COLS = np.broadcast_arrays(
+    np.arange(12).reshape(4, 3, 1), _EQ_COLS[:, None, :])
+# s-column of s_ij (i, j = 0..3), with the constant s0 appended as column 6
+_S_COLS = np.array([[_pair_col(i, j) if i != j else 6 for j in (1, 2, 3, 4)]
+                    for i in (1, 2, 3, 4)])
+# the three pair columns in the shift of each triple trace (s_from_t)
+_TRIPLE_PAIRS = np.array([[_pair_col(i, j), _pair_col(j, k), _pair_col(i, k)]
+                          for i, j, k in TRIPLES])
+_ALT = np.array([1, -1, 1, -1])
+# type II: each off-diagonal s_ij of row i, as (row, column, j)
+_II_ROWS, _II_COLS, _II_J = np.array(
+    [(12 + i, _pair_col(i + 1, j + 1), j)
+     for i in range(4) for j in range(4) if i != j]).T
+# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b]
+_TI_A, _TI_B = np.divmod(np.arange(16), 4)
+_TI_ROWS = np.array([[i - 1 for i in TRIPLES[a]] for a in _TI_A])[:, :, None]
+_TI_COLS = np.array([[j - 1 for j in TRIPLES[b]] for b in _TI_B])[:, None, :]
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # cyclic 3x3 cofactor indices
+
+
+def _cofactor_scatter() -> np.ndarray:
+    """0/1 map of entry (r, i, j) of each type I Gram minor onto its pair
+    column; diagonal entries are the constant s0 and map nowhere."""
+    out = np.zeros((16, 3, 3, 6))
+    for r, (a, b) in enumerate(zip(_TI_A, _TI_B)):
+        for i, p in enumerate(TRIPLES[a]):
+            for j, q in enumerate(TRIPLES[b]):
+                if p != q:
+                    out[r, i, j, _pair_col(p, q)] = 1
     return out
 
 
-def _newton_attempt(t: complex, rng) -> TraceVector | None:
-    """One random start of damped Gauss-Newton; None when it fails to reach
-    max residual 1e-9 within 100 iterations."""
-    y = [complex(re, im) * 1.5
-         for re, im in zip(rng.standard_normal(10), rng.standard_normal(10))]
-    h = 1e-7
-    best_y, best_res, prev = None, float("inf"), float("inf")
-    for it in range(100):
-        f = _probe_residual(t, y)
-        fmax = max(abs(z) for z in f)
-        if fmax < best_res:
-            best_y, best_res = list(y), fmax
-        if fmax <= 1e-13:
-            break
-        if fmax <= 1e-9 and fmax > 0.7 * prev:
-            break  # stalled at the rounding floor of a multiple root
-        if it >= 50 and fmax > 1e-1:
-            break  # wandering; basin unlikely
-        prev = fmax
-        fv = np.asarray(f)
-        jac = np.empty((len(f), 10), dtype=complex)
-        for k in range(10):
-            yk = list(y)
-            yk[k] += h
-            jac[:, k] = (np.asarray(_probe_residual(t, yk)) - fv) / h
-        step, *_ = np.linalg.lstsq(jac, -fv, rcond=None)
-        y = [yk + sk for yk, sk in zip(y, step)]
-        if any(not cmath.isfinite(z) for z in y) or \
-                max(abs(z) for z in y) > 1e8:
-            return None
-    if best_res <= 1e-9:
-        return _vec_of(t, best_y)
-    return None
+_TI_SCATTER = _cofactor_scatter()
+
+
+def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and exact Jacobian of {12 trace equations, 4 type II,
+    16 type I} at each row of y, an (n, 10) array of the coordinates
+    _UNKNOWNS at trace t.
+
+    Returns the (n, 32) raw residuals, ordered as trace_equation_residuals,
+    typeII_residuals and typeI_residuals list them, and their (n, 32, 10)
+    derivatives. Every equation has degree <= 3 and the s-coordinates are
+    affine in y, so the type I derivatives are the cofactors of the 3x3
+    Gram minors mapped back onto the pair columns.
+    """
+    n = len(y)
+    tt = t * t
+    a = tt - 1
+    f = np.empty((n, 32), dtype=complex)
+    jac = np.zeros((n, 32, 10), dtype=complex)
+
+    t12, t13, t14, t23, t24, t123, t124 = np.moveaxis(y[:, _EQ_COLS], 2, 0)
+    dq, sq = t124 - t123, t124 + t123
+    dm, dp = t13 - t24, t13 + t24
+    em, ep = t14 - t23, t14 + t23
+    tm = t * (t12 - 1)
+    c1, c2, c3 = t * (t12 + tt - 2), t12 + tt - 1, t12 * t12 + a * t12 - tt - 1
+    d1, d2, d3 = t * (tt - 2 - t12), t12 + 1 - tt, 1 - t12 * t12 + a * t12 - tt
+    eq = np.empty((n, 4, 3), dtype=complex)
+    eq[..., 0] = a * dq + t * dm - tm * em
+    eq[..., 1] = c1 * dq + c2 * dm - c3 * em
+    eq[..., 2] = d1 * sq + d2 * dp - d3 * ep
+    f[:, :12] = eq.reshape(n, 12)
+    deq = np.empty((n, 4, 3, 7), dtype=complex)
+    for k, row in enumerate((
+            (-t * em, t, -tm, tm, -t, -a, a),
+            (t * dq + dm - (2 * t12 + a) * em, c2, -c3, c3, -c2, -c1, c1),
+            (dp - t * sq - (a - 2 * t12) * ep, d2, -d3, -d3, d2, d1, d1))):
+        for c, val in enumerate(row):
+            deq[..., k, c] = val
+    jac[:, _EQ_JAC_ROWS, _EQ_JAC_COLS] = deq
+
+    s = np.concatenate([y[:, :6] - tt / 2, np.full((n, 1), tt / 2 - 2)], 1)
+    gram = s[:, _S_COLS]
+    st = y[:, 6:] - (t / 2) * y[:, _TRIPLE_PAIRS].sum(axis=2) + t ** 3 / 2
+    dst = np.zeros((4, 10), dtype=complex)   # d st / dy, the same for all rows
+    dst[np.arange(4)[:, None], _TRIPLE_PAIRS] = -t / 2
+    dst[:, 6:] = np.eye(4)
+
+    w = st[:, ::-1] * _ALT                   # s_i1 s234 - s_i2 s134 + ...
+    f[:, 12:16] = (gram * w[:, None, :]).sum(axis=2)
+    jac[:, 12:16] = np.einsum("nij,jk->nik", gram, _ALT[:, None] * dst[::-1])
+    jac[:, _II_ROWS, _II_COLS] += w[:, _II_J]
+
+    minor = gram[:, _TI_ROWS, _TI_COLS]      # (n, 16, 3, 3)
+    r1, r2 = minor[:, :, _NEXT], minor[:, :, _AFTER]
+    cof = r1[..., _NEXT] * r2[..., _AFTER] - r1[..., _AFTER] * r2[..., _NEXT]
+    det = (minor[..., 0, 0] * cof[..., 0, 0] + minor[..., 0, 1] * cof[..., 0, 1]
+           + minor[..., 0, 2] * cof[..., 0, 2])
+    sa, sb = st[:, _TI_A], st[:, _TI_B]
+    f[:, 16:] = 2 * sa * sb + det
+    jac[:, 16:] = 2 * (sb[:, :, None] * dst[_TI_A] + sa[:, :, None] * dst[_TI_B])
+    jac[:, 16:, :6] += np.einsum("nrij,rijk->nrk", cof, _TI_SCATTER)
+    return f, jac
+
+
+def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of jac[k] x = rhs[k], as
+    np.linalg.lstsq(rcond=None) finds them one system at a time: singular
+    values at most eps * max(jac shape) times the largest count as zero."""
+    u, sv, vh = np.linalg.svd(jac, full_matrices=False)
+    cut = np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cut)
+    coef = np.einsum("nki,nk->ni", u.conj(), rhs) * inv
+    return np.einsum("nik,ni->nk", vh.conj(), coef)
+
+
+def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped Gauss-Newton from every start row of y (overwritten): each
+    step is the minimum-norm least-squares solution of J dy = -f.
+
+    A start stops when its max residual reaches 1e-13, stalls at or below
+    1e-9 (less than a 0.7 decrease), or is still above 1e-1 after 50 of the
+    100 iterations; it fails when a coordinate turns non-finite or exceeds
+    1e8 in modulus. Returns each start's lowest-residual point and whether
+    that residual is at most 1e-9 without failure.
+    """
+    n = len(y)
+    best_y = y.copy()
+    best_res = np.full(n, np.inf)
+    prev = np.full(n, np.inf)
+    failed = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(100):
+            if not live.size:
+                break
+            f, jac = _probe_system(t, y[live])
+            fmax = np.abs(f).max(axis=1)
+            better = fmax < best_res[live]
+            best_y[live[better]] = y[live[better]]
+            best_res[live[better]] = fmax[better]
+            stop = ((fmax <= 1e-13)
+                    # stalled at the rounding floor of a multiple root
+                    | ((fmax <= 1e-9) & (fmax > 0.7 * prev[live]))
+                    # wandering; basin unlikely
+                    | ((it >= 50) & (fmax > 1e-1)))
+            prev[live] = fmax
+            go = ~stop
+            live = live[go]
+            y[live] += _lstsq_steps(jac[go], -f[go])
+            moved = y[live]
+            bad = (~np.isfinite(moved).all(axis=1)
+                   | (np.abs(moved).max(axis=1) > 1e8))
+            failed[live[bad]] = True
+            live = live[~bad]
+    return best_y, ~failed & (best_res <= 1e-9)
 
 
 def _is_reducible_like(v: TraceVector, tol: float = 1e-4) -> bool:
@@ -594,40 +675,46 @@ def classify_point(v: TraceVector) -> str:
     return cid if worst <= 1e-5 else "unclassified"
 
 
-def explore_solve(t: complex, seed: int, attempts: int,
-                  workers: int = 1) -> list[tuple[TraceVector, str]]:
+def explore_solve(t: complex, seed: int,
+                  attempts: int) -> list[tuple[TraceVector, str]]:
     """Random-start Gauss-Newton on the combined system {12 trace equations,
     4 type II, 16 type I} over the 10 free coordinates at fixed t.
+
+    Start k draws its real and then its imaginary parts from
+    default_rng([seed, k]), scaled by 1.5, and takes undamped steps with
+    the exact Jacobian (see _newton_block); the starts run together in
+    blocks of _PROBE_BLOCK, each independently of the others.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any
     quadruple. Converged points within 1e-4 of an exact catalog sample are
-    snapped onto it (the stall radius of multiple roots); the rest are
-    classified by membership residual. Unclassified findings are returned,
-    never dropped. Deterministic for fixed (seed, attempts).
+    snapped onto the first such sample (the stall radius of multiple
+    roots); the rest are classified by membership residual. Unclassified
+    findings are returned, never dropped. Results come in start order and
+    are deterministic for fixed (seed, attempts); the first n of them
+    depend only on the first n starts.
     """
     t = complex(t)
     for cid in COMPONENTS:
         check_admissible(cid, t)
     exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
-
-    def run(k: int):
+    targets = np.array([[smp.vector.coords()[k] for k in _UNKNOWNS]
+                        for smp in exact])
+    starts = np.empty((attempts, 10), dtype=complex)
+    for k in range(attempts):
         rng = np.random.default_rng([seed, k])
-        return _newton_attempt(t, rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(run, range(attempts)))
-    else:
-        found = [run(k) for k in range(attempts)]
+        starts[k].real = rng.standard_normal(10) * 1.5
+        starts[k].imag = rng.standard_normal(10) * 1.5
     out = []
-    for v in found:
-        if v is None:
-            continue
-        snapped = next((smp for smp in exact
-                        if smp.vector.max_dev(v) <= 1e-4), None)
-        if snapped is not None:
-            out.append((snapped.vector, snapped.id))
-        else:
-            out.append((v, classify_point(v)))
+    for lo in range(0, attempts, _PROBE_BLOCK):
+        best, ok = _newton_block(t, starts[lo:lo + _PROBE_BLOCK])
+        found = best[ok]
+        near = np.abs(found[:, None, :] - targets).max(axis=2) <= 1e-4
+        for y, hit, first in zip(found.tolist(), near.any(axis=1),
+                                 near.argmax(axis=1)):
+            if hit:
+                out.append((exact[first].vector, exact[first].id))
+            else:
+                v = TraceVector(t, *y)
+                out.append((v, classify_point(v)))
     return out

@@ -13,7 +13,6 @@ import cmath
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -39,13 +38,6 @@ def parse_complex(text: str) -> complex:
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.17g}{z.imag:+.17g}i"
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CHARVAR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(payload, args, csv_rows=None) -> None:
@@ -208,8 +200,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    found = catalog.explore_solve(args.t, args.seed, args.attempts,
-                                  workers=_workers())
+    found = catalog.explore_solve(args.t, args.seed, args.attempts)
     hist: dict[str, int] = {}
     unclassified = []
     for v, label in found:

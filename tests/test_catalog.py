@@ -1,11 +1,12 @@
 import cmath
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import admissible_t
-from charvar.catalog import (COMPONENTS, ROTATION_PAIR, _probe_residual,
-                             classify_point,
+from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
+                             _probe_system, classify_point,
                              enumerate_parabolic, excellent_quartic,
                              explore_solve, membership_residual,
                              sample_component, special_points)
@@ -199,23 +200,38 @@ def test_classify_exact_samples(rng):
     t = admissible_t(rng)
     for cid in ("X3", "X21", "X62"):
         smp = sample_component(cid, t)[0]
-        y = list(smp.vector.coords().values())[1:]
-        assert max(abs(z) for z in _probe_residual(t, y)) <= 1e-8
+        y = np.array(list(smp.vector.coords().values())[1:])
+        f, _ = _probe_system(t, y[None])
+        assert np.abs(f).max() <= 1e-8
         assert classify_point(smp.vector) == cid
 
 
-def test_probe_residual_matches_public_functions(rng):
-    # the inlined hot path must agree with the reference implementations
+def test_probe_system_matches_public_functions(rng):
+    # the batched probe kernel must agree with the reference implementations
     from charvar.tracealg import TraceVector, trace_equation_residuals
     for _ in range(10):
         coords = rng.standard_normal(11) + 1j * rng.standard_normal(11)
         v = TraceVector(*coords)
         s = s_from_t(v)
-        ref = (trace_equation_residuals(v) + typeII_residuals(s)
-               + typeI_residuals(s))
-        got = _probe_residual(v.t, list(coords[1:]))
-        assert max(abs(a - b) for a, b in zip(ref, got)) <= 1e-10 * max(
-            1.0, max(abs(x) for x in ref))
+        ref = np.array(trace_equation_residuals(v) + typeII_residuals(s)
+                       + typeI_residuals(s))
+        got, _ = _probe_system(v.t, coords[None, 1:])
+        assert np.abs(got[0] - ref).max() <= 1e-10 * max(
+            1.0, np.abs(ref).max())
+
+
+def test_probe_jacobian_matches_finite_differences(rng):
+    h = 1e-6
+    for _ in range(10):
+        t = complex(*rng.standard_normal(2))
+        y = rng.standard_normal((1, 10)) + 1j * rng.standard_normal((1, 10))
+        _, jac = _probe_system(t, y)
+        shifts = h * np.eye(10)
+        hi, _ = _probe_system(t, y + shifts)   # row k: y shifted along k
+        lo, _ = _probe_system(t, y - shifts)
+        fd = ((hi - lo) / (2 * h)).T
+        assert np.abs(fd - jac[0]).max() <= 1e-6 * max(
+            1.0, np.abs(jac[0]).max())
 
 
 def test_explore_classifies(rng):
@@ -227,6 +243,21 @@ def test_explore_classifies(rng):
     for v, lbl in found:
         if lbl in COMPONENTS:
             assert worst(lbl, v) <= 1e-6
+    # pinned: the one-start-at-a-time finite-difference probe that the
+    # batched probe replaced converged to this set from the same starts
+    assert len(found) == 29
+    assert Counter(lbl for _, lbl in found) == {
+        "X11": 1, "X12": 5, "X21": 1, "X22": 1, "X3": 18, "X4": 3}
+
+
+def test_explore_starts_independent_of_blocking():
+    n = _PROBE_BLOCK + 5
+    short = explore_solve(1.1 + 0.7j, seed=5, attempts=n)
+    full = explore_solve(1.1 + 0.7j, seed=5, attempts=2 * _PROBE_BLOCK + 3)
+    assert len(short) < len(full)
+    assert [lbl for _, lbl in short] == [lbl for _, lbl in full[:len(short)]]
+    for (a, _), (b, _) in zip(short, full):
+        assert a.max_dev(b) <= 1e-9
 
 
 def test_explore_excluded_t():
