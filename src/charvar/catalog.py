@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter
 from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
-from .tracealg import (PAIRS, TRIPLES, TraceVector, _shift, s_from_t,
-                       typeI_residuals, typeII_residuals)
+from .tracealg import (PAIRS, TRIPLES, TraceVector, _shift, _t_pairs,
+                       s_from_t, typeI_residuals, typeII_residuals)
 
 COMPONENTS = ("X11", "X12", "X21", "X22", "X3", "X4",
               "X51", "X52", "X61", "X62")
@@ -658,8 +658,8 @@ def _is_reducible_like(v: TraceVector, tol: float = 1e-4) -> bool:
     """
     targets = (2.0, v.t * v.t - 2)
     sc = max(1.0, abs(v.t) ** 2)
-    return all(min(abs(v.pair(i, j) - w) for w in targets) <= tol * sc
-               for (i, j) in ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)))
+    return all(min(abs(x - w) for w in targets) <= tol * sc
+               for x in _t_pairs(v))
 
 
 def classify_point(v: TraceVector) -> str:

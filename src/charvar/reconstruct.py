@@ -9,6 +9,7 @@ invariants all vanish are handled by explicit two-generator patterns.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import (ConstraintViolated, DegenerateCharacter,
                      FactorizationFailure, S44Mismatch, SmallS123,
                      TraceMismatch, TypeIIViolated)
 from .mat2 import Mat2, scalar
-from .tracealg import (SCoords, TRIPLES, TraceVector, s_from_t,
+from .tracealg import (SCoords, TRIPLES, TraceVector, _gram, s_from_t,
                        trace_vector_of, typeI_residuals, typeII_residuals)
 
 #: fixed traceless basis; tr(e_i e_j) = diag(2, 2, -2), tr(e1 e2 e3) = -2
@@ -69,8 +70,10 @@ class Quadruple:
                    for i, m in enumerate(self.matrices(), start=1)}}
 
 
+@functools.cache
 def _plane_rotation(n: int, angle: float) -> np.ndarray:
-    """Product of real Givens rotations over all coordinate planes."""
+    """Product of real Givens rotations over all coordinate planes; built
+    once per (n, angle) and returned read-only."""
     q = np.eye(n)
     c, s = np.cos(angle), np.sin(angle)
     for i in range(n):
@@ -79,6 +82,7 @@ def _plane_rotation(n: int, angle: float) -> np.ndarray:
             g[i, i] = g[j, j] = c
             g[i, j], g[j, i] = s, -s
             q = q @ g
+    q.setflags(write=False)
     return q
 
 
@@ -162,28 +166,15 @@ def realize_triple(t: complex, S, s123: complex) -> tuple[Mat2, Mat2, Mat2]:
     return xs
 
 
-def _perm_sign(tpl) -> int:
-    sign = 1
-    for i in range(len(tpl)):
-        for j in range(i + 1, len(tpl)):
-            if tpl[i] > tpl[j]:
-                sign = -sign
-    return sign
-
-
 def _extend(us: dict[int, Mat2], s: SCoords, role, d: int,
             t: complex) -> Mat2:
     """Fourth matrix from the triple's traceless parts via the unique linear
     combination matching all prescribed invariants."""
-
-    def signed(tpl):
-        return _perm_sign(tpl) * s.triple(*tpl)
-
     a, b, c = role
-    den = signed(role)
-    ca = signed((b, c, d)) / den
-    cb = -signed((a, c, d)) / den
-    cc = signed((a, b, d)) / den
+    den = s.triple(a, b, c)
+    ca = s.triple(b, c, d) / den
+    cb = -s.triple(a, c, d) / den
+    cc = s.triple(a, b, d) / den
     ud = ca * us[a] + cb * us[b] + cc * us[c]
     sc = max(1.0, abs(s.s0), ud.norm() ** 2)
     s44 = (ud @ ud).trace()
@@ -291,7 +282,9 @@ def realize_character(v: TraceVector, tol: float = 1e-7) -> Quadruple:
 def _realize_via_role(v: TraceVector, s: SCoords, role) -> Quadruple:
     t = v.t
     d = next(i for i in (1, 2, 3, 4) if i not in role)
-    S = [[s.pair(i, j) for j in role] for i in role]
+    slots = [i - 1 for i in role]
+    g = _gram(s)
+    S = [[g[4 * i + j] for j in slots] for i in slots]
     triple = realize_triple(t, S, s.triple(*role))
     us = {idx: x.traceless_part() for idx, x in zip(role, triple)}
     xd = _extend(us, s, role, d, t)

@@ -5,11 +5,23 @@ of the rank-4 free group, and the knot-specific trace-equation battery.
 Residual functions return raw complex values by default; with
 ``normalized=True`` each residual is divided by max(1, largest monomial
 magnitude), which is what the acceptance thresholds are stated against.
+
+Every kernel reads fixed slots: index tables built once at import from
+PAIRS, TRIPLES and the subscript rotation say which coordinate (or which
+entry of the Gram matrix) each monomial uses. The kernels are plain
+arithmetic on those values, so they work unchanged on any number type
+with field arithmetic, sympy symbols included.
+
+``SCoords.triple`` is alternating: an odd permutation of an ascending
+triple returns -s_ijk, matching tr(u_i u_j u_k) of the traceless parts.
+``TraceVector.triple`` accepts only cyclic rotations of an ascending
+triple, the orders whose trace is one of the 11 coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .errors import InconsistentS0, TraceMismatch
 from .mat2 import Mat2
@@ -23,14 +35,41 @@ PAIRS = ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4))
 TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
-def _pkey(i: int, j: int) -> str:
-    i, j = sorted((i, j))
-    return f"t{i}{j}"
+def _lookup_tables():
+    """Coordinate names by index tuple: (i, j) in either order for pairs
+    (s0 on the diagonal), the cyclic orders of each ascending triple for
+    trace triples, and every order with its parity for s-triples."""
+    t_pair, s_pair = {}, {(i, i): "s0" for i in (1, 2, 3, 4)}
+    for i, j in PAIRS:
+        t_pair[i, j] = t_pair[j, i] = f"t{i}{j}"
+        s_pair[i, j] = s_pair[j, i] = f"s{i}{j}"
+    t_triple, s_triple = {}, {}
+    for i, j, k in TRIPLES:
+        for even in ((i, j, k), (j, k, i), (k, i, j)):
+            t_triple[even] = f"t{i}{j}{k}"
+            s_triple[even] = (f"s{i}{j}{k}", False)
+        for odd in ((j, i, k), (i, k, j), (k, j, i)):
+            s_triple[odd] = (f"s{i}{j}{k}", True)
+    return t_pair, s_pair, t_triple, s_triple
 
 
-def _tkey(i: int, j: int, k: int) -> str:
-    i, j, k = sorted((i, j, k))
-    return f"t{i}{j}{k}"
+_T_PAIR, _S_PAIR, _T_TRIPLE, _S_TRIPLE = _lookup_tables()
+
+#: the six pair / four triple values of a TraceVector or SCoords, in PAIRS /
+#: TRIPLES order
+_t_pairs = attrgetter(*PAIR_KEYS)
+_t_triples = attrgetter(*TRIPLE_KEYS)
+_s_pairs = attrgetter(*(_S_PAIR[p] for p in PAIRS))
+_s_triples = attrgetter(*(_S_TRIPLE[p][0] for p in TRIPLES))
+#: the 4x4 Gram matrix (s_ij) of an SCoords, s0 on the diagonal, as a flat
+#: row-major 16-tuple: entry (i, j), 0-based, is _gram(s)[4 * i + j]
+_gram = attrgetter(*(_S_PAIR[i, j] for i in (1, 2, 3, 4)
+                     for j in (1, 2, 3, 4)))
+#: 0-based Gram rows/columns of each ascending triple
+_TRIPLE_SLOTS = tuple(tuple(i - 1 for i in idx) for idx in TRIPLES)
+#: slots in PAIRS of the pairs (i, j), (j, k), (i, k) of each triple
+_TRIPLE_PAIRS = tuple((PAIRS.index((i, j)), PAIRS.index((j, k)),
+                       PAIRS.index((i, k))) for i, j, k in TRIPLES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,12 +89,16 @@ class TraceVector:
     t234: complex
 
     def pair(self, i: int, j: int) -> complex:
-        return getattr(self, _pkey(i, j))
+        return getattr(self, _T_PAIR[i, j])
 
     def triple(self, i: int, j: int, k: int) -> complex:
-        # only cyclic rotations of ascending triples occur in this package,
-        # so the sorted key is always the right trace
-        return getattr(self, _tkey(i, j, k))
+        """tr(x_i x_j x_k) for a cyclic rotation of an ascending triple;
+        other orders are not among the coordinates and raise ValueError."""
+        try:
+            return getattr(self, _T_TRIPLE[i, j, k])
+        except KeyError:
+            raise ValueError(
+                f"tr(x{i} x{j} x{k}) is not a trace coordinate") from None
 
     def coords(self) -> dict[str, complex]:
         return {k: getattr(self, k) for k in COORD_KEYS}
@@ -102,29 +145,24 @@ class SCoords:
     s234: complex
 
     def pair(self, i: int, j: int) -> complex:
-        if i == j:
-            return self.s0
-        i, j = sorted((i, j))
-        return getattr(self, f"s{i}{j}")
+        return getattr(self, _S_PAIR[i, j])
 
     def triple(self, i: int, j: int, k: int) -> complex:
-        i, j, k = sorted((i, j, k))
-        return getattr(self, f"s{i}{j}{k}")
+        """tr(u_i u_j u_k): alternating in (i, j, k)."""
+        name, odd = _S_TRIPLE[i, j, k]
+        val = getattr(self, name)
+        return -val if odd else val
 
 
 def s_from_t(v: TraceVector) -> SCoords:
     """s0 = t^2/2 - 2, s_ij = t_ij - t^2/2, and the triple-trace shift."""
     t = v.t
     h = t * t / 2
-    vals = {"s0": h - 2}
-    for (i, j) in PAIRS:
-        vals[f"s{i}{j}"] = v.pair(i, j) - h
-    for (i, j, k) in TRIPLES:
-        vals[f"s{i}{j}{k}"] = (v.triple(i, j, k)
-                               - (t / 2) * (v.pair(i, j) + v.pair(j, k)
-                                            + v.pair(i, k))
-                               + t ** 3 / 2)
-    return SCoords(**vals)
+    half, cube = t / 2, t ** 3 / 2
+    tp = _t_pairs(v)
+    return SCoords(h - 2, *[x - h for x in tp],
+                   *[x - half * (tp[a] + tp[b] + tp[c]) + cube
+                     for x, (a, b, c) in zip(_t_triples(v), _TRIPLE_PAIRS)])
 
 
 def t_from_s(s: SCoords, t: complex) -> TraceVector:
@@ -132,14 +170,12 @@ def t_from_s(s: SCoords, t: complex) -> TraceVector:
     h = t * t / 2
     if abs(s.s0 - (h - 2)) > 1e-9 * max(1.0, abs(h)):
         raise InconsistentS0(f"s0 = {s.s0}, expected {h - 2}")
-    pv = {f"t{i}{j}": s.pair(i, j) + h for (i, j) in PAIRS}
-    tv = {}
-    for (i, j, k) in TRIPLES:
-        tv[f"t{i}{j}{k}"] = (s.triple(i, j, k)
-                             + (t / 2) * (pv[_pkey(i, j)] + pv[_pkey(j, k)]
-                                          + pv[_pkey(i, k)])
-                             - t ** 3 / 2)
-    return TraceVector(t=t, **pv, **tv)
+    half, cube = t / 2, t ** 3 / 2
+    tp = [x + h for x in _s_pairs(s)]
+    return TraceVector(t, *tp,
+                       *[x + half * (tp[a] + tp[b] + tp[c]) - cube
+                         for x, (a, b, c) in zip(_s_triples(s),
+                                                 _TRIPLE_PAIRS)])
 
 
 @dataclass(frozen=True)
@@ -154,62 +190,80 @@ class GramData:
     Sdiamond: tuple
 
 
+def _block(g: tuple, slots) -> tuple:
+    """Rows and columns `slots` of the flat Gram tuple, as nested tuples."""
+    return tuple(tuple(g[4 * i + j] for j in slots) for i in slots)
+
+
 def gram_matrices(s: SCoords) -> GramData:
-    def block(idx):
-        return tuple(tuple(s.pair(i, j) for j in idx) for i in idx)
-
-    return GramData(S123=block((1, 2, 3)), S124=block((1, 2, 4)),
-                    S134=block((1, 3, 4)), S234=block((2, 3, 4)),
-                    Sdiamond=block((1, 2, 3, 4)))
+    g = _gram(s)
+    return GramData(*(_block(g, slots) for slots in _TRIPLE_SLOTS),
+                    Sdiamond=_block(g, range(4)))
 
 
-def _det3_terms(m) -> list[complex]:
-    """The six signed monomials of a 3x3 determinant."""
-    return [m[0][0] * m[1][1] * m[2][2],
-            -m[0][0] * m[1][2] * m[2][1],
-            -m[0][1] * m[1][0] * m[2][2],
-            m[0][1] * m[1][2] * m[2][0],
-            m[0][2] * m[1][0] * m[2][1],
-            -m[0][2] * m[1][1] * m[2][0]]
+def _det3_terms(m00, m01, m02, m10, m11, m12, m20, m21,
+                m22) -> list[complex]:
+    """The six signed monomials of a 3x3 determinant, entries row-major."""
+    return [m00 * m11 * m22,
+            -m00 * m12 * m21,
+            -m01 * m10 * m22,
+            m01 * m12 * m20,
+            m02 * m10 * m21,
+            -m02 * m11 * m20]
 
 
 def _finish(terms: list[complex], normalized: bool) -> complex:
     val = sum(terms)
     if not normalized:
         return val
-    return val / max(1.0, max(abs(x) for x in terms))
+    return val / max(1.0, max(map(abs, terms)))
+
+
+def _minor(rows, cols) -> itemgetter:
+    """Getter of a 3x3 submatrix of the flat Gram tuple, row-major."""
+    return itemgetter(*(4 * i + j for i in rows for j in cols))
+
+
+#: type I relation 4a + b: (a, b, getter of the minor on rows TRIPLES[a]
+#: and columns TRIPLES[b])
+_TYPEI = tuple((a, b, _minor(_TRIPLE_SLOTS[a], _TRIPLE_SLOTS[b]))
+               for a in range(4) for b in range(4))
 
 
 def typeI_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
     """The 16 relations 2 s_I s_J + det((s_{i_a j_b})) over ordered pairs of
     ascending triples; universal identities on genuine quadruples."""
-    out = []
-    for I in TRIPLES:
-        for J in TRIPLES:
-            m = [[s.pair(a, b) for b in J] for a in I]
-            terms = [2 * s.triple(*I) * s.triple(*J)] + _det3_terms(m)
-            out.append(_finish(terms, normalized))
-    return out
+    g = _gram(s)
+    st = _s_triples(s)
+    return [_finish([2 * st[a] * st[b], *_det3_terms(*minor(g))], normalized)
+            for a, b, minor in _TYPEI]
 
 
 def typeII_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
     """The four relations s_i1 s234 - s_i2 s134 + s_i3 s124 - s_i4 s123."""
+    s123, s124, s134, s234 = _s_triples(s)
+    g = _gram(s)
     out = []
-    for i in (1, 2, 3, 4):
-        terms = [s.pair(i, 1) * s.s234, -s.pair(i, 2) * s.s134,
-                 s.pair(i, 3) * s.s124, -s.pair(i, 4) * s.s123]
-        out.append(_finish(terms, normalized))
+    for r in range(0, 16, 4):
+        r1, r2, r3, r4 = g[r:r + 4]
+        out.append(_finish([r1 * s234, -r2 * s134, r3 * s124, -r4 * s123],
+                           normalized))
     return out
+
+
+#: Laplace expansion along row 0: (column j, cofactor sign, getter of the
+#: minor on rows 1..3 without column j)
+_DET4 = tuple((j, -1 if j % 2 else 1,
+               _minor((1, 2, 3), [c for c in range(4) if c != j]))
+              for j in range(4))
 
 
 def det_Sdiamond(s: SCoords, normalized: bool = False) -> complex:
     """Determinant of the 4x4 Gram matrix; vanishes on genuine quadruples."""
-    m = gram_matrices(s).Sdiamond
+    g = _gram(s)
     terms = []
-    for j in range(4):
-        minor = [[m[r][c] for c in range(4) if c != j] for r in (1, 2, 3)]
-        sign = -1 if j % 2 else 1
-        terms.extend(sign * m[0][j] * x for x in _det3_terms(minor))
+    for j, sign, minor in _DET4:
+        terms.extend(sign * g[j] * x for x in _det3_terms(*minor(g)))
     return _finish(terms, normalized)
 
 
@@ -217,27 +271,17 @@ def _shift(i: int, p: int) -> int:
     return (i - 1 + p) % 4 + 1
 
 
-def _eq_terms(v: TraceVector, p: int) -> list[list[complex]]:
-    """Monomial lists for the three base trace equations at rotation p."""
-    t = v.t
+def _eq_names(p: int) -> list[str]:
+    """Coordinates read as t12, t13, t14, t23, t24, t123, t124 after the
+    subscript rotation by p."""
     i1, i2, i3, i4 = (_shift(i, p) for i in (1, 2, 3, 4))
-    t12 = v.pair(i1, i2)
-    t13, t14 = v.pair(i1, i3), v.pair(i1, i4)
-    t23, t24 = v.pair(i2, i3), v.pair(i2, i4)
-    t123 = v.triple(i1, i2, i3)
-    t124 = v.triple(i1, i2, i4)
-    a = t * t - 1
-    tr0 = [a * t124, -a * t123, t * t13, -t * t24,
-           -t * (t12 - 1) * t14, t * (t12 - 1) * t23]
-    c1 = t * (t12 + t * t - 2)
-    c2 = t12 + t * t - 1
-    c3 = t12 * t12 + a * t12 - t * t - 1
-    tr12m = [c1 * t124, -c1 * t123, c2 * t13, -c2 * t24, -c3 * t14, c3 * t23]
-    d1 = t * (t * t - 2 - t12)
-    d2 = t12 + 1 - t * t
-    d3 = 1 - t12 * t12 + a * t12 - t * t
-    tr12p = [d1 * t124, d1 * t123, d2 * t13, d2 * t24, -d3 * t14, -d3 * t23]
-    return [tr0, tr12m, tr12p]
+    names = [_T_PAIR[q] for q in ((i1, i2), (i1, i3), (i1, i4), (i2, i3),
+                                  (i2, i4))]
+    return names + [_T_TRIPLE[q] for q in ((i1, i2, i3), (i1, i2, i4))]
+
+
+#: one getter per rotation p = 0..3 of the seven values _eq_names(p) names
+_EQ_IDX = tuple(attrgetter(*_eq_names(p)) for p in range(4))
 
 
 def trace_equation_residuals(v: TraceVector,
@@ -247,8 +291,26 @@ def trace_equation_residuals(v: TraceVector,
     They vanish exactly when the character-level necessary conditions for
     relator equality hold at every rotation.
     """
-    return [_finish(terms, normalized)
-            for p in range(4) for terms in _eq_terms(v, p)]
+    t = v.t
+    out = []
+    for get in _EQ_IDX:
+        t12, t13, t14, t23, t24, t123, t124 = get(v)
+        a = t * t - 1
+        tr0 = [a * t124, -a * t123, t * t13, -t * t24,
+               -t * (t12 - 1) * t14, t * (t12 - 1) * t23]
+        c1 = t * (t12 + t * t - 2)
+        c2 = t12 + t * t - 1
+        c3 = t12 * t12 + a * t12 - t * t - 1
+        tr12m = [c1 * t124, -c1 * t123, c2 * t13, -c2 * t24, -c3 * t14,
+                 c3 * t23]
+        d1 = t * (t * t - 2 - t12)
+        d2 = t12 + 1 - t * t
+        d3 = 1 - t12 * t12 + a * t12 - t * t
+        tr12p = [d1 * t124, d1 * t123, d2 * t13, d2 * t24, -d3 * t14,
+                 -d3 * t23]
+        out += (_finish(tr0, normalized), _finish(tr12m, normalized),
+                _finish(tr12p, normalized))
+    return out
 
 
 def eq19_residuals(v: TraceVector, normalized: bool = False) -> list[complex]:
@@ -256,35 +318,27 @@ def eq19_residuals(v: TraceVector, normalized: bool = False) -> list[complex]:
     t*(tr1-tr2) - t^2*tr0, kept as an independent cross-check."""
     t = v.t
     out = []
-    for p in range(4):
-        i1, i2, i3, i4 = (_shift(i, p) for i in (1, 2, 3, 4))
-        t12 = v.pair(i1, i2)
-        terms = [t * t * (t12 - 1) * v.triple(i1, i2, i4),
-                 -t * t * (t12 - 1) * v.triple(i1, i2, i3),
-                 t * (t12 - 1) * v.pair(i1, i3),
-                 -t * (t12 - 1) * v.pair(i2, i4),
-                 -t * (t12 * t12 - t12 - 1) * v.pair(i1, i4),
-                 t * (t12 * t12 - t12 - 1) * v.pair(i2, i3)]
+    for get in _EQ_IDX:
+        t12, t13, t14, t23, t24, t123, t124 = get(v)
+        terms = [t * t * (t12 - 1) * t124,
+                 -t * t * (t12 - 1) * t123,
+                 t * (t12 - 1) * t13,
+                 -t * (t12 - 1) * t24,
+                 -t * (t12 * t12 - t12 - 1) * t14,
+                 t * (t12 * t12 - t12 - 1) * t23]
         out.append(_finish(terms, normalized))
     return out
 
 
 def trace_vector_of(x1: Mat2, x2: Mat2, x3: Mat2, x4: Mat2) -> TraceVector:
     """The 11 trace coordinates of a quadruple sharing a common trace."""
-    xs = (x1, x2, x3, x4)
     t = x1.trace()
-    for m in xs[1:]:
+    for m in (x2, x3, x4):
         if abs(m.trace() - t) > 1e-9 * max(1.0, abs(t)):
             raise TraceMismatch(f"traces {t} vs {m.trace()}")
-
-    def tr(*idx):
-        m = xs[idx[0] - 1]
-        for i in idx[1:]:
-            m = m @ xs[i - 1]
-        return m.trace()
-
+    x12, x13, x23 = x1 @ x2, x1 @ x3, x2 @ x3
     return TraceVector(
-        t=t,
-        t12=tr(1, 2), t23=tr(2, 3), t34=tr(3, 4), t14=tr(1, 4),
-        t13=tr(1, 3), t24=tr(2, 4),
-        t123=tr(1, 2, 3), t124=tr(1, 2, 4), t134=tr(1, 3, 4), t234=tr(2, 3, 4))
+        t, x12.trace(), x23.trace(), (x3 @ x4).trace(), (x1 @ x4).trace(),
+        x13.trace(), (x2 @ x4).trace(),
+        (x12 @ x3).trace(), (x12 @ x4).trace(), (x13 @ x4).trace(),
+        (x23 @ x4).trace())

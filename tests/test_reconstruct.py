@@ -130,6 +130,29 @@ def test_realize_character_round_trip(rng):
         q.validate()
 
 
+def test_realize_character_later_roles(rng):
+    # x3 = x1 kills s123, so role (1, 2, 4) extends by x3; x2 = x1 kills
+    # s123 and s124, so role (1, 3, 4) extends by x2. Both extensions read
+    # triple invariants in odd orders, e.g. s(2, 4, 3) = -s234.
+    for copy, role in ((lambda xs: [xs[0], xs[1], xs[0], xs[3]], (1, 2, 4)),
+                       (lambda xs: [xs[0], xs[0], xs[2], xs[3]], (1, 3, 4))):
+        done = 0
+        while done < 10:
+            t, xs = random_quadruple(rng)
+            xs = copy(xs)
+            v = trace_vector_of(*xs)
+            s = s_from_t(v)
+            if abs(s.triple(*role)) < 1e-3 or has_common_eigenvector(xs):
+                continue
+            assert max(abs(s.triple(*r)) for r in
+                       ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+                       if r < role) <= 1e-7
+            q = realize_character(v)
+            assert q.trace_vector().max_dev(v) <= 1e-8 * max(
+                1.0, max(abs(c) for c in v.coords().values()))
+            done += 1
+
+
 def test_conjugation_invariance(rng):
     for _ in range(40):
         t, xs = random_quadruple(rng)

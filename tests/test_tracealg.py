@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import pytest
 
@@ -258,3 +259,81 @@ def test_json_round_trip(rng):
     t, xs = random_quadruple(rng)
     v = trace_vector_of(*xs)
     assert TraceVector.from_json(v.to_json()).max_dev(v) == 0
+
+
+def test_triples_in_every_order_match_matrix_oracle(rng):
+    # SCoords.triple is alternating like tr(u_i u_j u_k); TraceVector.triple
+    # takes the three cyclic orders of an ascending triple, whose traces are
+    # the coordinate, and refuses the three others
+    for _ in range(20):
+        t, xs = random_quadruple(rng)
+        v = trace_vector_of(*xs)
+        s = s_from_t(v)
+        us = [x.traceless_part() for x in xs]
+        sc = max(1.0, max(x.norm() for x in xs) ** 3)
+        for asc in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+            cyclic = {asc[n:] + asc[:n] for n in range(3)}
+            for i, j, k in itertools.permutations(asc):
+                oracle = (us[i - 1] @ us[j - 1] @ us[k - 1]).trace()
+                assert abs(s.triple(i, j, k) - oracle) <= 1e-10 * sc
+                if (i, j, k) in cyclic:
+                    oracle = (xs[i - 1] @ xs[j - 1] @ xs[k - 1]).trace()
+                    assert abs(v.triple(i, j, k) - oracle) <= 1e-10 * sc
+                else:
+                    with pytest.raises(ValueError):
+                        v.triple(i, j, k)
+
+
+def test_trace_vector_triple_rejects_odd_order():
+    v = uniform_vec(1.0, 0.5, 0.25)
+    assert v.triple(2, 3, 1) == v.t123
+    with pytest.raises(ValueError):
+        v.triple(2, 1, 3)
+
+
+def test_pair_lookup_is_symmetric(rng):
+    coords = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    v = TraceVector(*coords)
+    s = SCoords(*coords)
+    for i, j in itertools.permutations((1, 2, 3, 4), 2):
+        key = "".join(map(str, sorted((i, j))))
+        assert v.pair(i, j) == getattr(v, "t" + key)
+        assert s.pair(i, j) == getattr(s, "s" + key)
+    assert all(s.pair(i, i) == s.s0 for i in (1, 2, 3, 4))
+
+
+def test_rotation_tables_match_rotated_vector(rng):
+    # the residuals at rotation p are those of the p-times rotated vector at
+    # rotation 0, value for value: same monomials on the same numbers
+    for _ in range(20):
+        coords = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        v = TraceVector(*coords)
+        for normalized in (False, True):
+            teq = trace_equation_residuals(v, normalized)
+            e19 = eq19_residuals(v, normalized)
+            w = v
+            for p in range(4):
+                assert teq[3 * p:3 * p + 3] == \
+                    trace_equation_residuals(w, normalized)[:3]
+                assert e19[p] == eq19_residuals(w, normalized)[0]
+                w = rotate(w)
+
+
+def test_kernels_are_generic_over_sympy_symbols():
+    sp = pytest.importorskip("sympy")
+    s0, s12, s23, s34, s14, s13, s24, s123, s124, s134, s234 = sp.symbols(
+        "s0 s12 s23 s34 s14 s13 s24 s123 s124 s134 s234")
+    s = SCoords(s0, s12, s23, s34, s14, s13, s24, s123, s124, s134, s234)
+    gram = sp.Matrix([[s0, s12, s13, s14],
+                      [s12, s0, s23, s24],
+                      [s13, s23, s0, s34],
+                      [s14, s24, s34, s0]])
+    triples = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+    invariant = dict(zip(triples, (s123, s124, s134, s234)))
+    residuals = typeI_residuals(s)
+    for a, I in enumerate(triples):
+        for b, J in enumerate(triples):
+            minor = gram.extract([i - 1 for i in I], [j - 1 for j in J])
+            want = 2 * invariant[I] * invariant[J] + minor.det()
+            assert sp.expand(residuals[4 * a + b] - want) == 0
+    assert sp.expand(det_Sdiamond(s) - gram.det()) == 0
