@@ -520,19 +520,24 @@ _TI_COLS = np.array([[j - 1 for j in TRIPLES[b]] for b in _TI_B])[:, None, :]
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # cyclic 3x3 cofactor indices
 
 
-def _cofactor_scatter() -> np.ndarray:
-    """0/1 map of entry (r, i, j) of each type I Gram minor onto its pair
-    column; diagonal entries are the constant s0 and map nowhere."""
-    out = np.zeros((16, 3, 3, 6))
+def _cofactor_gather() -> np.ndarray:
+    """Flat indices 9r + 3i + j of the entries (i, j) of type I Gram minor r
+    that hold the pair of each pair column, as two (16, 6) tables: each pair
+    sits in at most two entries; a missing one points at the zero slot 144.
+    Diagonal entries are the constant s0 and hold no pair."""
+    out = np.full((2, 16, 6), 144)
     for r, (a, b) in enumerate(zip(_TI_A, _TI_B)):
+        used = [0] * 6
         for i, p in enumerate(TRIPLES[a]):
             for j, q in enumerate(TRIPLES[b]):
                 if p != q:
-                    out[r, i, j, _pair_col(p, q)] = 1
+                    k = _pair_col(p, q)
+                    out[used[k], r, k] = 9 * r + 3 * i + j
+                    used[k] += 1
     return out
 
 
-_TI_SCATTER = _cofactor_scatter()
+_TI_GATHER = _cofactor_gather()
 
 
 def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -593,11 +598,39 @@ def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sa, sb = st[:, _TI_A], st[:, _TI_B]
     f[:, 16:] = 2 * sa * sb + det
     jac[:, 16:] = 2 * (sb[:, :, None] * dst[_TI_A] + sa[:, :, None] * dst[_TI_B])
-    jac[:, 16:, :6] += np.einsum("nrij,rijk->nrk", cof, _TI_SCATTER)
+    flat = np.concatenate([cof.reshape(n, 144), np.zeros((n, 1))], axis=1)
+    jac[:, 16:, :6] += flat[:, _TI_GATHER[0]] + flat[:, _TI_GATHER[1]]
     return f, jac
 
 
-def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+# Newton stop rules (see _newton_block), on the max raw residual of a start
+
+#: iteration cap; a start still running then is judged on its best point
+_NEWTON_ITERS = 100
+#: converged: near the double-precision floor of the raw residuals, whose
+#: roots have coordinates up to about 10 in modulus at |t| <= 2.5
+_ROOT_TOL = 1e-13
+#: the largest max residual accepted as a root: at a multiple root Newton
+#: stalls above _ROOT_TOL, with coordinate error about sqrt(residual)
+_STALL_TOL = 1e-9
+#: below _STALL_TOL, a step that lowers the residual by less than this
+#: factor has stalled: even at a double root Newton's residual falls about
+#: 4-fold a step, so a smaller decrease is rounding noise
+_STALL_RATIO = 0.7
+#: a start still above _WANDER_RES after _WANDER_ITER iterations is
+#: wandering between basins and is given up
+_WANDER_ITER = 50
+_WANDER_RES = 1e-1
+#: a coordinate beyond this modulus has diverged: far outside every root
+_DIVERGED = 1e8
+#: largest Frobenius condition number ||R||_F ||R^-1||_F of a step solved
+#: from its QR factor: kappa_2 <= kappa_F, so every singular value of such a
+#: system is far above lstsq's cutoff and its step is unique (see
+#: _lstsq_steps)
+_QR_COND_MAX = 1e8
+
+
+def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions of jac[k] x = rhs[k], as
     np.linalg.lstsq(rcond=None) finds them one system at a time: singular
     values at most eps * max(jac shape) times the largest count as zero."""
@@ -608,15 +641,51 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.einsum("nik,ni->nk", vh.conj(), coef)
 
 
+def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solutions of jac[k] x = rhs[k] that
+    _svd_steps computes, for an (n, m, k) stack of systems with m >= k.
+
+    One batched R-only QR of [jac | rhs] gives R and Q^H rhs. A system whose
+    R has a nonzero diagonal and a Frobenius condition number at most
+    _QR_COND_MAX has full column rank, lstsq drops none of its singular
+    values, and its unique solution is R^-1 Q^H rhs (Golub & Van Loan,
+    Matrix Computations, 5.3); the two agree to about kappa * eps. Every
+    other system (rank-deficient, ill-conditioned, or with an R^-1 that
+    overflows) is solved by _svd_steps. For finite input no LinAlgError
+    is raised.
+    """
+    n, _, k = jac.shape
+    r = np.linalg.qr(np.concatenate([jac, rhs[:, :, None]], axis=2), mode="r")
+    tri, qtb = r[:, :k, :k], r[:, :k, k]
+    steps = np.empty((n, k), dtype=r.dtype)
+    # a triangular matrix with a nonzero diagonal is invertible, so inv
+    # cannot raise; its inverse may still overflow to inf or nan
+    rows = np.flatnonzero((np.diagonal(tri, axis1=1, axis2=2) != 0).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rinv = np.linalg.inv(tri[rows])
+        kappa = (np.linalg.norm(tri[rows], axis=(1, 2))
+                 * np.linalg.norm(rinv, axis=(1, 2)))
+    good = kappa <= _QR_COND_MAX             # false for inf and nan
+    done = rows[good]
+    steps[done] = np.einsum("nij,nj->ni", rinv[good], qtb[done])
+    rest = np.ones(n, dtype=bool)
+    rest[done] = False
+    if rest.any():
+        steps[rest] = _svd_steps(jac[rest], rhs[rest])
+    return steps
+
+
 def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undamped Gauss-Newton from every start row of y (overwritten): each
-    step is the minimum-norm least-squares solution of J dy = -f.
+    step is the minimum-norm least-squares solution of J dy = -f, solved by
+    QR, or by SVD for the rare ill-conditioned J (see _lstsq_steps).
 
-    A start stops when its max residual reaches 1e-13, stalls at or below
-    1e-9 (less than a 0.7 decrease), or is still above 1e-1 after 50 of the
-    100 iterations; it fails when a coordinate turns non-finite or exceeds
-    1e8 in modulus. Returns each start's lowest-residual point and whether
-    that residual is at most 1e-9 without failure.
+    A start stops when its max residual reaches _ROOT_TOL, stalls at or
+    below _STALL_TOL (less than a _STALL_RATIO decrease), or is still above
+    _WANDER_RES after _WANDER_ITER of the _NEWTON_ITERS iterations; it fails
+    when a coordinate turns non-finite or exceeds _DIVERGED in modulus.
+    Returns each start's lowest-residual point and whether that residual is
+    at most _STALL_TOL without failure.
     """
     n = len(y)
     best_y = y.copy()
@@ -625,7 +694,7 @@ def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     failed = np.zeros(n, dtype=bool)
     live = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(100):
+        for it in range(_NEWTON_ITERS):
             if not live.size:
                 break
             f, jac = _probe_system(t, y[live])
@@ -633,21 +702,21 @@ def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             better = fmax < best_res[live]
             best_y[live[better]] = y[live[better]]
             best_res[live[better]] = fmax[better]
-            stop = ((fmax <= 1e-13)
+            stop = ((fmax <= _ROOT_TOL)
                     # stalled at the rounding floor of a multiple root
-                    | ((fmax <= 1e-9) & (fmax > 0.7 * prev[live]))
+                    | ((fmax <= _STALL_TOL) & (fmax > _STALL_RATIO * prev[live]))
                     # wandering; basin unlikely
-                    | ((it >= 50) & (fmax > 1e-1)))
+                    | ((it >= _WANDER_ITER) & (fmax > _WANDER_RES)))
             prev[live] = fmax
             go = ~stop
             live = live[go]
             y[live] += _lstsq_steps(jac[go], -f[go])
             moved = y[live]
             bad = (~np.isfinite(moved).all(axis=1)
-                   | (np.abs(moved).max(axis=1) > 1e8))
+                   | (np.abs(moved).max(axis=1) > _DIVERGED))
             failed[live[bad]] = True
             live = live[~bad]
-    return best_y, ~failed & (best_res <= 1e-9)
+    return best_y, ~failed & (best_res <= _STALL_TOL)
 
 
 def _is_reducible_like(v: TraceVector, tol: float = 1e-4) -> bool:
@@ -681,9 +750,11 @@ def explore_solve(t: complex, seed: int,
     4 type II, 16 type I} over the 10 free coordinates at fixed t.
 
     Start k draws its real and then its imaginary parts from
-    default_rng([seed, k]), scaled by 1.5, and takes undamped steps with
-    the exact Jacobian (see _newton_block); the starts run together in
-    blocks of _PROBE_BLOCK, each independently of the others.
+    default_rng([seed, k]), scaled by 1.5, and takes undamped least-squares
+    steps with the exact Jacobian, solved by QR, or by SVD for the rare
+    ill-conditioned Jacobian (see _newton_block and _lstsq_steps); the
+    starts run together in blocks of _PROBE_BLOCK, each independently of
+    the others.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any

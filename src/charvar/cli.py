@@ -265,10 +265,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_t(argv: list[str]) -> list[str]:
+    """Join "--t VALUE" into "--t=VALUE" when VALUE starts with "-" and
+    parses as a complex number: argparse reads such a token as an option
+    unless it is a plain negative number like -2, so "--t -0.7+1.9i" or
+    "--t -i" would lose its value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--t" and tok.startswith("-"):
+            try:
+                parse_complex(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--t={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_t(argv))
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     start = time.perf_counter()

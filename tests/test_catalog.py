@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import admissible_t
+from charvar import catalog
 from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
-                             _probe_system, classify_point,
+                             _lstsq_steps, _probe_system, classify_point,
                              enumerate_parabolic, excellent_quartic,
                              explore_solve, membership_residual,
                              sample_component, special_points)
@@ -232,6 +233,43 @@ def test_probe_jacobian_matches_finite_differences(rng):
         fd = ((hi - lo) / (2 * h)).T
         assert np.abs(fd - jac[0]).max() <= 1e-6 * max(
             1.0, np.abs(jac[0]).max())
+
+
+@pytest.mark.filterwarnings("error")
+def test_lstsq_steps_match_lstsq(rng, monkeypatch):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    jac, rhs = cplx(9, 32, 10), cplx(9, 32)
+    jac[5, :, 9] = jac[5, :, 3]                  # rank 9: a repeated column
+    jac[6] *= np.logspace(0, -10, 10)            # kappa about 1e10
+    jac[7] = 0                                   # all-zero J
+    rhs[8] = 0                                   # zero right-hand side
+    assert 1e9 < np.linalg.cond(jac[6]) < 1e11
+    svd_rows, svd_steps = [], catalog._svd_steps
+
+    def spy(j, r):
+        svd_rows.extend(k for k in range(len(jac))
+                        if any(np.array_equal(jac[k], x) for x in j))
+        return svd_steps(j, r)
+
+    monkeypatch.setattr(catalog, "_svd_steps", spy)
+    got = _lstsq_steps(jac, rhs)
+    assert sorted(svd_rows) == [5, 6, 7]
+    for k in range(len(jac)):
+        ref = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
+        assert np.linalg.norm(got[k] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("t,seed,attempts", [(2 + 1j, 3, 40),
+                                              (1.1 + 0.7j, 5, 69)])
+def test_explore_qr_steps_match_svd_steps(t, seed, attempts, monkeypatch):
+    qr = explore_solve(t, seed, attempts)
+    monkeypatch.setattr(catalog, "_lstsq_steps", catalog._svd_steps)
+    svd = explore_solve(t, seed, attempts)
+    assert [lbl for _, lbl in qr] == [lbl for _, lbl in svd]
+    for (a, _), (b, _) in zip(qr, svd):
+        assert a.max_dev(b) <= 1e-9
 
 
 def test_explore_classifies(rng):

@@ -102,6 +102,24 @@ def test_explore(tmp_path):
     assert payload["unclassified"] == []
 
 
+@pytest.mark.parametrize("args", [
+    ["explore", "--t", "-0.7+1.9i", "--attempts", "10", "--seed", "1"],
+    ["catalog", "--t", "-i"],
+    ["catalog", "--t", "-0.7+1.9i", "--component", "X3"],
+    ["verify", "--t", "-0.7+1.9i", "--component", "X3"],
+    ["verify", "--t", "-2.5", "--component", "X3"],
+])
+def test_negative_t_as_separate_token(args, tmp_path):
+    # "--t -0.7+1.9i" must report exactly what "--t=-0.7+1.9i" does
+    k = args.index("--t")
+    joined = args[:k] + [f"--t={args[k + 1]}"] + args[k + 2:]
+    code1, out1 = run(args, tmp_path, "a.json")
+    code2, out2 = run(joined, tmp_path, "b.json")
+    assert code1 == code2 == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text())["command"] == args[0]
+
+
 def test_csv_format(tmp_path):
     out = tmp_path / "out.csv"
     code = main(["catalog", "--t", "3+0i", "--format", "csv",
@@ -114,3 +132,5 @@ def test_csv_format(tmp_path):
 
 def test_usage_error_exits_2():
     assert main(["catalog"]) == 2  # --t is required
+    assert main(["catalog", "--t", "-x"]) == 2
+    assert main(["catalog", "--t", "--format", "csv"]) == 2
