@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter
 from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
-from .tracealg import (PAIRS, TRIPLES, TraceVector, _shift, _t_pairs,
+from .tracealg import (COORD_KEYS, TraceVector, _EQ_SLOTS, _GRAM_SLOTS,
+                       _SHIFT_PAIRS, _TYPEI_SLOTS, _finish, _t_pairs,
                        s_from_t, typeI_residuals, typeII_residuals)
 
 COMPONENTS = ("X11", "X12", "X21", "X22", "X3", "X4",
@@ -274,16 +275,6 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
 # ---------------------------------------------------------------------------
 # membership
 
-def _norm_terms(named_terms, normalized=True):
-    out = {}
-    for name, terms in named_terms:
-        val = sum(terms)
-        if normalized:
-            val /= max(1.0, max(abs(x) for x in terms))
-        out[name] = val
-    return out
-
-
 def membership_residual(cid: str, v: TraceVector,
                         normalized: bool = True) -> dict[str, complex]:
     """Residuals of one component's defining equations at v.
@@ -390,7 +381,7 @@ def membership_residual(cid: str, v: TraceVector,
                   ("t123", [v.t123, -p]), ("t134", [v.t134, -p])]
     else:
         raise ValueError(f"unknown component id {cid!r}")
-    return _norm_terms(r, normalized)
+    return {name: _finish(terms, normalized) for name, terms in r}
 
 
 def best_membership(v: TraceVector) -> tuple[str, float]:
@@ -476,64 +467,45 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 # ---------------------------------------------------------------------------
 # Newton probe
 
-_UNKNOWNS = ("t12", "t23", "t34", "t14", "t13", "t24",
-             "t123", "t124", "t134", "t234")
-
 #: starts advanced together as one array; bounds the probe's working memory
 #: (each start's iteration does not depend on it)
 _PROBE_BLOCK = 32
 
-
-def _pair_col(i: int, j: int) -> int:
-    return PAIRS.index((min(i, j), max(i, j)))
-
-
-def _triple_col(*idx: int) -> int:
-    return 6 + TRIPLES.index(tuple(sorted(idx)))
-
+# The probe's unknowns y are COORD_KEYS[1:], so COORD_KEYS slot k of the
+# tracealg tables is column k - 1 of y; its s-array holds s0 and the six
+# s-pairs in their SCoords slots 0..6.
 
 # columns of (t12, t13, t14, t23, t24, t123, t124) after each subscript
 # rotation p, and the residual rows 3p + (tr0, tr1-tr2, tr1+tr2) they enter
-_EQ_COLS = np.array([
-    [_pair_col(i1, i2), _pair_col(i1, i3), _pair_col(i1, i4),
-     _pair_col(i2, i3), _pair_col(i2, i4),
-     _triple_col(i1, i2, i3), _triple_col(i1, i2, i4)]
-    for i1, i2, i3, i4 in ([_shift(i, p) for i in (1, 2, 3, 4)]
-                           for p in range(4))])
+_EQ_COLS = np.array(_EQ_SLOTS) - 1
 _EQ_JAC_ROWS, _EQ_JAC_COLS = np.broadcast_arrays(
     np.arange(12).reshape(4, 3, 1), _EQ_COLS[:, None, :])
-# s-column of s_ij (i, j = 0..3), with the constant s0 appended as column 6
-_S_COLS = np.array([[_pair_col(i, j) if i != j else 6 for j in (1, 2, 3, 4)]
-                    for i in (1, 2, 3, 4)])
-# the three pair columns in the shift of each triple trace (s_from_t)
-_TRIPLE_PAIRS = np.array([[_pair_col(i, j), _pair_col(j, k), _pair_col(i, k)]
-                          for i, j, k in TRIPLES])
+_GRAM = np.array(_GRAM_SLOTS).reshape(4, 4)     # s-slot of Gram entry (i, j)
+_SHIFT_COLS = np.array(_SHIFT_PAIRS)            # pair columns of each shift
 _ALT = np.array([1, -1, 1, -1])
 # type II: each off-diagonal s_ij of row i, as (row, column, j)
 _II_ROWS, _II_COLS, _II_J = np.array(
-    [(12 + i, _pair_col(i + 1, j + 1), j)
-     for i in range(4) for j in range(4) if i != j]).T
-# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b]
+    [(12 + i, _GRAM[i, j] - 1, j) for i in range(4) for j in range(4)
+     if i != j]).T
+# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b];
+# _TI_MINOR holds the flat Gram positions of its minor
 _TI_A, _TI_B = np.divmod(np.arange(16), 4)
-_TI_ROWS = np.array([[i - 1 for i in TRIPLES[a]] for a in _TI_A])[:, :, None]
-_TI_COLS = np.array([[j - 1 for j in TRIPLES[b]] for b in _TI_B])[:, None, :]
+_TI_MINOR = np.array(_TYPEI_SLOTS).reshape(16, 3, 3)
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # cyclic 3x3 cofactor indices
 
 
 def _cofactor_gather() -> np.ndarray:
-    """Flat indices 9r + 3i + j of the entries (i, j) of type I Gram minor r
-    that hold the pair of each pair column, as two (16, 6) tables: each pair
-    sits in at most two entries; a missing one points at the zero slot 144.
-    Diagonal entries are the constant s0 and hold no pair."""
+    """Flat indices 9r + e of the entries e (row-major) of type I Gram minor
+    r that hold the pair of each pair column, as two (16, 6) tables: each
+    pair sits in at most two entries; a missing one points at the zero slot
+    144. Diagonal entries are the constant s0 and hold no pair."""
     out = np.full((2, 16, 6), 144)
-    for r, (a, b) in enumerate(zip(_TI_A, _TI_B)):
+    for r, cols in enumerate(_GRAM.ravel()[_TI_MINOR.reshape(16, 9)] - 1):
         used = [0] * 6
-        for i, p in enumerate(TRIPLES[a]):
-            for j, q in enumerate(TRIPLES[b]):
-                if p != q:
-                    k = _pair_col(p, q)
-                    out[used[k], r, k] = 9 * r + 3 * i + j
-                    used[k] += 1
+        for e, k in enumerate(cols):
+            if k >= 0:
+                out[used[k], r, k] = 9 * r + e
+                used[k] += 1
     return out
 
 
@@ -543,7 +515,7 @@ _TI_GATHER = _cofactor_gather()
 def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and exact Jacobian of {12 trace equations, 4 type II,
     16 type I} at each row of y, an (n, 10) array of the coordinates
-    _UNKNOWNS at trace t.
+    COORD_KEYS[1:] at trace t.
 
     Returns the (n, 32) raw residuals, ordered as trace_equation_residuals,
     typeII_residuals and typeI_residuals list them, and their (n, 32, 10)
@@ -578,11 +550,11 @@ def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             deq[..., k, c] = val
     jac[:, _EQ_JAC_ROWS, _EQ_JAC_COLS] = deq
 
-    s = np.concatenate([y[:, :6] - tt / 2, np.full((n, 1), tt / 2 - 2)], 1)
-    gram = s[:, _S_COLS]
-    st = y[:, 6:] - (t / 2) * y[:, _TRIPLE_PAIRS].sum(axis=2) + t ** 3 / 2
+    s = np.concatenate([np.full((n, 1), tt / 2 - 2), y[:, :6] - tt / 2], 1)
+    gram = s[:, _GRAM]
+    st = y[:, 6:] - (t / 2) * y[:, _SHIFT_COLS].sum(axis=2) + t ** 3 / 2
     dst = np.zeros((4, 10), dtype=complex)   # d st / dy, the same for all rows
-    dst[np.arange(4)[:, None], _TRIPLE_PAIRS] = -t / 2
+    dst[np.arange(4)[:, None], _SHIFT_COLS] = -t / 2
     dst[:, 6:] = np.eye(4)
 
     w = st[:, ::-1] * _ALT                   # s_i1 s234 - s_i2 s134 + ...
@@ -590,7 +562,7 @@ def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     jac[:, 12:16] = np.einsum("nij,jk->nik", gram, _ALT[:, None] * dst[::-1])
     jac[:, _II_ROWS, _II_COLS] += w[:, _II_J]
 
-    minor = gram[:, _TI_ROWS, _TI_COLS]      # (n, 16, 3, 3)
+    minor = gram.reshape(n, 16)[:, _TI_MINOR]   # (n, 16, 3, 3)
     r1, r2 = minor[:, :, _NEXT], minor[:, :, _AFTER]
     cof = r1[..., _NEXT] * r2[..., _AFTER] - r1[..., _AFTER] * r2[..., _NEXT]
     det = (minor[..., 0, 0] * cof[..., 0, 0] + minor[..., 0, 1] * cof[..., 0, 1]
@@ -769,7 +741,7 @@ def explore_solve(t: complex, seed: int,
     for cid in COMPONENTS:
         check_admissible(cid, t)
     exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
-    targets = np.array([[smp.vector.coords()[k] for k in _UNKNOWNS]
+    targets = np.array([[smp.vector.coords()[k] for k in COORD_KEYS[1:]]
                         for smp in exact])
     starts = np.empty((attempts, 10), dtype=complex)
     for k in range(attempts):

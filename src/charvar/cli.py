@@ -13,6 +13,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -36,6 +37,30 @@ def parse_complex(text: str) -> complex:
     return z
 
 
+def _count(text: str) -> int:
+    """argparse type of --n, --samples and --attempts: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (tol > 0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return tol
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.17g}{z.imag:+.17g}i"
 
@@ -50,8 +75,12 @@ def _emit(payload, args, csv_rows=None) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write report to {args.out!r}: "
+                             f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -222,7 +251,7 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="write report to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7,
+    p.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="relator-residual tolerance")
 
 
@@ -241,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sample -> realize -> relator pipeline")
     p.add_argument("--t", type=parse_complex, default=None)
     p.add_argument("--component", choices=catalog.COMPONENTS)
-    p.add_argument("--samples", type=int, default=3,
+    p.add_argument("--samples", type=_count, default=3,
                    help="number of random t values when --t is absent")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
@@ -251,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_parabolic)
 
     p = sub.add_parser("identities", help="universal-identity battery")
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--n", type=_count, default=500)
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one s-coordinate as a negative control")
     _add_common(p)
@@ -259,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="random-start Newton classification")
     p.add_argument("--t", type=parse_complex, required=True)
-    p.add_argument("--attempts", type=int, default=200)
+    p.add_argument("--attempts", type=_count, default=200)
     _add_common(p)
     p.set_defaults(fn=cmd_explore)
     return ap

@@ -18,8 +18,9 @@ from .errors import (ConstraintViolated, DegenerateCharacter,
                      FactorizationFailure, S44Mismatch, SmallS123,
                      TraceMismatch, TypeIIViolated)
 from .mat2 import Mat2, scalar
-from .tracealg import (SCoords, TRIPLES, TraceVector, _gram, s_from_t,
-                       trace_vector_of, typeI_residuals, typeII_residuals)
+from .tracealg import (SCoords, TRIPLES, TraceVector, _block, _gram,
+                       s_from_t, trace_vector_of, typeI_residuals,
+                       typeII_residuals)
 
 #: fixed traceless basis; tr(e_i e_j) = diag(2, 2, -2), tr(e1 e2 e3) = -2
 E1 = Mat2(1, 0, 0, -1)
@@ -282,9 +283,7 @@ def realize_character(v: TraceVector, tol: float = 1e-7) -> Quadruple:
 def _realize_via_role(v: TraceVector, s: SCoords, role) -> Quadruple:
     t = v.t
     d = next(i for i in (1, 2, 3, 4) if i not in role)
-    slots = [i - 1 for i in role]
-    g = _gram(s)
-    S = [[g[4 * i + j] for j in slots] for i in slots]
+    S = _block(_gram(s), [i - 1 for i in role])
     triple = realize_triple(t, S, s.triple(*role))
     us = {idx: x.traceless_part() for idx, x in zip(role, triple)}
     xd = _extend(us, s, role, d, t)

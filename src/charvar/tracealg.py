@@ -7,10 +7,12 @@ Residual functions return raw complex values by default; with
 magnitude), which is what the acceptance thresholds are stated against.
 
 Every kernel reads fixed slots: index tables built once at import from
-PAIRS, TRIPLES and the subscript rotation say which coordinate (or which
-entry of the Gram matrix) each monomial uses. The kernels are plain
-arithmetic on those values, so they work unchanged on any number type
-with field arithmetic, sympy symbols included.
+COORD_KEYS, PAIRS, TRIPLES and the subscript rotation say which coordinate
+(or which entry of the Gram matrix) each monomial uses. They are plain int
+tuples and the only statement of the coordinate layout: catalog's batched
+Newton probe reads the same tables as numpy index arrays. The kernels are
+plain arithmetic on the values they select, so they work unchanged on any
+number type with field arithmetic, sympy symbols included.
 
 ``SCoords.triple`` is alternating: an odd permutation of an ascending
 triple returns -s_ijk, matching tr(u_i u_j u_k) of the traceless parts.
@@ -35,41 +37,83 @@ PAIRS = ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4))
 TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
-def _lookup_tables():
-    """Coordinate names by index tuple: (i, j) in either order for pairs
-    (s0 on the diagonal), the cyclic orders of each ascending triple for
-    trace triples, and every order with its parity for s-triples."""
-    t_pair, s_pair = {}, {(i, i): "s0" for i in (1, 2, 3, 4)}
-    for i, j in PAIRS:
-        t_pair[i, j] = t_pair[j, i] = f"t{i}{j}"
-        s_pair[i, j] = s_pair[j, i] = f"s{i}{j}"
-    t_triple, s_triple = {}, {}
-    for i, j, k in TRIPLES:
-        for even in ((i, j, k), (j, k, i), (k, i, j)):
-            t_triple[even] = f"t{i}{j}{k}"
-            s_triple[even] = (f"s{i}{j}{k}", False)
-        for odd in ((j, i, k), (i, k, j), (k, j, i)):
-            s_triple[odd] = (f"s{i}{j}{k}", True)
-    return t_pair, s_pair, t_triple, s_triple
+#: SCoords field names, slot for slot with COORD_KEYS (s0 in the slot of t)
+_S_KEYS = ("s0",) + tuple("s" + k[1:] for k in COORD_KEYS[1:])
 
 
-_T_PAIR, _S_PAIR, _T_TRIPLE, _S_TRIPLE = _lookup_tables()
+def _shift(i: int, p: int) -> int:
+    return (i - 1 + p) % 4 + 1
+
+
+def _slot_tables():
+    """Slots in COORD_KEYS by index tuple: each pair (i, j) in either order,
+    each cyclic order of an ascending triple, and, for the alternating
+    s-triples only, each odd order."""
+    pair = {}
+    for k, (i, j) in enumerate(PAIRS, start=1):
+        pair[i, j] = pair[j, i] = k
+    even, odd = {}, {}
+    for k, (a, b, c) in enumerate(TRIPLES, start=7):
+        even.update(dict.fromkeys(((a, b, c), (b, c, a), (c, a, b)), k))
+        odd.update(dict.fromkeys(((b, a, c), (a, c, b), (c, b, a)), k))
+    return pair, even, odd
+
+
+_PAIR_SLOT, _TRIPLE_SLOT, _ODD_SLOT = _slot_tables()
+
+#: slot of (t12, t13, t14, t23, t24, t123, t124) after the subscript
+#: rotation by p, one row per p = 0..3
+_EQ_SLOTS = tuple(
+    tuple(_PAIR_SLOT[q] for q in ((i1, i2), (i1, i3), (i1, i4), (i2, i3),
+                                  (i2, i4)))
+    + (_TRIPLE_SLOT[i1, i2, i3], _TRIPLE_SLOT[i1, i2, i4])
+    for i1, i2, i3, i4 in ([_shift(i, p) for i in (1, 2, 3, 4)]
+                           for p in range(4)))
+#: slot each coordinate of the rotated vector (i -> i+1 mod 4) reads
+_ROTATE_SLOTS = (
+    0, *(_PAIR_SLOT[_shift(i, 1), _shift(j, 1)] for i, j in PAIRS),
+    *(_TRIPLE_SLOT[tuple(_shift(i, 1) for i in q)] for q in TRIPLES))
+#: _S_KEYS slot of Gram entry (i, j), 0-based, at position 4 * i + j of the
+#: flat row-major Gram matrix; s0 (slot 0) on the diagonal
+_GRAM_SLOTS = tuple(_PAIR_SLOT.get((i, j), 0) for i in (1, 2, 3, 4)
+                    for j in (1, 2, 3, 4))
+#: 0-based Gram rows/columns of each ascending triple
+_TRIPLE_ROWS = tuple(tuple(i - 1 for i in idx) for idx in TRIPLES)
+#: positions in PAIRS (slot - 1) of the pairs (i, j), (j, k), (i, k) whose
+#: sum shifts the triple trace t_ijk (s_from_t)
+_SHIFT_PAIRS = tuple(tuple(_PAIR_SLOT[q] - 1 for q in ((i, j), (j, k), (i, k)))
+                     for i, j, k in TRIPLES)
+
+
+def _positions(rows, cols) -> tuple:
+    """Flat Gram positions of a submatrix, row-major."""
+    return tuple(4 * i + j for i in rows for j in cols)
+
+
+#: flat Gram positions of the 3x3 minor of type I relation 4a + b: rows
+#: TRIPLES[a], columns TRIPLES[b]
+_TYPEI_SLOTS = tuple(_positions(_TRIPLE_ROWS[a], _TRIPLE_ROWS[b])
+                     for a in range(4) for b in range(4))
+
+#: name lookups of TraceVector.pair/triple and SCoords.pair/triple
+_T_PAIR = {q: COORD_KEYS[k] for q, k in _PAIR_SLOT.items()}
+_T_TRIPLE = {q: COORD_KEYS[k] for q, k in _TRIPLE_SLOT.items()}
+_S_PAIR = {**{q: _S_KEYS[k] for q, k in _PAIR_SLOT.items()},
+           **{(i, i): "s0" for i in (1, 2, 3, 4)}}
+_S_TRIPLE = {**{q: (_S_KEYS[k], False) for q, k in _TRIPLE_SLOT.items()},
+             **{q: (_S_KEYS[k], True) for q, k in _ODD_SLOT.items()}}
 
 #: the six pair / four triple values of a TraceVector or SCoords, in PAIRS /
 #: TRIPLES order
 _t_pairs = attrgetter(*PAIR_KEYS)
 _t_triples = attrgetter(*TRIPLE_KEYS)
-_s_pairs = attrgetter(*(_S_PAIR[p] for p in PAIRS))
-_s_triples = attrgetter(*(_S_TRIPLE[p][0] for p in TRIPLES))
-#: the 4x4 Gram matrix (s_ij) of an SCoords, s0 on the diagonal, as a flat
-#: row-major 16-tuple: entry (i, j), 0-based, is _gram(s)[4 * i + j]
-_gram = attrgetter(*(_S_PAIR[i, j] for i in (1, 2, 3, 4)
-                     for j in (1, 2, 3, 4)))
-#: 0-based Gram rows/columns of each ascending triple
-_TRIPLE_SLOTS = tuple(tuple(i - 1 for i in idx) for idx in TRIPLES)
-#: slots in PAIRS of the pairs (i, j), (j, k), (i, k) of each triple
-_TRIPLE_PAIRS = tuple((PAIRS.index((i, j)), PAIRS.index((j, k)),
-                       PAIRS.index((i, k))) for i, j, k in TRIPLES)
+_s_pairs = attrgetter(*_S_KEYS[1:7])
+_s_triples = attrgetter(*_S_KEYS[7:])
+#: the 4x4 Gram matrix (s_ij) of an SCoords as a flat row-major 16-tuple:
+#: entry (i, j), 0-based, is _gram(s)[4 * i + j]
+_gram = attrgetter(*(_S_KEYS[k] for k in _GRAM_SLOTS))
+#: the coordinates of the rotated vector, in COORD_KEYS order
+_rotated = attrgetter(*(COORD_KEYS[k] for k in _ROTATE_SLOTS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,11 +149,7 @@ class TraceVector:
 
     def rotate(self) -> "TraceVector":
         """Image under the order-4 subscript rotation i -> i+1 (mod 4)."""
-        return TraceVector(
-            t=self.t,
-            t12=self.t23, t23=self.t34, t34=self.t14, t14=self.t12,
-            t13=self.t24, t24=self.t13,
-            t123=self.t234, t124=self.t123, t134=self.t124, t234=self.t134)
+        return TraceVector(*_rotated(self))
 
     def max_dev(self, other: "TraceVector") -> float:
         return max(abs(getattr(self, k) - getattr(other, k))
@@ -162,7 +202,7 @@ def s_from_t(v: TraceVector) -> SCoords:
     tp = _t_pairs(v)
     return SCoords(h - 2, *[x - h for x in tp],
                    *[x - half * (tp[a] + tp[b] + tp[c]) + cube
-                     for x, (a, b, c) in zip(_t_triples(v), _TRIPLE_PAIRS)])
+                     for x, (a, b, c) in zip(_t_triples(v), _SHIFT_PAIRS)])
 
 
 def t_from_s(s: SCoords, t: complex) -> TraceVector:
@@ -175,7 +215,7 @@ def t_from_s(s: SCoords, t: complex) -> TraceVector:
     return TraceVector(t, *tp,
                        *[x + half * (tp[a] + tp[b] + tp[c]) - cube
                          for x, (a, b, c) in zip(_s_triples(s),
-                                                 _TRIPLE_PAIRS)])
+                                                 _SHIFT_PAIRS)])
 
 
 @dataclass(frozen=True)
@@ -197,7 +237,7 @@ def _block(g: tuple, slots) -> tuple:
 
 def gram_matrices(s: SCoords) -> GramData:
     g = _gram(s)
-    return GramData(*(_block(g, slots) for slots in _TRIPLE_SLOTS),
+    return GramData(*(_block(g, rows) for rows in _TRIPLE_ROWS),
                     Sdiamond=_block(g, range(4)))
 
 
@@ -219,15 +259,9 @@ def _finish(terms: list[complex], normalized: bool) -> complex:
     return val / max(1.0, max(map(abs, terms)))
 
 
-def _minor(rows, cols) -> itemgetter:
-    """Getter of a 3x3 submatrix of the flat Gram tuple, row-major."""
-    return itemgetter(*(4 * i + j for i in rows for j in cols))
-
-
-#: type I relation 4a + b: (a, b, getter of the minor on rows TRIPLES[a]
-#: and columns TRIPLES[b])
-_TYPEI = tuple((a, b, _minor(_TRIPLE_SLOTS[a], _TRIPLE_SLOTS[b]))
-               for a in range(4) for b in range(4))
+#: type I relation 4a + b: (a, b, getter of its minor)
+_TYPEI = tuple((r // 4, r % 4, itemgetter(*pos))
+               for r, pos in enumerate(_TYPEI_SLOTS))
 
 
 def typeI_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
@@ -254,7 +288,8 @@ def typeII_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
 #: Laplace expansion along row 0: (column j, cofactor sign, getter of the
 #: minor on rows 1..3 without column j)
 _DET4 = tuple((j, -1 if j % 2 else 1,
-               _minor((1, 2, 3), [c for c in range(4) if c != j]))
+               itemgetter(*_positions((1, 2, 3),
+                                      [c for c in range(4) if c != j])))
               for j in range(4))
 
 
@@ -267,21 +302,8 @@ def det_Sdiamond(s: SCoords, normalized: bool = False) -> complex:
     return _finish(terms, normalized)
 
 
-def _shift(i: int, p: int) -> int:
-    return (i - 1 + p) % 4 + 1
-
-
-def _eq_names(p: int) -> list[str]:
-    """Coordinates read as t12, t13, t14, t23, t24, t123, t124 after the
-    subscript rotation by p."""
-    i1, i2, i3, i4 = (_shift(i, p) for i in (1, 2, 3, 4))
-    names = [_T_PAIR[q] for q in ((i1, i2), (i1, i3), (i1, i4), (i2, i3),
-                                  (i2, i4))]
-    return names + [_T_TRIPLE[q] for q in ((i1, i2, i3), (i1, i2, i4))]
-
-
-#: one getter per rotation p = 0..3 of the seven values _eq_names(p) names
-_EQ_IDX = tuple(attrgetter(*_eq_names(p)) for p in range(4))
+#: one getter per rotation p = 0..3 of the seven values _EQ_SLOTS[p] names
+_EQ_IDX = tuple(attrgetter(*(COORD_KEYS[k] for k in row)) for row in _EQ_SLOTS)
 
 
 def trace_equation_residuals(v: TraceVector,

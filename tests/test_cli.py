@@ -130,7 +130,27 @@ def test_csv_format(tmp_path):
     assert len(lines) > 26
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     assert main(["catalog"]) == 2  # --t is required
     assert main(["catalog", "--t", "-x"]) == 2
     assert main(["catalog", "--t", "--format", "csv"]) == 2
+    # a negative count is a usage error, not a failed check (--n 0 is valid)
+    for args in (["identities", "--n", "-3"], ["verify", "--samples", "-2"],
+                 ["explore", "--t", "2+1i", "--attempts", "-4"]):
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-7", "inf"])
+def test_bad_tol_exits_2(tol, capsys):
+    assert main(["verify", "--t", "3+0i", "--component", "X3",
+                 f"--tol={tol}"]) == 2
+    assert "error: argument --tol" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "p.json"
+    assert main(["parabolic", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report") and not out.exists()
