@@ -275,8 +275,7 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
 # ---------------------------------------------------------------------------
 # membership
 
-def membership_residual(cid: str, v: TraceVector,
-                        normalized: bool = True) -> dict[str, complex]:
+def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
     """Residuals of one component's defining equations at v.
 
     Parameters are recovered linearly from the vector; denominators in alpha
@@ -381,7 +380,7 @@ def membership_residual(cid: str, v: TraceVector,
                   ("t123", [v.t123, -p]), ("t134", [v.t134, -p])]
     else:
         raise ValueError(f"unknown component id {cid!r}")
-    return {name: _finish(terms, normalized) for name, terms in r}
+    return {name: _finish(terms, normalized=True) for name, terms in r}
 
 
 def best_membership(v: TraceVector) -> tuple[str, float]:
@@ -691,7 +690,7 @@ def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best_y, ~failed & (best_res <= _STALL_TOL)
 
 
-def _is_reducible_like(v: TraceVector, tol: float = 1e-4) -> bool:
+def _is_reducible_like(v: TraceVector) -> bool:
     """All six pair traces sit in {2, t^2 - 2}: the diagonal-character locus.
 
     The tolerance is loose because the locus is singular for the probe
@@ -699,7 +698,7 @@ def _is_reducible_like(v: TraceVector, tol: float = 1e-4) -> bool:
     """
     targets = (2.0, v.t * v.t - 2)
     sc = max(1.0, abs(v.t) ** 2)
-    return all(min(abs(x - w) for w in targets) <= tol * sc
+    return all(min(abs(x - w) for w in targets) <= 1e-4 * sc
                for x in _t_pairs(v))
 
 

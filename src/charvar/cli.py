@@ -247,12 +247,9 @@ def cmd_explore(args) -> int:
     return 0 if not unclassified else 1
 
 
-def _add_common(p):
+def _add_output(p):
     p.add_argument("--out", default=None, help="write report to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-7,
-                   help="relator-residual tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list component samples at one t")
     p.add_argument("--t", type=parse_complex, required=True)
     p.add_argument("--component", choices=catalog.COMPONENTS)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("verify", help="sample -> realize -> relator pipeline")
@@ -272,24 +269,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", choices=catalog.COMPONENTS)
     p.add_argument("--samples", type=_count, default=3,
                    help="number of random t values when --t is absent")
-    _add_common(p)
+    p.add_argument("--tol", type=_tolerance, default=wirtinger.RELATOR_TOL,
+                   help="relator-residual tolerance")
+    p.add_argument("--seed", type=int, default=0)
+    _add_output(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("parabolic", help="emit the 26-class census at t = 2")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_parabolic)
 
     p = sub.add_parser("identities", help="universal-identity battery")
     p.add_argument("--n", type=_count, default=500)
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one s-coordinate as a negative control")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_output(p)
     p.set_defaults(fn=cmd_identities)
 
     p = sub.add_parser("explore", help="random-start Newton classification")
     p.add_argument("--t", type=parse_complex, required=True)
     p.add_argument("--attempts", type=_count, default=200)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_output(p)
     p.set_defaults(fn=cmd_explore)
     return ap
 

@@ -27,9 +27,6 @@ class Mat2:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def adjugate(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
     def inverse(self) -> "Mat2":
         dt = self.det()
         if abs(dt) <= 1e-14:
@@ -40,8 +37,8 @@ class Mat2:
         """Max entry magnitude."""
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
-    def is_scalar(self, tol: float = SCALAR_TOL) -> bool:
-        bound = tol * max(1.0, self.norm())
+    def is_scalar(self) -> bool:
+        bound = SCALAR_TOL * max(1.0, self.norm())
         return (abs(self.b) <= bound and abs(self.c) <= bound
                 and abs(self.a - self.d) <= bound)
 
@@ -82,7 +79,6 @@ class Mat2:
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
-ZERO = Mat2(0, 0, 0, 0)
 
 
 def scalar(z) -> Mat2:
@@ -98,9 +94,9 @@ def rel_dist(x: Mat2, y: Mat2) -> float:
     return dist(x, y) / max(1.0, x.norm(), y.norm())
 
 
-def in_gt(m: Mat2, t: complex, tol: float = 1e-10) -> bool:
+def in_gt(m: Mat2, t: complex) -> bool:
     """Membership in G(t) = {x in SL(2,C) : tr(x) = t}."""
-    return abs(m.det() - 1) <= tol and abs(m.trace() - t) <= tol
+    return abs(m.det() - 1) <= 1e-10 and abs(m.trace() - t) <= 1e-10
 
 
 def ch_residual(x: Mat2, t: complex) -> Mat2:
@@ -140,7 +136,7 @@ def _eigenvectors(m: Mat2) -> list[tuple[complex, complex]]:
     return out
 
 
-def _fixes_span(m: Mat2, v: tuple[complex, complex], tol: float) -> bool:
+def _fixes_span(m: Mat2, v: tuple[complex, complex]) -> bool:
     w = m.apply(v)
     nw = max(abs(w[0]), abs(w[1]))
     if nw == 0:
@@ -150,10 +146,10 @@ def _fixes_span(m: Mat2, v: tuple[complex, complex], tol: float) -> bool:
     nv2 = abs(v[0]) ** 2 + abs(v[1]) ** 2
     r0 = w[0] - ip / nv2 * v[0]
     r1 = w[1] - ip / nv2 * v[1]
-    return max(abs(r0), abs(r1)) / nw <= tol
+    return max(abs(r0), abs(r1)) / nw <= EIGVEC_TOL
 
 
-def has_common_eigenvector(ms, tol: float = EIGVEC_TOL) -> bool:
+def has_common_eigenvector(ms) -> bool:
     """Brute-force reducibility test for a nonempty list of matrices.
 
     Candidates are the eigenvectors of the first non-scalar matrix; each is
@@ -166,19 +162,16 @@ def has_common_eigenvector(ms, tol: float = EIGVEC_TOL) -> bool:
     if anchor is None:
         return True  # scalars fix every line
     for v in _eigenvectors(anchor):
-        if all(_fixes_span(m, v, tol) for m in ms):
+        if all(_fixes_span(m, v) for m in ms):
             return True
     return False
 
 
-def is_irreducible_pair(x: Mat2, y: Mat2, t: complex | None = None,
-                        tol: float = 1e-9) -> bool:
+def is_irreducible_pair(x: Mat2, y: Mat2, t: complex) -> bool:
     """Trace criterion for a pair in G(t): tr(xy) outside {2, t^2 - 2}."""
-    if t is None:
-        t = x.trace()
     txy = (x @ y).trace()
     s = max(1.0, abs(txy), abs(t) ** 2)
-    return abs(txy - 2) > tol * s and abs(txy - (t * t - 2)) > tol * s
+    return abs(txy - 2) > 1e-9 * s and abs(txy - (t * t - 2)) > 1e-9 * s
 
 
 def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:

@@ -54,11 +54,11 @@ class Quadruple:
     def trace_vector(self) -> TraceVector:
         return trace_vector_of(*self.matrices())
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         for m in self.matrices():
-            if abs(m.det() - 1) > tol * max(1.0, m.norm() ** 2):
+            if abs(m.det() - 1) > 1e-9 * max(1.0, m.norm() ** 2):
                 raise ConstraintViolated(f"det = {m.det()}")
-            if abs(m.trace() - self.t) > tol * max(1.0, abs(self.t)):
+            if abs(m.trace() - self.t) > 1e-9 * max(1.0, abs(self.t)):
                 raise TraceMismatch(f"trace {m.trace()} vs t = {self.t}")
 
     def conjugated(self, g: Mat2) -> "Quadruple":
@@ -112,16 +112,16 @@ def _pivoted_ldlt(a: np.ndarray, tol: float):
     return low, d, perm
 
 
-def factor_symmetric(S: np.ndarray, tol: float = PIVOT_TOL) -> np.ndarray:
+def factor_symmetric(S: np.ndarray) -> np.ndarray:
     """Return M with M^T M = S for nonsingular complex symmetric S.
 
     Pivoted LDL^T; when every available diagonal pivot is below
-    tol * ||S|| (possible over C even at full rank), the matrix is first
+    PIVOT_TOL * ||S|| (possible over C even at full rank), the matrix is first
     conjugated by a fixed complex-orthogonal rotation and retried.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
-    bound = tol * max(np.abs(S).max(), 1e-30)
+    bound = PIVOT_TOL * max(np.abs(S).max(), 1e-30)
     for angle in _ROTATION_ANGLES:
         q = _plane_rotation(n, angle)
         res = _pivoted_ldlt(q.T @ S @ q, bound)
@@ -244,7 +244,7 @@ def _degenerate_realize(v: TraceVector) -> Quadruple | None:
     return None
 
 
-def realize_character(v: TraceVector, tol: float = 1e-7) -> Quadruple:
+def realize_character(v: TraceVector) -> Quadruple:
     """Matrix quadruple whose trace vector reproduces v.
 
     Tries triple roles in ascending order, realizing the first one whose
@@ -258,9 +258,9 @@ def realize_character(v: TraceVector, tol: float = 1e-7) -> Quadruple:
     pre = [*typeI_residuals(s, normalized=True),
            *typeII_residuals(s, normalized=True)]
     worst = max(abs(r) for r in pre)
-    if worst > tol:
+    if worst > 1e-7:
         raise ConstraintViolated(
-            f"definitive-relation residual {worst:.3e} exceeds {tol:.1e}")
+            f"definitive-relation residual {worst:.3e} exceeds 1.0e-07")
     q = None
     for role in TRIPLES:
         if abs(s.triple(*role)) > ROLE_THRESHOLD:

@@ -15,6 +15,9 @@ from .mat2 import Mat2, dist, has_common_eigenvector, rel_dist
 from .reconstruct import Quadruple
 from .tracealg import trace_equation_residuals, trace_vector_of
 
+#: relator spread below which a quadruple counts as a representation
+RELATOR_TOL = 1e-7
+
 
 @dataclass(frozen=True, slots=True)
 class RelatorSet:
@@ -44,7 +47,8 @@ def relators(q: Quadruple) -> RelatorSet:
     return RelatorSet(r(0), r(1), r(2), r(3))
 
 
-def is_representation(q: Quadruple, tol: float = 1e-7) -> tuple[bool, float]:
+def is_representation(q: Quadruple,
+                      tol: float = RELATOR_TOL) -> tuple[bool, float]:
     res = relators(q).spread()
     return res <= tol, res
 
@@ -61,7 +65,7 @@ class Lemma31Report:
     cross_trace: complex
 
 
-def lemma31_check(q: Quadruple, i: int, tol: float = 1e-8) -> Lemma31Report:
+def lemma31_check(q: Quadruple, i: int) -> Lemma31Report:
     """If x_i and x_{i+1} commute in an irreducible representation, then they
     are equal, the other two images coincide, and the cross trace is 1.
 
@@ -82,7 +86,7 @@ def lemma31_check(q: Quadruple, i: int, tol: float = 1e-8) -> Lemma31Report:
     d1 = rel_dist(xi, xn)
     d2 = rel_dist(xp, xq_)
     ct = (xi @ xp).trace()
-    if d1 > tol or d2 > tol or abs(ct - 1) > tol:
+    if d1 > 1e-8 or d2 > 1e-8 or abs(ct - 1) > 1e-8:
         raise PreconditionViolated(
             f"conclusion failed: {d1:.2e}, {d2:.2e}, tr = {ct}")
     return Lemma31Report(True, d1, d2, ct)

@@ -140,6 +140,14 @@ def test_usage_error_exits_2(capsys):
         capsys.readouterr()
         assert main(args) == 2
         assert "error: argument --" in capsys.readouterr().err
+    # --seed and --tol exist only where a report reads them
+    for args in (["catalog", "--t", "3", "--tol", "1"],
+                 ["parabolic", "--seed", "1"],
+                 ["identities", "--n", "5", "--inject-fault", "--tol", "1"],
+                 ["explore", "--t", "2+1i", "--tol", "1"]):
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1e-7", "inf"])
