@@ -466,8 +466,10 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 # ---------------------------------------------------------------------------
 # Newton probe
 
-#: starts advanced together as one array; bounds the probe's working memory
-#: (each start's iteration does not depend on it)
+#: the Newton loop's working set: at most this many starts are advanced
+#: together as one array, and a start that stops hands its row to the next
+#: unstarted one; bounds the probe's working memory (each start's iteration
+#: does not depend on it)
 _PROBE_BLOCK = 32
 
 # The probe's unknowns y are COORD_KEYS[1:], so COORD_KEYS slot k of the
@@ -486,29 +488,51 @@ _ALT = np.array([1, -1, 1, -1])
 _II_ROWS, _II_COLS, _II_J = np.array(
     [(12 + i, _GRAM[i, j] - 1, j) for i in range(4) for j in range(4)
      if i != j]).T
-# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b];
-# _TI_MINOR holds the flat Gram positions of its minor
+# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b]
 _TI_A, _TI_B = np.divmod(np.arange(16), 4)
-_TI_MINOR = np.array(_TYPEI_SLOTS).reshape(16, 3, 3)
-_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # cyclic 3x3 cofactor indices
 
 
-def _cofactor_gather() -> np.ndarray:
-    """Flat indices 9r + e of the entries e (row-major) of type I Gram minor
-    r that hold the pair of each pair column, as two (16, 6) tables: each
-    pair sits in at most two entries; a missing one points at the zero slot
-    144. Diagonal entries are the constant s0 and hold no pair."""
-    out = np.full((2, 16, 6), 144)
-    for r, cols in enumerate(_GRAM.ravel()[_TI_MINOR.reshape(16, 9)] - 1):
+def _minor_table():
+    """Index tables of the type I Gram minors, in plain ints.
+
+    Cofactor (i, j) of a 3x3 minor M is M[i', j'] M[i'', j''] -
+    M[i', j''] M[i'', j'] with i' = i + 1 and i'' = i + 2 (mod 3), the same
+    for j. The 144 cofactors of the 16 minors are, up to sign, 46 distinct
+    2x2 minors s_a s_b - s_c s_d of the s-array, with operand order kept
+    (complex products need not commute bitwise). Returns the (46, 4) slots
+    (a, b, c, d); the column of each cofactor in mx = [m, -m, 0], the
+    minors, their negatives and a zero; and, as two (16, 6) tables, the mx
+    columns of the entries (row-major) of minor r that hold pair column k.
+    A pair sits in at most two entries, and a missing one points at the
+    zero column; diagonal entries are the constant s0 and hold no pair.
+    """
+    seen, signed = {}, []      # minor -> its index; (index, negated)
+    for pos in _TYPEI_SLOTS:
+        g = [_GRAM_SLOTS[p] for p in pos]
+        rows = g[:3], g[3:6], g[6:]
+        for i in range(3):
+            r1, r2 = rows[i - 2], rows[i - 1]      # rows i + 1, i + 2 (mod 3)
+            for j in range(3):
+                key = (r1[j - 2], r2[j - 1], r1[j - 1], r2[j - 2])
+                neg = key[2:] + key[:2]
+                signed.append((seen[neg], True) if neg in seen
+                              else (seen.setdefault(key, len(seen)), False))
+    ops = list(seen)
+    cof = [k + len(ops) if negated else k for k, negated in signed]
+    gather = [[[2 * len(ops)] * 6 for _ in _TYPEI_SLOTS] for _ in range(2)]
+    for r, pos in enumerate(_TYPEI_SLOTS):
         used = [0] * 6
-        for e, k in enumerate(cols):
+        for e, p in enumerate(pos):
+            k = _GRAM_SLOTS[p] - 1
             if k >= 0:
-                out[used[k], r, k] = 9 * r + e
+                gather[used[k]][r][k] = cof[9 * r + e]
                 used[k] += 1
-    return out
+    return ops, cof, gather
 
 
-_TI_GATHER = _cofactor_gather()
+_MINOR_OPS, _COF, _TI_GATHER = map(np.array, _minor_table())
+_COF = _COF.reshape(16, 3, 3)
+_TI_ROW0 = _GRAM.ravel()[np.array(_TYPEI_SLOTS)[:, :3]]  # s-slots, row 0
 
 
 def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,7 +544,8 @@ def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     typeII_residuals and typeI_residuals list them, and their (n, 32, 10)
     derivatives. Every equation has degree <= 3 and the s-coordinates are
     affine in y, so the type I derivatives are the cofactors of the 3x3
-    Gram minors mapped back onto the pair columns.
+    Gram minors mapped back onto the pair columns; each distinct cofactor
+    is computed once (see _minor_table).
     """
     n = len(y)
     tt = t * t
@@ -561,20 +586,20 @@ def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     jac[:, 12:16] = np.einsum("nij,jk->nik", gram, _ALT[:, None] * dst[::-1])
     jac[:, _II_ROWS, _II_COLS] += w[:, _II_J]
 
-    minor = gram.reshape(n, 16)[:, _TI_MINOR]   # (n, 16, 3, 3)
-    r1, r2 = minor[:, :, _NEXT], minor[:, :, _AFTER]
-    cof = r1[..., _NEXT] * r2[..., _AFTER] - r1[..., _AFTER] * r2[..., _NEXT]
-    det = (minor[..., 0, 0] * cof[..., 0, 0] + minor[..., 0, 1] * cof[..., 0, 1]
-           + minor[..., 0, 2] * cof[..., 0, 2])
+    q = s[:, _MINOR_OPS]                        # (n, 46, 4)
+    m = q[..., 0] * q[..., 1] - q[..., 2] * q[..., 3]
+    mx = np.concatenate([m, -m, np.zeros((n, 1))], axis=1)
+    row, cof = s[:, _TI_ROW0], mx[:, _COF[:, 0, :]]     # (n, 16, 3) each
+    det = (row[..., 0] * cof[..., 0] + row[..., 1] * cof[..., 1]
+           + row[..., 2] * cof[..., 2])
     sa, sb = st[:, _TI_A], st[:, _TI_B]
     f[:, 16:] = 2 * sa * sb + det
     jac[:, 16:] = 2 * (sb[:, :, None] * dst[_TI_A] + sa[:, :, None] * dst[_TI_B])
-    flat = np.concatenate([cof.reshape(n, 144), np.zeros((n, 1))], axis=1)
-    jac[:, 16:, :6] += flat[:, _TI_GATHER[0]] + flat[:, _TI_GATHER[1]]
+    jac[:, 16:, :6] += mx[:, _TI_GATHER[0]] + mx[:, _TI_GATHER[1]]
     return f, jac
 
 
-# Newton stop rules (see _newton_block), on the max raw residual of a start
+# Newton stop rules (see _newton_starts), on the max raw residual of a start
 
 #: iteration cap; a start still running then is judged on its best point
 _NEWTON_ITERS = 100
@@ -646,28 +671,32 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undamped Gauss-Newton from every start row of y (overwritten): each
     step is the minimum-norm least-squares solution of J dy = -f, solved by
     QR, or by SVD for the rare ill-conditioned J (see _lstsq_steps).
 
-    A start stops when its max residual reaches _ROOT_TOL, stalls at or
-    below _STALL_TOL (less than a _STALL_RATIO decrease), or is still above
-    _WANDER_RES after _WANDER_ITER of the _NEWTON_ITERS iterations; it fails
-    when a coordinate turns non-finite or exceeds _DIVERGED in modulus.
-    Returns each start's lowest-residual point and whether that residual is
-    at most _STALL_TOL without failure.
+    At most _PROBE_BLOCK starts are live at a time, in start order; when a
+    start stops or fails, or has taken _NEWTON_ITERS steps, the next
+    unstarted one takes its row. An iteration evaluates f and J, applies
+    the stop rules and, for a start that goes on, takes the step and checks
+    it for divergence. A start stops when its max residual reaches
+    _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
+    decrease), or is still above _WANDER_RES after _WANDER_ITER of its
+    iterations; it fails when a coordinate turns non-finite or exceeds
+    _DIVERGED in modulus. Returns each start's lowest-residual point and
+    whether that residual is at most _STALL_TOL without failure.
     """
     n = len(y)
     best_y = y.copy()
     best_res = np.full(n, np.inf)
     prev = np.full(n, np.inf)
     failed = np.zeros(n, dtype=bool)
-    live = np.arange(n)
+    iters = np.zeros(n, dtype=int)            # iterations each start has taken
+    live = np.arange(min(n, _PROBE_BLOCK))
+    unstarted = live.size                     # the next start to take a row
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(_NEWTON_ITERS):
-            if not live.size:
-                break
+        while live.size:
             f, jac = _probe_system(t, y[live])
             fmax = np.abs(f).max(axis=1)
             better = fmax < best_res[live]
@@ -677,7 +706,7 @@ def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     # stalled at the rounding floor of a multiple root
                     | ((fmax <= _STALL_TOL) & (fmax > _STALL_RATIO * prev[live]))
                     # wandering; basin unlikely
-                    | ((it >= _WANDER_ITER) & (fmax > _WANDER_RES)))
+                    | ((iters[live] >= _WANDER_ITER) & (fmax > _WANDER_RES)))
             prev[live] = fmax
             go = ~stop
             live = live[go]
@@ -687,6 +716,12 @@ def _newton_block(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                    | (np.abs(moved).max(axis=1) > _DIVERGED))
             failed[live[bad]] = True
             live = live[~bad]
+            iters[live] += 1
+            live = live[iters[live] < _NEWTON_ITERS]
+            refill = min(_PROBE_BLOCK - live.size, n - unstarted)
+            live = np.concatenate(
+                [live, np.arange(unstarted, unstarted + refill)])
+            unstarted += refill
     return best_y, ~failed & (best_res <= _STALL_TOL)
 
 
@@ -723,9 +758,10 @@ def explore_solve(t: complex, seed: int,
     Start k draws its real and then its imaginary parts from
     default_rng([seed, k]), scaled by 1.5, and takes undamped least-squares
     steps with the exact Jacobian, solved by QR, or by SVD for the rare
-    ill-conditioned Jacobian (see _newton_block and _lstsq_steps); the
-    starts run together in blocks of _PROBE_BLOCK, each independently of
-    the others.
+    ill-conditioned Jacobian (see _newton_starts and _lstsq_steps). Up to
+    _PROBE_BLOCK starts run together as one array, and a finished start's
+    row is refilled with the next unstarted one; each start runs
+    independently of the others.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any
@@ -736,6 +772,8 @@ def explore_solve(t: complex, seed: int,
     are deterministic for fixed (seed, attempts); the first n of them
     depend only on the first n starts.
     """
+    if attempts < 0:
+        raise ValueError(f"attempts must be >= 0, got {attempts}")
     t = complex(t)
     for cid in COMPONENTS:
         check_admissible(cid, t)
@@ -747,12 +785,13 @@ def explore_solve(t: complex, seed: int,
         rng = np.random.default_rng([seed, k])
         starts[k].real = rng.standard_normal(10) * 1.5
         starts[k].imag = rng.standard_normal(10) * 1.5
+    best, ok = _newton_starts(t, starts)
+    found = best[ok]
     out = []
-    for lo in range(0, attempts, _PROBE_BLOCK):
-        best, ok = _newton_block(t, starts[lo:lo + _PROBE_BLOCK])
-        found = best[ok]
-        near = np.abs(found[:, None, :] - targets).max(axis=2) <= 1e-4
-        for y, hit, first in zip(found.tolist(), near.any(axis=1),
+    for lo in range(0, len(found), _PROBE_BLOCK):    # bounded temporaries
+        chunk = found[lo:lo + _PROBE_BLOCK]
+        near = np.abs(chunk[:, None, :] - targets).max(axis=2) <= 1e-4
+        for y, hit, first in zip(chunk.tolist(), near.any(axis=1),
                                  near.argmax(axis=1)):
             if hit:
                 out.append((exact[first].vector, exact[first].id))

@@ -13,7 +13,8 @@ from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
                              sample_component, special_points)
 from charvar.errors import ExcludedParameter
 from charvar.numfield import Poly, match_multisets, solve_poly
-from charvar.tracealg import rotate, s_from_t, typeI_residuals, typeII_residuals
+from charvar.tracealg import (_TYPEI_SLOTS, rotate, s_from_t, typeI_residuals,
+                              typeII_residuals)
 
 SQRT3 = cmath.sqrt(3)
 
@@ -235,6 +236,44 @@ def test_probe_jacobian_matches_finite_differences(rng):
             1.0, np.abs(jac[0]).max())
 
 
+def _typeI_by_cofactors(t, y):
+    """The type I rows of _probe_system from all 144 cofactors of the 16
+    Gram minors, each Jacobian entry the sum of the cofactors of the Gram
+    entries that hold its pair, in row-major order."""
+    n, nxt, aft, tt = len(y), [1, 2, 0], [2, 0, 1], t * t
+    ta, tb, shift = catalog._TI_A, catalog._TI_B, catalog._SHIFT_COLS
+    s = np.concatenate([np.full((n, 1), tt / 2 - 2), y[:, :6] - tt / 2], 1)
+    st = y[:, 6:] - (t / 2) * y[:, shift].sum(axis=2) + t ** 3 / 2
+    dst = np.zeros((4, 10), dtype=complex)
+    dst[np.arange(4)[:, None], shift] = -t / 2
+    dst[:, 6:] = np.eye(4)
+    slots = catalog._GRAM.ravel()[np.array(_TYPEI_SLOTS)]      # (16, 9)
+    minor = s[:, slots.reshape(16, 3, 3)]
+    r1, r2 = minor[:, :, nxt], minor[:, :, aft]
+    cof = r1[..., nxt] * r2[..., aft] - r1[..., aft] * r2[..., nxt]
+    det = (minor[..., 0, 0] * cof[..., 0, 0] + minor[..., 0, 1] * cof[..., 0, 1]
+           + minor[..., 0, 2] * cof[..., 0, 2])
+    sa, sb = st[:, ta], st[:, tb]
+    jac = 2 * (sb[:, :, None] * dst[ta] + sa[:, :, None] * dst[tb])
+    per_pair = np.zeros((n, 16, 6), dtype=complex)
+    for r, e in zip(*np.nonzero(slots)):         # slot 0 is s0, no pair
+        per_pair[:, r, slots[r, e] - 1] += cof.reshape(n, 16, 9)[:, r, e]
+    jac[:, :, :6] += per_pair
+    return 2 * sa * sb + det, jac
+
+
+def test_minor_table_matches_cofactors_bitwise(rng):
+    assert len(catalog._MINOR_OPS) == 46
+    for t in (2 + 0j, 1e-3 + 2e-3j, 1.1 + 0.7j, -2.3 - 0.4j):
+        for n in (1, 7, 32, 100):
+            shape = (n, 10)
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            f, jac = _probe_system(t, y)
+            ref_f, ref_jac = _typeI_by_cofactors(t, y)
+            assert f[:, 16:].tobytes() == ref_f.tobytes()
+            assert jac[:, 16:].tobytes() == ref_jac.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_lstsq_steps_match_lstsq(rng, monkeypatch):
     def cplx(*shape):
@@ -288,16 +327,28 @@ def test_explore_classifies(rng):
         "X11": 1, "X12": 5, "X21": 1, "X22": 1, "X3": 18, "X4": 3}
 
 
-def test_explore_starts_independent_of_blocking():
+def test_explore_starts_independent_of_blocking(monkeypatch):
+    t = 1.1 + 0.7j
+    assert explore_solve(t, seed=5, attempts=0) == []
     n = _PROBE_BLOCK + 5
-    short = explore_solve(1.1 + 0.7j, seed=5, attempts=n)
-    full = explore_solve(1.1 + 0.7j, seed=5, attempts=2 * _PROBE_BLOCK + 3)
+    short = explore_solve(t, seed=5, attempts=n)
+    full = explore_solve(t, seed=5, attempts=2 * _PROBE_BLOCK + 3)
     assert len(short) < len(full)
-    assert [lbl for _, lbl in short] == [lbl for _, lbl in full[:len(short)]]
-    for (a, _), (b, _) in zip(short, full):
-        assert a.max_dev(b) <= 1e-9
+    assert short == full[:len(short)]
+    # width 1 runs one start at a time: the reference for every width
+    found = {}
+    for width in (1, 7, 32, 300):
+        monkeypatch.setattr(catalog, "_PROBE_BLOCK", width)
+        found[width] = explore_solve(t, seed=5, attempts=69)
+    assert found[1]
+    assert all(got == found[1] for got in found.values())
 
 
 def test_explore_excluded_t():
     with pytest.raises(ExcludedParameter):
         explore_solve(SQRT3, seed=0, attempts=1)
+
+
+def test_explore_negative_attempts():
+    with pytest.raises(ValueError, match="attempts"):
+        explore_solve(2 + 1j, seed=0, attempts=-1)
