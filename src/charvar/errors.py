@@ -38,7 +38,7 @@ class SmallS123(CharVarError):
 
 
 class FactorizationFailure(CharVarError):
-    """Complex symmetric factorization found no usable pivot (rank defect)."""
+    """Gram factor M with M^T M = S misses S beyond rounding (non-finite S)."""
 
 
 class TypeIIViolated(CharVarError):

@@ -1,15 +1,15 @@
 """Realize matrix quadruples from trace coordinates.
 
 The generic path factors a 3x3 Gram matrix of traceless parts over the fixed
-basis e1, e2, e3 (Gram form diag(2, 2, -2)), pins the alternating-form sign,
-and extends by the unique fourth matrix. Characters whose four triple
-invariants all vanish are handled by explicit two-generator patterns.
+basis e1, e2, e3 (Gram form diag(2, 2, -2)) by its Takagi factorization, the
+factor of least norm, pins the alternating-form sign, and extends by the
+unique fourth matrix. Characters whose four triple invariants all vanish are
+handled by explicit two-generator patterns.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +32,6 @@ _SQRT2 = cmath.sqrt(2)
 _N_INV = np.diag([1 / _SQRT2, 1 / _SQRT2, -1j / _SQRT2])
 
 ROLE_THRESHOLD = 1e-7
-PIVOT_TOL = 1e-10
-# complex-orthogonal retries for Gram matrices with unusable diagonals
-# (the parabolic slice t = +-2 has an all-zero diagonal)
-_ROTATION_ANGLES = (0.0, 0.7, 1.9, 2.6)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,68 +67,29 @@ class Quadruple:
                    for i, m in enumerate(self.matrices(), start=1)}}
 
 
-@functools.cache
-def _plane_rotation(n: int, angle: float) -> np.ndarray:
-    """Product of real Givens rotations over all coordinate planes; built
-    once per (n, angle) and returned read-only."""
-    q = np.eye(n)
-    c, s = np.cos(angle), np.sin(angle)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = np.eye(n)
-            g[i, i] = g[j, j] = c
-            g[i, j], g[j, i] = s, -s
-            q = q @ g
-    q.setflags(write=False)
-    return q
-
-
-def _pivoted_ldlt(a: np.ndarray, tol: float):
-    """P A P^T = L D L^T with diagonal pivoting; None when no pivot usable."""
-    n = a.shape[0]
-    a = a.copy()
-    perm = list(range(n))
-    low = np.eye(n, dtype=complex)
-    d = np.zeros(n, dtype=complex)
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(np.diag(a)[k:])))
-        if abs(a[j, j]) <= tol:
-            return None
-        if j != k:
-            a[[k, j], :] = a[[j, k], :]
-            a[:, [k, j]] = a[:, [j, k]]
-            low[[k, j], :k] = low[[j, k], :k]
-            perm[k], perm[j] = perm[j], perm[k]
-        d[k] = a[k, k]
-        for i in range(k + 1, n):
-            low[i, k] = a[i, k] / d[k]
-        for i in range(k + 1, n):
-            for j2 in range(k + 1, n):
-                a[i, j2] -= low[i, k] * d[k] * low[j2, k]
-    return low, d, perm
-
-
 def factor_symmetric(S: np.ndarray) -> np.ndarray:
-    """Return M with M^T M = S for nonsingular complex symmetric S.
+    """Return M with M^T M = S for complex symmetric S.
 
-    Pivoted LDL^T; when every available diagonal pivot is below
-    PIVOT_TOL * ||S|| (possible over C even at full rank), the matrix is first
-    conjugated by a fixed complex-orthogonal rotation and retried.
+    Autonne-Takagi factorization S = V diag(sigma) V^T, with V unitary and
+    sigma the singular values of S (Horn & Johnson, Matrix Analysis, 4.4),
+    read off one eigh of the real symmetric H = [[Re S, Im S], [Im S, -Re S]].
+    Its eigenvalues are +-sigma, and an eigenvector [x; y] for sigma gives a
+    column v = x + iy of V with S conj(v) = sigma v. M = diag(sqrt sigma) V^T
+    has the least ||M||_F of all factors, ||M||_F^2 = sum(sigma): it is the
+    balanced frame, whose entries, and so whose rounding, are as small as S
+    allows.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
-    bound = PIVOT_TOL * max(np.abs(S).max(), 1e-30)
-    for angle in _ROTATION_ANGLES:
-        q = _plane_rotation(n, angle)
-        res = _pivoted_ldlt(q.T @ S @ q, bound)
-        if res is None:
-            continue
-        low, d, perm = res
-        p = np.eye(n)[perm]
-        m = np.diag(np.sqrt(d.astype(complex))) @ low.T @ p @ q.T
-        if np.abs(m.T @ m - S).max() <= 1e-8 * max(1.0, np.abs(S).max()):
-            return m
-    raise FactorizationFailure("no usable pivot at any retry angle")
+    a, b = S.real, S.imag
+    sigma, vec = np.linalg.eigh(np.block([[a, b], [b, -a]]))
+    v = vec[:n, n:] + 1j * vec[n:, n:]
+    # rounding can leave a zero singular value slightly negative
+    m = np.sqrt(np.abs(sigma[n:]))[:, None] * v.T
+    err = np.abs(m.T @ m - S).max()
+    if err <= 1e-8 * max(1.0, np.abs(S).max()):
+        return m
+    raise FactorizationFailure(f"M^T M misses S by {err:.3e}")
 
 
 def _mat_from_coords(col: np.ndarray) -> Mat2:

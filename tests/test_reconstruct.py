@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_quadruple, random_t
-from charvar.catalog import sample_component
+from charvar.catalog import COMPONENTS, sample_component
 from charvar.errors import (ConstraintViolated, DegenerateCharacter,
                             SmallS123)
 from charvar.mat2 import (dist, has_common_eigenvector, is_irreducible_pair,
@@ -13,6 +13,14 @@ from charvar.reconstruct import (Quadruple, extend_to_quadruple,
                                  factor_symmetric, realize_character,
                                  realize_pair, realize_triple)
 from charvar.tracealg import s_from_t, trace_vector_of
+from charvar.wirtinger import is_representation
+
+
+def _assert_balanced(M, S):
+    # every factor has ||M||_F^2 >= ||M^T M||_* = sum of S's singular
+    # values; the balanced (Takagi) factor attains the bound
+    nuclear = np.linalg.svd(S, compute_uv=False).sum()
+    assert abs((np.abs(M) ** 2).sum() - nuclear) <= 1e-12 * nuclear
 
 
 def test_factor_symmetric_random(rng):
@@ -21,13 +29,28 @@ def test_factor_symmetric_random(rng):
         S = S + S.T
         M = factor_symmetric(S)
         assert np.abs(M.T @ M - S).max() <= 1e-9 * max(1.0, np.abs(S).max())
+        _assert_balanced(M, S)
 
 
 def test_factor_symmetric_zero_diagonal():
-    # full-rank with an all-zero diagonal: needs the rotation fallback
+    # full rank with an all-zero diagonal, as on the parabolic slice t = +-2:
+    # no diagonal entry can serve as an elimination pivot
     S = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=complex)
     M = factor_symmetric(S)
     assert np.abs(M.T @ M - S).max() <= 1e-9
+    _assert_balanced(M, S)
+
+
+@pytest.mark.parametrize("t", [-2.2951323803190267 - 2.4173618223573543j,
+                               2.4860496789460553 + 2.4041766938811504j])
+def test_every_branch_is_a_representation_at_large_coordinates(t):
+    # near the corners of the verify square the coordinates reach about 2e4;
+    # a Gram factor of more than least norm gives X12 branch 0 entries up to
+    # about 6e3 there, and a relator spread above RELATOR_TOL
+    for cid in COMPONENTS:
+        for smp in sample_component(cid, t):
+            ok, spread = is_representation(realize_character(smp.vector))
+            assert ok, (cid, smp.branch, spread)
 
 
 def test_realize_triple_flat_example():
