@@ -23,8 +23,8 @@ from . import catalog, wirtinger
 from .errors import CharVarError, ExcludedParameter
 from .mat2 import has_common_eigenvector, is_irreducible_pair, random_gt
 from .reconstruct import realize_character
-from .tracealg import (det_Sdiamond, s_from_t, trace_equation_residuals,
-                       trace_vector_of, typeI_residuals, typeII_residuals)
+from .tracealg import (det_Sdiamond, s_from_t, trace_vector_of,
+                       typeI_residuals, typeII_residuals)
 
 def parse_complex(text: str) -> complex:
     """Parse "a+bi" with either part optional ("3", "2-1i", "i", "-0.5j")."""
@@ -115,9 +115,7 @@ def _verify_at(t: complex, ids, tol: float):
             try:
                 q = realize_character(smp.vector)
                 rep, rel_res = wirtinger.is_representation(q, tol)
-                v = trace_vector_of(*q.matrices())
-                teq = max(abs(r) for r in
-                          trace_equation_residuals(v, normalized=True))
+                teq = wirtinger.necessary_conditions_residual(q)
                 passed = rep and teq <= 1e-8
                 item = {"id": cid, "branch": smp.branch,
                         "relator_residual": rel_res,

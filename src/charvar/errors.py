@@ -41,17 +41,9 @@ class FactorizationFailure(CharVarError):
     """Gram factor M with M^T M = S misses S beyond rounding (non-finite S)."""
 
 
-class TypeIIViolated(CharVarError):
-    """Extension targets fail the four linear compatibility relations."""
-
-
-class S44Mismatch(CharVarError):
-    """Implied self-pairing of the fourth matrix is off its required value."""
-
-
 class DegenerateCharacter(CharVarError):
-    """No realization strategy applies (all triple invariants vanish and no
-    known degenerate pattern matches)."""
+    """The realization misses its target: the realized quadruple's trace
+    vector is off the requested one beyond tolerance."""
 
 
 class ExcludedParameter(CharVarError):

@@ -5,15 +5,14 @@ import pytest
 
 from conftest import random_quadruple, random_t
 from charvar.catalog import COMPONENTS, sample_component
-from charvar.errors import (ConstraintViolated, DegenerateCharacter,
-                            SmallS123)
-from charvar.mat2 import (dist, has_common_eigenvector, is_irreducible_pair,
-                          random_gt, random_sl2)
-from charvar.reconstruct import (Quadruple, extend_to_quadruple,
-                                 factor_symmetric, realize_character,
-                                 realize_pair, realize_triple)
-from charvar.tracealg import s_from_t, trace_vector_of
-from charvar.wirtinger import is_representation
+from charvar.errors import ConstraintViolated, SmallS123
+from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_gt,
+                          random_sl2)
+from charvar.reconstruct import (Quadruple, factor_symmetric,
+                                 realize_character, realize_triple)
+from charvar.tracealg import (COORD_KEYS, TraceVector, gram_matrices,
+                              s_from_t, trace_vector_of)
+from charvar.wirtinger import is_irreducible, is_representation
 
 
 def _assert_balanced(M, S):
@@ -28,6 +27,15 @@ def test_factor_symmetric_random(rng):
         S = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         S = S + S.T
         M = factor_symmetric(S)
+        assert np.abs(M.T @ M - S).max() <= 1e-9 * max(1.0, np.abs(S).max())
+        _assert_balanced(M, S)
+    for _ in range(50):
+        # rank 3: the Gram matrix of four traceless matrices
+        t, xs = random_quadruple(rng)
+        us = [x.traceless_part() for x in xs]
+        S = np.array([[(ui @ uj).trace() for uj in us] for ui in us])
+        M = factor_symmetric(S)
+        assert M.shape == (3, 4)
         assert np.abs(M.T @ M - S).max() <= 1e-9 * max(1.0, np.abs(S).max())
         _assert_balanced(M, S)
 
@@ -99,49 +107,6 @@ def test_realize_triple_errors():
         realize_triple(1.0, S, 2.0)  # diagonal is not s0 for t = 1
 
 
-def test_extend_reproduces_first_generator(rng):
-    for _ in range(20):
-        t = random_t(rng)
-        xs = [random_gt(rng, t) for _ in range(3)]
-        us = [x.traceless_part() for x in xs]
-        s123 = (us[0] @ us[1] @ us[2]).trace()
-        if abs(s123) < 1e-3:
-            continue
-        s0 = t * t / 2 - 2
-
-        def pr(i, j):
-            return (us[i] @ us[j]).trace()
-
-        # coefficient pattern (1, 0, 0): x4 = x1
-        x4 = extend_to_quadruple(tuple(xs), t, s14=s0, s24=pr(0, 1),
-                                 s34=pr(0, 2), s124=0.0, s134=0.0, s234=s123)
-        assert dist(x4, xs[0]) <= 1e-8 * max(1.0, xs[0].norm())
-        # coefficient pattern (0, 1, 0): x4 = x2
-        x4 = extend_to_quadruple(tuple(xs), t, s14=pr(0, 1), s24=s0,
-                                 s34=pr(1, 2), s124=0.0, s134=-s123, s234=0.0)
-        assert dist(x4, xs[1]) <= 1e-8 * max(1.0, xs[1].norm())
-
-
-def test_extend_round_trip(rng):
-    for _ in range(20):
-        t, xs = random_quadruple(rng)
-        us = [x.traceless_part() for x in xs]
-        if abs((us[0] @ us[1] @ us[2]).trace()) < 1e-3:
-            continue
-
-        def pr(i, j):
-            return (us[i] @ us[j]).trace()
-
-        def tr3(i, j, k):
-            return (us[i] @ us[j] @ us[k]).trace()
-
-        x4 = extend_to_quadruple((xs[0], xs[1], xs[2]), t,
-                                 s14=pr(0, 3), s24=pr(1, 3), s34=pr(2, 3),
-                                 s124=tr3(0, 1, 3), s134=tr3(0, 2, 3),
-                                 s234=tr3(1, 2, 3))
-        assert dist(x4, xs[3]) <= 1e-8 * max(1.0, xs[3].norm())
-
-
 def test_realize_character_round_trip(rng):
     for _ in range(40):
         t, xs = random_quadruple(rng)
@@ -154,9 +119,9 @@ def test_realize_character_round_trip(rng):
 
 
 def test_realize_character_later_roles(rng):
-    # x3 = x1 kills s123, so role (1, 2, 4) extends by x3; x2 = x1 kills
-    # s123 and s124, so role (1, 3, 4) extends by x2. Both extensions read
-    # triple invariants in odd orders, e.g. s(2, 4, 3) = -s234.
+    # x3 = x1 kills s123, and x2 = x1 kills s123 and s124: the sign is then
+    # read off a later triple, (1, 2, 4) or (1, 3, 4), whose columns of the
+    # Gram factor are not in ascending Gram order with the zero ones
     for copy, role in ((lambda xs: [xs[0], xs[1], xs[0], xs[3]], (1, 2, 4)),
                        (lambda xs: [xs[0], xs[0], xs[2], xs[3]], (1, 3, 4))):
         done = 0
@@ -183,25 +148,6 @@ def test_conjugation_invariance(rng):
         g = random_sl2(rng, 2.0)
         w = q.conjugated(g).trace_vector()
         assert w.max_dev(q.trace_vector()) <= 1e-9
-
-
-def test_realize_pair_examples():
-    x1, x2 = realize_pair(2.0, 1.0)
-    assert x1.a == 1 and x1.b == 1  # kappa = 1 at t = 2
-    assert x2.c == -1  # c = target - t^2 + 2 = 1 - 4 + 2
-    x1, x2 = realize_pair(0.0, 2.0)
-    assert abs(x1.a - 1j) < 1e-15 and abs(x2.c - 4) < 1e-15
-    assert not is_irreducible_pair(x1, x2, 0.0)  # target hits the boundary 2
-
-
-def test_realize_pair_random(rng):
-    for _ in range(100):
-        t = random_t(rng)
-        target = complex(*rng.standard_normal(2))
-        x1, x2 = realize_pair(t, target)
-        assert abs(x1.trace() - t) <= 1e-12 * max(1.0, abs(t))
-        assert abs((x1 @ x2).trace() - target) <= 1e-12 * max(
-            1.0, abs(target), abs(t) ** 2)
 
 
 def test_degenerate_path_x3(rng):
@@ -233,15 +179,59 @@ def test_braid_identity_on_x51(rng):
 
 
 def test_degenerate_character_unmatched():
-    # a genuine character with all triple invariants zero but no
-    # two-generator pattern: the all-ones slice at t = 0
+    # a genuine character with all triple invariants zero and pairwise
+    # distinct generators, the all-ones slice at t = 0: its Gram matrix has
+    # rank 2, and it realizes as an irreducible representation
     from charvar.catalog import _x6_vector
     v = _x6_vector(0.0, False)
     s = s_from_t(v)
     assert max(abs(s.triple(i, j, k)) for (i, j, k) in
                ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))) <= 1e-12
-    with pytest.raises(DegenerateCharacter):
-        realize_character(v)
+    q = realize_character(v)
+    assert q.trace_vector().max_dev(v) <= 1e-9
+    ok, spread = is_representation(q)
+    assert ok and spread <= 1e-12, spread
+    assert is_irreducible(q)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_realize_character_near_degenerate(delta):
+    # x3 = g x1 g^-1 with g = [[1, delta w], [0, 1]]: s123 is of order
+    # delta, and every triple invariant may sit just above or below any
+    # fixed threshold
+    rng = np.random.default_rng(81)
+    for _ in range(5):
+        t, xs = random_quadruple(rng)
+        w = complex(*rng.standard_normal(2))
+        g = Mat2(1, delta * w, 0, 1)
+        xs[2] = g @ xs[0] @ g.inverse()
+        v = trace_vector_of(*xs)
+        q = realize_character(v)
+        assert q.trace_vector().max_dev(v) <= 1e-8 * max(
+            1.0, max(abs(c) for c in v.coords().values()))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", COORD_KEYS)
+def test_realize_character_rejects_nonfinite(key, bad):
+    v = sample_component("X4", 1.3 + 0.4j)[0].vector
+    with pytest.raises(ConstraintViolated):
+        realize_character(TraceVector(**{**v.coords(), key: bad}))
+
+
+@pytest.mark.parametrize("t", [0.7 + 0.3j, 1.3 + 0.4j, 2.0, 3.0,
+                               -2.2951323803190267 - 2.4173618223573543j])
+def test_realized_quadruple_is_balanced(t):
+    # sum ||u_i||_F^2 of the four traceless parts is at least the nuclear
+    # norm of their Gram matrix, with equality only in the balanced frame
+    for cid in COMPONENTS:
+        for smp in sample_component(cid, t):
+            q = realize_character(smp.vector)
+            S = np.array(gram_matrices(s_from_t(smp.vector)).Sdiamond)
+            nuclear = np.linalg.svd(S, compute_uv=False).sum()
+            total = sum(abs(e) ** 2 for x in q.matrices()
+                        for e in x.traceless_part().entries())
+            assert abs(total - nuclear) <= 1e-12 * nuclear, (cid, smp.branch)
 
 
 def test_realize_character_rejects_noncharacter(rng):
