@@ -222,6 +222,25 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     """
     t = complex(t)
     check_admissible(cid, t)
+    try:
+        samples = _branch_samples(cid, t)
+        for smp in samples:
+            # `not (value <= tol)` and no max over all values: a NaN fails
+            over = [abs(r) for r in smp.residuals().values()
+                    if not abs(r) <= 1e-10]
+            if over:
+                raise ConstraintViolated(
+                    f"{cid} branch {smp.branch}: residual {max(over):.3e}")
+    except (OverflowError, ValueError):
+        # at a very large t, complex ** overflows, and a quartic coefficient
+        # that reached inf is refused by Poly
+        raise ExcludedParameter(
+            f"{cid}: arithmetic overflows at t = {t}") from None
+    return samples
+
+
+def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
+    """sample_component before its self-check."""
     al = _alpha(t)
     samples: list[ComponentSample] = []
     if cid in ("X11", "X12"):
@@ -262,13 +281,6 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     elif cid in ("X61", "X62"):
         samples = [ComponentSample(cid, 0, {"t": t},
                                    _x6_vector(t, cid == "X62"))]
-    else:
-        raise ValueError(f"unknown component id {cid!r}")
-    for smp in samples:
-        worst = max(abs(r) for r in smp.residuals().values())
-        if worst > 1e-10:
-            raise ConstraintViolated(
-                f"{cid} branch {smp.branch}: residual {worst:.3e}")
     return samples
 
 
@@ -396,21 +408,23 @@ def best_membership(v: TraceVector) -> tuple[str, float]:
 # ---------------------------------------------------------------------------
 # parabolic census
 
+def _dedup(samples: list[ComponentSample]) -> list[ComponentSample]:
+    """The samples in order, less each one whose coordinates all lie within
+    CLUSTER_TOL of a sample kept before it."""
+    keys = np.array([list(smp.vector.coords().values()) for smp in samples])
+    near = (np.abs(keys[:, None] - keys[None]).max(axis=2)
+            <= CLUSTER_TOL).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return [samples[i] for i in kept]
+
+
 def enumerate_parabolic() -> CensusReport:
     """All component samples on the slice t = 2 (26 classes after dedup)."""
-    t = 2.0 + 0j
-    samples: list[ComponentSample] = []
-    for cid in COMPONENTS:
-        samples.extend(sample_component(cid, t))
-    kept: list[ComponentSample] = []
-    seen: list[tuple] = []
-    for smp in samples:
-        key = tuple(smp.vector.coords().values())
-        if any(max(abs(a - b) for a, b in zip(key, old)) <= CLUSTER_TOL
-               for old in seen):
-            continue
-        seen.append(key)
-        kept.append(smp)
+    kept = _dedup([smp for cid in COMPONENTS
+                   for smp in sample_component(cid, 2.0 + 0j)])
     counts: dict[str, int] = {cid: 0 for cid in COMPONENTS}
     for smp in kept:
         counts[smp.id] += 1
@@ -456,9 +470,10 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
     out = []
     for label, p in pts:
         vec = _x4_vector(p["t"], p["u"], p["eta"])
-        worst = max(abs(x) for x in membership_residual("X4", vec).values())
-        if worst > 1e-10:
-            raise ConstraintViolated(f"{label}: X4 residual {worst:.3e}")
+        over = [abs(x) for x in membership_residual("X4", vec).values()
+                if not abs(x) <= 1e-10]
+        if over:
+            raise ConstraintViolated(f"{label}: X4 residual {max(over):.3e}")
         out.append((label, p, vec))
     return out
 

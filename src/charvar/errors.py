@@ -33,10 +33,6 @@ class ConstraintViolated(CharVarError):
     """Input data violates a defining polynomial constraint."""
 
 
-class SmallS123(CharVarError):
-    """Triple realization needs |s123| bounded away from zero."""
-
-
 class FactorizationFailure(CharVarError):
     """Gram factor M with M^T M = S misses S beyond rounding (non-finite S)."""
 
@@ -47,4 +43,4 @@ class DegenerateCharacter(CharVarError):
 
 
 class ExcludedParameter(CharVarError):
-    """Sampling requested at (or too close to) an excluded parameter value."""
+    """t is excluded, too near an excluded value, or overflows the sampler."""

@@ -81,6 +81,11 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 
 
+def _trace_mul(x: Mat2, y: Mat2) -> complex:
+    """(x @ y).trace(), bit for bit, without forming x @ y."""
+    return (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
+
+
 def scalar(z) -> Mat2:
     return Mat2(complex(z), 0, 0, complex(z))
 

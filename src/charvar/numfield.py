@@ -110,7 +110,7 @@ def solve_poly(p: Poly) -> list[complex]:
             break
     bound = 1e-9 * (1.0 + max(abs(c) for c in p.coeffs))
     worst = max(abs(p(z)) for z in roots)
-    if worst > bound:
+    if not worst <= bound:  # a NaN residual fails too
         raise NonConvergence(
             f"worst residual {worst:.3e} above bound {bound:.3e}")
     return roots

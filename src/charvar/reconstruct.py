@@ -19,19 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateCharacter,
-                     FactorizationFailure, SmallS123, TraceMismatch)
+                     FactorizationFailure, TraceMismatch)
 from .mat2 import Mat2, scalar
 from .tracealg import (_TRIPLE_ROWS, TraceVector, _gram, _s_triples,
                        s_from_t, trace_vector_of, typeI_residuals,
                        typeII_residuals)
 
-#: fixed traceless basis; tr(e_i e_j) = diag(2, 2, -2), tr(e1 e2 e3) = -2
-E1 = Mat2(1, 0, 0, -1)
-E2 = Mat2(0, 1, 1, 0)
-E3 = Mat2(0, 1, -1, 0)
-
 _SQRT2 = cmath.sqrt(2)
-#: inverse of N = diag(sqrt2, sqrt2, i*sqrt2), for which N^T N = diag(2,2,-2)
+#: inverse of N = diag(sqrt2, sqrt2, i*sqrt2); N^T N = diag(2, 2, -2) is the
+#: Gram form of e1 = diag(1, -1), e2 = [[0, 1], [1, 0]], e3 = [[0, 1], [-1, 0]]
 _N_INV = np.diag([1 / _SQRT2, 1 / _SQRT2, -1j / _SQRT2])
 
 #: singular values at most this multiple of the largest count as zero: on
@@ -59,9 +55,9 @@ class Quadruple:
 
     def validate(self) -> None:
         for m in self.matrices():
-            if abs(m.det() - 1) > 1e-9 * max(1.0, m.norm() ** 2):
+            if not abs(m.det() - 1) <= 1e-9 * max(1.0, m.norm() ** 2):
                 raise ConstraintViolated(f"det = {m.det()}")
-            if abs(m.trace() - self.t) > 1e-9 * max(1.0, abs(self.t)):
+            if not abs(m.trace() - self.t) <= 1e-9 * max(1.0, abs(self.t)):
                 raise TraceMismatch(f"trace {m.trace()} vs t = {self.t}")
 
     def conjugated(self, g: Mat2) -> "Quadruple":
@@ -91,8 +87,11 @@ def factor_symmetric(S: np.ndarray) -> np.ndarray:
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
-    a, b = S.real, S.imag
-    sigma, vec = np.linalg.eigh(np.block([[a, b], [b, -a]]))
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = S.real
+    H[:n, n:] = H[n:, :n] = S.imag
+    np.negative(S.real, out=H[n:, n:])
+    sigma, vec = np.linalg.eigh(H)
     sigma, v = sigma[-3:], vec[:n, -3:] + 1j * vec[n:, -3:]
     sigma = np.where(sigma > SIGMA_RTOL * sigma[-1], sigma, 0.0)
     m = np.sqrt(sigma)[:, None] * v.T
@@ -105,36 +104,13 @@ def factor_symmetric(S: np.ndarray) -> np.ndarray:
 def _traceless_parts(S, rows, target: complex) -> list[Mat2]:
     """Traceless matrices with Gram matrix S in the balanced frame, signed
     so that tr(u_i u_j u_k) for the columns `rows` is nearer `target`: over
-    the fixed basis it is -2 det of those columns' coordinates."""
+    the fixed basis it is -2 det of those columns' coordinates, and column
+    (c1, c2, c3) is c1 e1 + c2 e2 + c3 e3."""
     A = _N_INV @ factor_symmetric(S)
     d = -2 * np.linalg.det(A[:, rows])
     if abs(d - target) > abs(d + target):
         A = -A
-    return [col[0] * E1 + col[1] * E2 + col[2] * E3 for col in A.T]
-
-
-def realize_triple(t: complex, S, s123: complex) -> tuple[Mat2, Mat2, Mat2]:
-    """Unique-up-to-conjugacy triple in G(t)^3 with the given traceless Gram
-    matrix S (diagonal s0 = t^2/2 - 2) and alternating invariant s123 != 0."""
-    S = np.asarray(S, dtype=complex)
-    s0 = t * t / 2 - 2
-    sc = max(1.0, np.abs(S).max(), abs(s123) ** 2)
-    if np.abs(np.diag(S) - s0).max() > 1e-8 * max(1.0, abs(s0)):
-        raise ConstraintViolated("Gram diagonal differs from s0")
-    if abs(s123) <= 1e-9:
-        raise SmallS123(f"|s123| = {abs(s123):.3e}")
-    det_s = np.linalg.det(S)
-    if abs(2 * s123 * s123 + det_s) > 1e-8 * sc ** 2:
-        raise ConstraintViolated(
-            f"2 s123^2 + det S = {2 * s123 * s123 + det_s}")
-    us = _traceless_parts(S, [0, 1, 2], s123)
-    xs = tuple(u + scalar(t / 2) for u in us)
-    for i in range(3):
-        for j in range(3):
-            got = (us[i] @ us[j]).trace()
-            if abs(got - S[i, j]) > 1e-9 * sc:
-                raise ConstraintViolated("realized pair traces off target")
-    return xs
+    return [Mat2(c1, c2 + c3, c2 - c3, -c1) for c1, c2, c3 in zip(*A.tolist())]
 
 
 def realize_character(v: TraceVector) -> Quadruple:
@@ -150,13 +126,17 @@ def realize_character(v: TraceVector) -> Quadruple:
     coords = v.coords()
     if not all(cmath.isfinite(c) for c in coords.values()):
         raise ConstraintViolated("non-finite trace coordinate")
-    s = s_from_t(v)
+    try:
+        s = s_from_t(v)
+    except OverflowError:
+        raise ConstraintViolated("trace coordinates overflow") from None
     pre = [*typeI_residuals(s, normalized=True),
            *typeII_residuals(s, normalized=True)]
-    worst = max(abs(r) for r in pre)
-    if worst > 1e-7:
+    # `not (value <= tol)` and no max over all values: a NaN fails
+    over = [abs(r) for r in pre if not abs(r) <= 1e-7]
+    if over:
         raise ConstraintViolated(
-            f"definitive-relation residual {worst:.3e} exceeds 1.0e-07")
+            f"definitive-relation residual {max(over):.3e} exceeds 1.0e-07")
     st = _s_triples(s)
     k = max(range(4), key=lambda i: abs(st[i]))
     S = np.array(_gram(s), dtype=complex).reshape(4, 4)
@@ -165,7 +145,7 @@ def realize_character(v: TraceVector) -> Quadruple:
     q.validate()
     got = q.trace_vector()
     for key, want in coords.items():
-        if abs(getattr(got, key) - want) > 1e-8 * max(1.0, abs(want)):
+        if not abs(getattr(got, key) - want) <= 1e-8 * max(1.0, abs(want)):
             raise DegenerateCharacter(
                 f"realization misses target at {key}: {getattr(got, key)} "
                 f"vs {want}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .errors import InconsistentS0, TraceMismatch
-from .mat2 import Mat2
+from .mat2 import Mat2, _trace_mul
 
 PAIR_KEYS = ("t12", "t23", "t34", "t14", "t13", "t24")
 TRIPLE_KEYS = ("t123", "t124", "t134", "t234")
@@ -356,11 +356,11 @@ def trace_vector_of(x1: Mat2, x2: Mat2, x3: Mat2, x4: Mat2) -> TraceVector:
     """The 11 trace coordinates of a quadruple sharing a common trace."""
     t = x1.trace()
     for m in (x2, x3, x4):
-        if abs(m.trace() - t) > 1e-9 * max(1.0, abs(t)):
+        if not abs(m.trace() - t) <= 1e-9 * max(1.0, abs(t)):
             raise TraceMismatch(f"traces {t} vs {m.trace()}")
     x12, x13, x23 = x1 @ x2, x1 @ x3, x2 @ x3
     return TraceVector(
-        t, x12.trace(), x23.trace(), (x3 @ x4).trace(), (x1 @ x4).trace(),
-        x13.trace(), (x2 @ x4).trace(),
-        (x12 @ x3).trace(), (x12 @ x4).trace(), (x13 @ x4).trace(),
-        (x23 @ x4).trace())
+        t, x12.trace(), x23.trace(), _trace_mul(x3, x4), _trace_mul(x1, x4),
+        x13.trace(), _trace_mul(x2, x4),
+        _trace_mul(x12, x3), _trace_mul(x12, x4), _trace_mul(x13, x4),
+        _trace_mul(x23, x4))

@@ -6,7 +6,7 @@ import pytest
 
 from charvar.catalog import COMPONENTS, check_admissible
 from charvar.errors import ExcludedParameter
-from charvar.mat2 import random_gt, random_sl2
+from charvar.mat2 import Mat2, random_gt, random_sl2
 
 
 @pytest.fixture
@@ -31,6 +31,13 @@ def admissible_t(rng, ids=COMPONENTS, rmax=2.5, margin_extra=0.0):
         except ExcludedParameter:
             continue
         return t
+
+
+#: the fixed traceless basis of reconstruct: tr(e_i e_j) = diag(2, 2, -2),
+#: tr(e1 e2 e3) = -2
+E1 = Mat2(1, 0, 0, -1)
+E2 = Mat2(0, 1, 1, 0)
+E3 = Mat2(0, 1, -1, 0)
 
 
 def random_quadruple(rng, t=None, spread=1.0):

@@ -7,14 +7,16 @@ import pytest
 from conftest import admissible_t
 from charvar import catalog
 from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
-                             _lstsq_steps, _probe_system, classify_point,
+                             ComponentSample, _dedup, _lstsq_steps,
+                             _probe_system, classify_point,
                              enumerate_parabolic, excellent_quartic,
                              explore_solve, membership_residual,
                              sample_component, special_points)
-from charvar.errors import ExcludedParameter
-from charvar.numfield import Poly, match_multisets, solve_poly
-from charvar.tracealg import (_TYPEI_SLOTS, rotate, s_from_t, typeI_residuals,
-                              typeII_residuals)
+from charvar.errors import CharVarError, ExcludedParameter
+from charvar.numfield import CLUSTER_TOL, Poly, match_multisets, solve_poly
+from charvar.reconstruct import realize_character
+from charvar.tracealg import (_TYPEI_SLOTS, TraceVector, rotate, s_from_t,
+                              typeI_residuals, typeII_residuals)
 
 SQRT3 = cmath.sqrt(3)
 
@@ -135,6 +137,50 @@ def test_census_counts_and_parameters():
     assert [s.id for s in rep2.samples] == [s.id for s in rep.samples]
     assert all(a.vector.max_dev(b.vector) == 0
                for a, b in zip(rep.samples, rep2.samples))
+
+
+def _dedup_by_pairs(samples):
+    """Census dedup as a pairwise loop: keep a sample unless every
+    coordinate lies within CLUSTER_TOL of one already kept."""
+    kept = []
+    for smp in samples:
+        key = list(smp.vector.coords().values())
+        if not any(max(abs(a - b) for a, b in
+                       zip(key, old.vector.coords().values())) <= CLUSTER_TOL
+                   for old in kept):
+            kept.append(smp)
+    return kept
+
+
+def _shifted(smp, key, delta):
+    v = smp.vector.coords()
+    return ComponentSample(smp.id, smp.branch, smp.params,
+                           TraceVector(**{**v, key: v[key] + delta}))
+
+
+def test_census_dedup_matches_pairwise_loop():
+    samples = [smp for cid in COMPONENTS for smp in sample_component(cid, 2.0)]
+    assert len(samples) == 26
+    assert _dedup(samples) == _dedup_by_pairs(samples)
+    assert _dedup(samples) == enumerate_parabolic().samples
+    # injected near-duplicates, among them a chain a, b, c with b within
+    # CLUSTER_TOL of a and of c but c not of a: c is kept, because the
+    # sample it is near (b) was not
+    rng = np.random.default_rng(5)
+    a = samples[7]
+    extra = [_shifted(a, "t13", 0.6 * CLUSTER_TOL),
+             _shifted(a, "t13", 1.2 * CLUSTER_TOL),
+             _shifted(a, "t124", 3 * CLUSTER_TOL * 1j)]
+    for smp in samples[::3]:
+        key = str(rng.choice(list(smp.vector.coords())))
+        extra.append(_shifted(smp, key, rng.uniform(-2, 2) * CLUSTER_TOL))
+    mixed = samples + extra
+    kept = _dedup(mixed)
+    assert kept == _dedup_by_pairs(mixed)
+    assert kept[:26] == samples and kept[26:28] == extra[1:3]
+    assert len(kept) < len(mixed)
+    case = [mixed[i] for i in rng.permutation(len(mixed))]
+    assert _dedup(case) == _dedup_by_pairs(case)
 
 
 def test_excellent_quartic_frozen_slices():
@@ -352,3 +398,22 @@ def test_explore_excluded_t():
 def test_explore_negative_attempts():
     with pytest.raises(ValueError, match="attempts"):
         explore_solve(2 + 1j, seed=0, attempts=-1)
+
+
+@pytest.mark.parametrize("t", [1e40, 1e80, 1e110, 1e160, 1e300])
+def test_sampling_at_huge_t_is_finite_or_typed(t):
+    # the arithmetic overflows at such t; a component must raise a typed
+    # error or return finite samples, never inf or NaN coordinates, and a
+    # finite sample must realize or raise a typed error
+    for cid in COMPONENTS:
+        try:
+            samples = sample_component(cid, t)
+        except CharVarError:
+            continue
+        for smp in samples:
+            coords = smp.vector.coords().values()
+            assert all(cmath.isfinite(c) for c in coords), (cid, smp.branch)
+            try:
+                realize_character(smp.vector)
+            except CharVarError:
+                pass

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_t, reducible_pair
+from conftest import E1, E2, E3, random_t, reducible_pair
 from charvar.errors import PreconditionViolated, SingularMatrix
-from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual, ch_residual,
-                          dist, has_common_eigenvector, in_gt,
+from charvar.mat2 import (IDENTITY, Mat2, _trace_mul, anticommutator_residual,
+                          ch_residual, dist, has_common_eigenvector, in_gt,
                           is_irreducible_pair, lemma25_apply, random_gt,
                           random_sl2, scalar, triple_trace, xyx_expand)
-from charvar.reconstruct import E1, E2, E3
 
 
 def test_inverse_identity_and_parabolic():
@@ -165,3 +164,14 @@ def test_lemma25_precondition(rng):
     x2 = random_gt(rng, t)
     with pytest.raises(PreconditionViolated):
         lemma25_apply(x1, x2, x2, t)  # s13 generic, not +-s0
+
+
+def test_trace_mul_is_product_trace_bitwise(rng):
+    # the same operations in the same order as (x @ y).trace(), so the same
+    # bits, the sign of a zero included
+    pairs = [(E1, E2), (E2, E3), (E3, E3), (E1, -E1), (IDENTITY, E3)]
+    for _ in range(300):
+        t = random_t(rng)
+        pairs.append((random_gt(rng, t), random_gt(rng, t)))
+    for x, y in pairs:
+        assert repr(_trace_mul(x, y)) == repr((x @ y).trace())

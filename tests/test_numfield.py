@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.errors import DegenerateLeadingCoefficient
+from charvar.errors import DegenerateLeadingCoefficient, NonConvergence
 from charvar.numfield import (Poly, cluster_roots, match_multisets,
                               solve_poly, solve_quadratic)
 
@@ -103,3 +103,11 @@ def test_poly_degree_bounds():
         Poly([1, 0, 0, 0, 0, 1])
     with pytest.raises(DegenerateLeadingCoefficient):
         Poly([0, 1, 2])
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 0, 0, 1e300], [1, 1e200, 0, 0, 1]])
+def test_solve_poly_rejects_overflowed_roots(coeffs):
+    # the iteration overflows to NaN roots, whose NaN residuals must fail
+    # the bound rather than slip past it
+    with pytest.raises(NonConvergence):
+        solve_poly(Poly(coeffs))

@@ -3,15 +3,16 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import random_quadruple, random_t
+from conftest import E1, E2, E3, random_quadruple
 from charvar.catalog import COMPONENTS, sample_component
-from charvar.errors import ConstraintViolated, SmallS123
-from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_gt,
-                          random_sl2)
-from charvar.reconstruct import (Quadruple, factor_symmetric,
-                                 realize_character, realize_triple)
-from charvar.tracealg import (COORD_KEYS, TraceVector, gram_matrices,
-                              s_from_t, trace_vector_of)
+from charvar.errors import ConstraintViolated
+from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_sl2,
+                          scalar)
+from charvar.reconstruct import (_N_INV, Quadruple, _traceless_parts,
+                                 factor_symmetric, realize_character)
+from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TraceVector, _gram,
+                              _s_triples, gram_matrices, s_from_t,
+                              trace_vector_of)
 from charvar.wirtinger import is_irreducible, is_representation
 
 
@@ -61,50 +62,18 @@ def test_every_branch_is_a_representation_at_large_coordinates(t):
             assert ok, (cid, smp.branch, spread)
 
 
-def test_realize_triple_flat_example():
-    S = np.diag([-2.0, -2.0, -2.0]).astype(complex)  # t = 0, s0 = -2
-    xs = realize_triple(0.0, S, 2.0)
-    us = [x.traceless_part() for x in xs]
-    for i in range(3):
-        for j in range(3):
-            got = (us[i] @ us[j]).trace()
-            assert abs(got - S[i, j]) <= 1e-10
-    assert abs((us[0] @ us[1] @ us[2]).trace() - 2) <= 1e-10
-    # sign flip
-    xs = realize_triple(0.0, S, -2.0)
-    us = [x.traceless_part() for x in xs]
-    assert abs((us[0] @ us[1] @ us[2]).trace() + 2) <= 1e-10
-
-
-def test_realize_triple_round_trip(rng):
-    for _ in range(30):
-        t = random_t(rng)
-        xs = [random_gt(rng, t) for _ in range(3)]
-        us = [x.traceless_part() for x in xs]
-        S = np.array([[(us[i] @ us[j]).trace() for j in range(3)]
-                      for i in range(3)])
-        s123 = (us[0] @ us[1] @ us[2]).trace()
-        if abs(s123) < 1e-3:
-            continue
-        ys = realize_triple(t, S, s123)
-        vs = [y.traceless_part() for y in ys]
-        sc = max(1.0, np.abs(S).max())
-        for i in range(3):
-            for j in range(3):
-                assert abs((vs[i] @ vs[j]).trace() - S[i, j]) <= 1e-9 * sc
-        assert abs((vs[0] @ vs[1] @ vs[2]).trace() - s123) <= 1e-9 * sc ** 2
-        # nonzero alternating invariant forces irreducibility
-        assert not has_common_eigenvector(list(ys))
-
-
-def test_realize_triple_errors():
-    S = np.diag([-2.0, -2.0, -2.0]).astype(complex)
-    with pytest.raises(SmallS123):
-        realize_triple(0.0, S, 0.0)
-    with pytest.raises(ConstraintViolated):
-        realize_triple(0.0, S, 1.0)  # 2 s123^2 + det S = 2 - 8 != 0
-    with pytest.raises(ConstraintViolated):
-        realize_triple(1.0, S, 2.0)  # diagonal is not s0 for t = 1
+def test_realize_character_flat_example():
+    # t = 0: x1 = i e1, x2 = i e2, x3 = e3 have traceless Gram matrix
+    # diag(-2, -2, -2) and s123 = 2; swapping x1 and x2 flips its sign
+    x1, x2, x3 = Mat2(1j, 0, 0, -1j), Mat2(0, 1j, 1j, 0), Mat2(0, 1, -1, 0)
+    x4 = Mat2(1, 2, -1, -1)
+    for xs, s123 in (((x1, x2, x3, x4), 2), ((x2, x1, x3, x4), -2)):
+        v = trace_vector_of(*xs)
+        assert s_from_t(v).s123 == s123
+        q = realize_character(v)
+        assert q.trace_vector().max_dev(v) <= 1e-10
+        us = [x.traceless_part() for x in q.matrices()]
+        assert abs((us[0] @ us[1] @ us[2]).trace() - s123) <= 1e-10
 
 
 def test_realize_character_round_trip(rng):
@@ -116,6 +85,30 @@ def test_realize_character_round_trip(rng):
         q = realize_character(v)
         assert q.trace_vector().max_dev(v) <= 1e-8
         q.validate()
+
+
+def test_realize_triple_round_trip(rng):
+    # the realized x1, x2, x3 reproduce the traceless Gram matrix and s123
+    # of the triple they were read from
+    done = 0
+    while done < 30:
+        t, xs = random_quadruple(rng)
+        us = [x.traceless_part() for x in xs[:3]]
+        S = np.array([[(us[i] @ us[j]).trace() for j in range(3)]
+                      for i in range(3)])
+        s123 = (us[0] @ us[1] @ us[2]).trace()
+        if abs(s123) < 1e-3:
+            continue
+        ys = realize_character(trace_vector_of(*xs)).matrices()[:3]
+        vs = [y.traceless_part() for y in ys]
+        sc = max(1.0, np.abs(S).max())
+        for i in range(3):
+            for j in range(3):
+                assert abs((vs[i] @ vs[j]).trace() - S[i, j]) <= 1e-9 * sc
+        assert abs((vs[0] @ vs[1] @ vs[2]).trace() - s123) <= 1e-9 * sc ** 2
+        # nonzero alternating invariant forces irreducibility
+        assert not has_common_eigenvector(list(ys))
+        done += 1
 
 
 def test_realize_character_later_roles(rng):
@@ -240,3 +233,27 @@ def test_realize_character_rejects_noncharacter(rng):
     bad = type(v)(**{**v.coords(), "t13": v.t13 + 0.1})
     with pytest.raises(ConstraintViolated):
         realize_character(bad)
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0, 0.7 + 0.3j, 1.3 + 0.4j,
+                               -2.2951323803190267 - 2.4173618223573543j])
+def test_traceless_parts_match_basis_assembly(t):
+    # _traceless_parts builds c1 e1 + c2 e2 + c3 e3 from Python numbers;
+    # against the Mat2 sum of scaled basis matrices its entries are equal
+    # (the sign of an exact zero may differ), and once t/2 is added the
+    # realized matrices agree bit for bit
+    for cid in COMPONENTS:
+        for smp in sample_component(cid, t):
+            s = s_from_t(smp.vector)
+            st = _s_triples(s)
+            k = max(range(4), key=lambda i: abs(st[i]))
+            S = np.array(_gram(s), dtype=complex).reshape(4, 4)
+            A = _N_INV @ factor_symmetric(S)
+            d = -2 * np.linalg.det(A[:, _TRIPLE_ROWS[k]])
+            if abs(d - st[k]) > abs(d + st[k]):
+                A = -A
+            want = [col[0] * E1 + col[1] * E2 + col[2] * E3 for col in A.T]
+            got = _traceless_parts(S, _TRIPLE_ROWS[k], st[k])
+            assert [u.entries() for u in got] == [u.entries() for u in want]
+            h = scalar(t / 2)
+            assert repr([u + h for u in got]) == repr([u + h for u in want])
