@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, ExcludedParameter
+from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
 from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
 from .tracealg import (COORD_KEYS, TraceVector, _EQ_SLOTS, _GRAM_SLOTS,
                        _SHIFT_PAIRS, _TYPEI_SLOTS, _finish, _t_pairs,
@@ -79,6 +79,8 @@ class CensusReport:
 
 def check_admissible(cid: str, t: complex,
                      margin: float = SAMPLER_MARGIN) -> None:
+    if cid not in EXCLUDED_T:
+        raise UnknownComponent(f"unknown component id {cid!r}")
     for bad in EXCLUDED_T[cid]:
         if abs(t - bad) < margin:
             raise ExcludedParameter(f"{cid}: t too close to {bad}")
@@ -391,7 +393,7 @@ def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
                   ("t124", [v.t124]), ("t234", [v.t234]),
                   ("t123", [v.t123, -p]), ("t134", [v.t134, -p])]
     else:
-        raise ValueError(f"unknown component id {cid!r}")
+        raise UnknownComponent(f"unknown component id {cid!r}")
     return {name: _finish(terms, normalized=True) for name, terms in r}
 
 

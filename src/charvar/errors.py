@@ -44,3 +44,7 @@ class DegenerateCharacter(CharVarError):
 
 class ExcludedParameter(CharVarError):
     """t is excluded, too near an excluded value, or overflows the sampler."""
+
+
+class UnknownComponent(CharVarError, ValueError):
+    """A component id that is not one of the ten catalog components."""

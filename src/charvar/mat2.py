@@ -28,14 +28,11 @@ class Mat2:
         return self.a * self.d - self.b * self.c
 
     def inverse(self) -> "Mat2":
-        dt = self.det()
-        if abs(dt) <= 1e-14:
-            raise SingularMatrix(f"|det| = {abs(dt):.3e}")
-        return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+        return Mat2(*_inverse_entries(self))
 
     def norm(self) -> float:
-        """Max entry magnitude."""
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        """Max entry magnitude; NaN if an entry is NaN."""
+        return _nanmax(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def is_scalar(self) -> bool:
         bound = SCALAR_TOL * max(1.0, self.norm())
@@ -81,9 +78,19 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 
 
-def _trace_mul(x: Mat2, y: Mat2) -> complex:
-    """(x @ y).trace(), bit for bit, without forming x @ y."""
-    return (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
+def _inverse_entries(m: Mat2) -> tuple:
+    """Entries of m^-1, row-major; SingularMatrix for a near-zero det."""
+    dt = m.det()
+    if abs(dt) <= 1e-14:
+        raise SingularMatrix(f"|det| = {abs(dt):.3e}")
+    return m.d / dt, -m.b / dt, -m.c / dt, m.a / dt
+
+
+def _nanmax(*vals: float) -> float:
+    """max(vals) of nonnegative floats, or NaN if one is NaN: max() alone
+    keeps a NaN only when it comes first."""
+    total = sum(vals)
+    return max(vals) if total == total else total
 
 
 def scalar(z) -> Mat2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateCharacter,
                      FactorizationFailure, TraceMismatch)
-from .mat2 import Mat2, scalar
+from .mat2 import Mat2
 from .tracealg import (_TRIPLE_ROWS, TraceVector, _gram, _s_triples,
                        s_from_t, trace_vector_of, typeI_residuals,
                        typeII_residuals)
@@ -101,16 +101,19 @@ def factor_symmetric(S: np.ndarray) -> np.ndarray:
     raise FactorizationFailure(f"M^T M misses S by {err:.3e}")
 
 
-def _traceless_parts(S, rows, target: complex) -> list[Mat2]:
-    """Traceless matrices with Gram matrix S in the balanced frame, signed
-    so that tr(u_i u_j u_k) for the columns `rows` is nearer `target`: over
-    the fixed basis it is -2 det of those columns' coordinates, and column
-    (c1, c2, c3) is c1 e1 + c2 e2 + c3 e3."""
+def _realized_matrices(S, rows, target: complex, h: complex) -> list[Mat2]:
+    """The matrices u_i + h e for traceless u_i with Gram matrix S in the
+    balanced frame, signed so that tr(u_i u_j u_k) for the columns `rows` is
+    nearer `target`: over the fixed basis it is -2 det of those columns'
+    coordinates, and column (c1, c2, c3) is c1 e1 + c2 e2 + c3 e3. Each
+    entry takes the operations of Mat2(c1, c2 + c3, c2 - c3, -c1) +
+    scalar(h), in the same order, so it has that sum's bits."""
     A = _N_INV @ factor_symmetric(S)
     d = -2 * np.linalg.det(A[:, rows])
     if abs(d - target) > abs(d + target):
         A = -A
-    return [Mat2(c1, c2 + c3, c2 - c3, -c1) for c1, c2, c3 in zip(*A.tolist())]
+    return [Mat2(c1 + h, (c2 + c3) + 0, (c2 - c3) + 0, -c1 + h)
+            for c1, c2, c3 in zip(*A.tolist())]
 
 
 def realize_character(v: TraceVector) -> Quadruple:
@@ -140,8 +143,8 @@ def realize_character(v: TraceVector) -> Quadruple:
     st = _s_triples(s)
     k = max(range(4), key=lambda i: abs(st[i]))
     S = np.array(_gram(s), dtype=complex).reshape(4, 4)
-    us = _traceless_parts(S, _TRIPLE_ROWS[k], st[k])
-    q = Quadruple(*(u + scalar(v.t / 2) for u in us), t=v.t)
+    q = Quadruple(*_realized_matrices(S, _TRIPLE_ROWS[k], st[k],
+                                      complex(v.t / 2)), t=v.t)
     q.validate()
     got = q.trace_vector()
     for key, want in coords.items():

@@ -2,8 +2,10 @@
 s-coordinates of traceless parts, Gram matrices, the 20 definitive relations
 of the rank-4 free group, and the knot-specific trace-equation battery.
 
-Residual functions return raw complex values by default; with
-``normalized=True`` each residual is divided by max(1, largest monomial
+Each residual is a sum of monomials, added left to right starting from 0
+as ``sum()`` adds them, so the bits do not depend on how a kernel holds its
+terms. Residual functions return that raw sum by default; with
+``normalized=True`` it is then divided by max(1, largest monomial
 magnitude), which is what the acceptance thresholds are stated against.
 
 Every kernel reads fixed slots: index tables built once at import from
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .errors import InconsistentS0, TraceMismatch
-from .mat2 import Mat2, _trace_mul
+from .mat2 import Mat2
 
 PAIR_KEYS = ("t12", "t23", "t34", "t14", "t13", "t24")
 TRIPLE_KEYS = ("t123", "t124", "t134", "t234")
@@ -241,15 +243,14 @@ def gram_matrices(s: SCoords) -> GramData:
                     Sdiamond=_block(g, range(4)))
 
 
-def _det3_terms(m00, m01, m02, m10, m11, m12, m20, m21,
-                m22) -> list[complex]:
+def _det3_terms(m00, m01, m02, m10, m11, m12, m20, m21, m22) -> tuple:
     """The six signed monomials of a 3x3 determinant, entries row-major."""
-    return [m00 * m11 * m22,
+    return (m00 * m11 * m22,
             -m00 * m12 * m21,
             -m01 * m10 * m22,
             m01 * m12 * m20,
             m02 * m10 * m21,
-            -m02 * m11 * m20]
+            -m02 * m11 * m20)
 
 
 def _finish(terms: list[complex], normalized: bool) -> complex:
@@ -269,8 +270,16 @@ def typeI_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
     ascending triples; universal identities on genuine quadruples."""
     g = _gram(s)
     st = _s_triples(s)
-    return [_finish([2 * st[a] * st[b], *_det3_terms(*minor(g))], normalized)
-            for a, b, minor in _TYPEI]
+    out = []
+    for a, b, minor in _TYPEI:
+        p0 = 2 * st[a] * st[b]
+        p1, p2, p3, p4, p5, p6 = _det3_terms(*minor(g))
+        val = 0 + p0 + p1 + p2 + p3 + p4 + p5 + p6
+        if normalized:
+            val = val / max(1.0, abs(p0), abs(p1), abs(p2), abs(p3),
+                            abs(p4), abs(p5), abs(p6))
+        out.append(val)
+    return out
 
 
 def typeII_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
@@ -280,8 +289,11 @@ def typeII_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
     out = []
     for r in range(0, 16, 4):
         r1, r2, r3, r4 = g[r:r + 4]
-        out.append(_finish([r1 * s234, -r2 * s134, r3 * s124, -r4 * s123],
-                           normalized))
+        p0, p1, p2, p3 = r1 * s234, -r2 * s134, r3 * s124, -r4 * s123
+        val = 0 + p0 + p1 + p2 + p3
+        if normalized:
+            val = val / max(1.0, abs(p0), abs(p1), abs(p2), abs(p3))
+        out.append(val)
     return out
 
 
@@ -318,20 +330,24 @@ def trace_equation_residuals(v: TraceVector,
     for get in _EQ_IDX:
         t12, t13, t14, t23, t24, t123, t124 = get(v)
         a = t * t - 1
-        tr0 = [a * t124, -a * t123, t * t13, -t * t24,
-               -t * (t12 - 1) * t14, t * (t12 - 1) * t23]
         c1 = t * (t12 + t * t - 2)
         c2 = t12 + t * t - 1
         c3 = t12 * t12 + a * t12 - t * t - 1
-        tr12m = [c1 * t124, -c1 * t123, c2 * t13, -c2 * t24, -c3 * t14,
-                 c3 * t23]
         d1 = t * (t * t - 2 - t12)
         d2 = t12 + 1 - t * t
         d3 = 1 - t12 * t12 + a * t12 - t * t
-        tr12p = [d1 * t124, d1 * t123, d2 * t13, d2 * t24, -d3 * t14,
-                 -d3 * t23]
-        out += (_finish(tr0, normalized), _finish(tr12m, normalized),
-                _finish(tr12p, normalized))
+        for p0, p1, p2, p3, p4, p5 in (
+                (a * t124, -a * t123, t * t13, -t * t24,
+                 -t * (t12 - 1) * t14, t * (t12 - 1) * t23),
+                (c1 * t124, -c1 * t123, c2 * t13, -c2 * t24, -c3 * t14,
+                 c3 * t23),
+                (d1 * t124, d1 * t123, d2 * t13, d2 * t24, -d3 * t14,
+                 -d3 * t23)):
+            val = 0 + p0 + p1 + p2 + p3 + p4 + p5
+            if normalized:
+                val = val / max(1.0, abs(p0), abs(p1), abs(p2), abs(p3),
+                                abs(p4), abs(p5))
+            out.append(val)
     return out
 
 
@@ -353,14 +369,33 @@ def eq19_residuals(v: TraceVector, normalized: bool = False) -> list[complex]:
 
 
 def trace_vector_of(x1: Mat2, x2: Mat2, x3: Mat2, x4: Mat2) -> TraceVector:
-    """The 11 trace coordinates of a quadruple sharing a common trace."""
+    """The 11 trace coordinates of a quadruple sharing a common trace.
+
+    x1x2, x1x3 and x2x3 are formed as local entries p, q and r, and every
+    trace of a product P Q is (P.a Q.a + P.b Q.c) + (P.c Q.b + P.d Q.d):
+    the operations of (P @ Q).trace(), in the same order.
+    """
     t = x1.trace()
     for m in (x2, x3, x4):
         if not abs(m.trace() - t) <= 1e-9 * max(1.0, abs(t)):
             raise TraceMismatch(f"traces {t} vs {m.trace()}")
-    x12, x13, x23 = x1 @ x2, x1 @ x3, x2 @ x3
+    a1, b1, c1, d1 = x1.entries()
+    a2, b2, c2, d2 = x2.entries()
+    a3, b3, c3, d3 = x3.entries()
+    a4, b4, c4, d4 = x4.entries()
+    pa, pb, pc, pd = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                      c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    qa, qb, qc, qd = (a1 * a3 + b1 * c3, a1 * b3 + b1 * d3,
+                      c1 * a3 + d1 * c3, c1 * b3 + d1 * d3)
+    ra, rb, rc, rd = (a2 * a3 + b2 * c3, a2 * b3 + b2 * d3,
+                      c2 * a3 + d2 * c3, c2 * b3 + d2 * d3)
     return TraceVector(
-        t, x12.trace(), x23.trace(), _trace_mul(x3, x4), _trace_mul(x1, x4),
-        x13.trace(), _trace_mul(x2, x4),
-        _trace_mul(x12, x3), _trace_mul(x12, x4), _trace_mul(x13, x4),
-        _trace_mul(x23, x4))
+        t, pa + pd, ra + rd,
+        (a3 * a4 + b3 * c4) + (c3 * b4 + d3 * d4),
+        (a1 * a4 + b1 * c4) + (c1 * b4 + d1 * d4),
+        qa + qd,
+        (a2 * a4 + b2 * c4) + (c2 * b4 + d2 * d4),
+        (pa * a3 + pb * c3) + (pc * b3 + pd * d3),
+        (pa * a4 + pb * c4) + (pc * b4 + pd * d4),
+        (qa * a4 + qb * c4) + (qc * b4 + qd * d4),
+        (ra * a4 + rb * c4) + (rc * b4 + rd * d4))

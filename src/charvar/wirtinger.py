@@ -9,9 +9,11 @@ exactly when the four relator matrices r_i = x_i x_{i+1} x_i^{-1} x_{i-1} x_i
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import PreconditionViolated
-from .mat2 import Mat2, dist, has_common_eigenvector, rel_dist
+from .mat2 import (Mat2, _inverse_entries, _nanmax, dist,
+                   has_common_eigenvector, rel_dist)
 from .reconstruct import Quadruple
 from .tracealg import trace_equation_residuals, trace_vector_of
 
@@ -30,21 +32,26 @@ class RelatorSet:
         return (self.r1, self.r2, self.r3, self.r4)
 
     def spread(self) -> float:
-        """Largest pairwise entry distance, relative to max(1, ||r1||)."""
-        rs = self.matrices()
-        sc = max(1.0, rs[0].norm())
-        return max(dist(rs[i], rs[j])
-                   for i in range(4) for j in range(i + 1, 4)) / sc
+        """Largest pairwise entry distance, relative to max(1, ||r1||); NaN
+        if an entry is NaN."""
+        e = [r.entries() for r in self.matrices()]
+        return _nanmax(*[abs(p - q) for x, y in combinations(e, 2)
+                         for p, q in zip(x, y)]) / max(1.0, self.r1.norm())
 
 
 def relators(q: Quadruple) -> RelatorSet:
-    x = q.matrices()
-
-    def r(i):  # i in 0..3, neighbours mod 4
-        xi = x[i]
-        return xi @ x[(i + 1) % 4] @ xi.inverse() @ x[(i - 1) % 4] @ xi
-
-    return RelatorSet(r(0), r(1), r(2), r(3))
+    """r_i = x_i x_{i+1} x_i^-1 x_{i-1} x_i, multiplied left to right in
+    local entries with the formula of Mat2.__matmul__."""
+    x = [m.entries() for m in q.matrices()]
+    rs = []
+    for i, xi in enumerate(q.matrices()):
+        a, b, c, d = x[i]
+        for e, f, g, h in (x[(i + 1) % 4], _inverse_entries(xi), x[i - 1],
+                           x[i]):
+            a, b, c, d = (a * e + b * g, a * f + b * h,
+                          c * e + d * g, c * f + d * h)
+        rs.append(Mat2(a, b, c, d))
+    return RelatorSet(*rs)
 
 
 def is_representation(q: Quadruple,

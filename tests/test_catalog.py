@@ -8,11 +8,11 @@ from conftest import admissible_t
 from charvar import catalog
 from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
                              ComponentSample, _dedup, _lstsq_steps,
-                             _probe_system, classify_point,
+                             _probe_system, check_admissible, classify_point,
                              enumerate_parabolic, excellent_quartic,
                              explore_solve, membership_residual,
                              sample_component, special_points)
-from charvar.errors import CharVarError, ExcludedParameter
+from charvar.errors import CharVarError, ExcludedParameter, UnknownComponent
 from charvar.numfield import CLUSTER_TOL, Poly, match_multisets, solve_poly
 from charvar.reconstruct import realize_character
 from charvar.tracealg import (_TYPEI_SLOTS, TraceVector, rotate, s_from_t,
@@ -393,6 +393,25 @@ def test_explore_starts_independent_of_blocking(monkeypatch):
 def test_explore_excluded_t():
     with pytest.raises(ExcludedParameter):
         explore_solve(SQRT3, seed=0, attempts=1)
+
+
+def test_check_admissible_unknown_component():
+    with pytest.raises(UnknownComponent, match="X9"):
+        check_admissible("X9", 1.0)
+
+
+def test_sample_component_unknown_component():
+    with pytest.raises(UnknownComponent, match="X9"):
+        sample_component("X9", 1.3 + 0.4j)
+
+
+def test_membership_residual_unknown_component():
+    v = sample_component("X3", 1.3 + 0.4j)[0].vector
+    with pytest.raises(UnknownComponent, match="X9"):
+        membership_residual("X9", v)
+    # one typed error, still caught where a ValueError was
+    assert issubclass(UnknownComponent, CharVarError)
+    assert issubclass(UnknownComponent, ValueError)
 
 
 def test_explore_negative_attempts():

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import E1, E2, E3, random_t, reducible_pair
 from charvar.errors import PreconditionViolated, SingularMatrix
-from charvar.mat2 import (IDENTITY, Mat2, _trace_mul, anticommutator_residual,
-                          ch_residual, dist, has_common_eigenvector, in_gt,
+from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual, ch_residual,
+                          dist, has_common_eigenvector, in_gt,
                           is_irreducible_pair, lemma25_apply, random_gt,
-                          random_sl2, scalar, triple_trace, xyx_expand)
+                          random_sl2, rel_dist, scalar, triple_trace,
+                          xyx_expand)
 
 
 def test_inverse_identity_and_parabolic():
@@ -166,12 +169,19 @@ def test_lemma25_precondition(rng):
         lemma25_apply(x1, x2, x2, t)  # s13 generic, not +-s0
 
 
-def test_trace_mul_is_product_trace_bitwise(rng):
-    # the same operations in the same order as (x @ y).trace(), so the same
-    # bits, the sign of a zero included
-    pairs = [(E1, E2), (E2, E3), (E3, E3), (E1, -E1), (IDENTITY, E3)]
-    for _ in range(300):
-        t = random_t(rng)
-        pairs.append((random_gt(rng, t), random_gt(rng, t)))
-    for x, y in pairs:
-        assert repr(_trace_mul(x, y)) == repr((x @ y).trace())
+def test_norm_and_distances_propagate_nan():
+    # max() keeps a NaN only when it comes first; a NaN in any entry must
+    # make the norm and both distances NaN
+    nan = float("nan")
+    for k in range(4):
+        entries = [1, 0, 0, 1]
+        entries[k] = complex(nan, 0) if k % 2 else nan
+        m = Mat2(*entries)
+        assert math.isnan(m.norm())
+        assert math.isnan(dist(m, IDENTITY))
+        assert math.isnan(dist(IDENTITY, m))
+        assert math.isnan(rel_dist(m, IDENTITY))
+        assert math.isnan(rel_dist(IDENTITY, m))
+    m = Mat2(1 + 2j, -3, 0.5j, 1)
+    assert m.norm() == 3 and dist(m, IDENTITY) == 3
+    assert Mat2(float("inf"), 0, 0, 1).norm() == float("inf")

@@ -8,7 +8,7 @@ from charvar.catalog import COMPONENTS, sample_component
 from charvar.errors import ConstraintViolated
 from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_sl2,
                           scalar)
-from charvar.reconstruct import (_N_INV, Quadruple, _traceless_parts,
+from charvar.reconstruct import (_N_INV, Quadruple, _realized_matrices,
                                  factor_symmetric, realize_character)
 from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TraceVector, _gram,
                               _s_triples, gram_matrices, s_from_t,
@@ -238,10 +238,9 @@ def test_realize_character_rejects_noncharacter(rng):
 @pytest.mark.parametrize("t", [2.0, 3.0, 0.7 + 0.3j, 1.3 + 0.4j,
                                -2.2951323803190267 - 2.4173618223573543j])
 def test_traceless_parts_match_basis_assembly(t):
-    # _traceless_parts builds c1 e1 + c2 e2 + c3 e3 from Python numbers;
-    # against the Mat2 sum of scaled basis matrices its entries are equal
-    # (the sign of an exact zero may differ), and once t/2 is added the
-    # realized matrices agree bit for bit
+    # realize_character builds c1 e1 + c2 e2 + c3 e3 + t/2 e from Python
+    # numbers; against the Mat2 sum of scaled basis matrices plus
+    # scalar(t/2) its matrices agree bit for bit, the sign of a zero included
     for cid in COMPONENTS:
         for smp in sample_component(cid, t):
             s = s_from_t(smp.vector)
@@ -252,8 +251,10 @@ def test_traceless_parts_match_basis_assembly(t):
             d = -2 * np.linalg.det(A[:, _TRIPLE_ROWS[k]])
             if abs(d - st[k]) > abs(d + st[k]):
                 A = -A
-            want = [col[0] * E1 + col[1] * E2 + col[2] * E3 for col in A.T]
-            got = _traceless_parts(S, _TRIPLE_ROWS[k], st[k])
-            assert [u.entries() for u in got] == [u.entries() for u in want]
-            h = scalar(t / 2)
-            assert repr([u + h for u in got]) == repr([u + h for u in want])
+            h = scalar(smp.vector.t / 2)
+            want = [col[0] * E1 + col[1] * E2 + col[2] * E3 + h
+                    for col in A.T]
+            got = _realized_matrices(S, _TRIPLE_ROWS[k], st[k], h.a)
+            assert repr(got) == repr(want)
+            q = realize_character(smp.vector)
+            assert repr(list(q.matrices())) == repr(want)

@@ -1,14 +1,17 @@
+import math
+
 import pytest
 
 from conftest import admissible_t, random_quadruple
 from charvar.catalog import sample_component
 from charvar.errors import PreconditionViolated
-from charvar.mat2 import Mat2, dist, random_gt
+from charvar.mat2 import IDENTITY, Mat2, dist, random_gt
 from charvar.reconstruct import Quadruple, realize_character
 from charvar.tracealg import trace_equation_residuals
-from charvar.wirtinger import (factors_through_fig8, fig8_relator_residual,
-                               is_representation, lemma31_check,
-                               necessary_conditions_residual, relators)
+from charvar.wirtinger import (RelatorSet, factors_through_fig8,
+                               fig8_relator_residual, is_representation,
+                               lemma31_check, necessary_conditions_residual,
+                               relators)
 
 
 def test_relators_all_equal(rng):
@@ -20,6 +23,17 @@ def test_relators_all_equal(rng):
         assert dist(r, cube) <= 1e-12 * max(1.0, cube.norm())
     ok, res = is_representation(q)
     assert ok
+
+
+def test_nan_entry_is_not_a_representation():
+    # max() keeps a NaN only when it comes first: a NaN relator entry in any
+    # position must still make the spread NaN, never read as agreement
+    nan = float("nan")
+    q = Quadruple(IDENTITY, IDENTITY, IDENTITY, Mat2(1, nan, 0, 1), t=2 + 0j)
+    ok, res = is_representation(q)
+    assert ok is False and math.isnan(res)
+    rs = RelatorSet(IDENTITY, IDENTITY, IDENTITY, Mat2(1, 0, nan, 1))
+    assert math.isnan(rs.spread())
 
 
 def test_relators_random_quadruple_fails(rng):
