@@ -173,44 +173,43 @@ def _x4_system(t, u, eta):
             - 5 * t * t * u + t ** 4 + 4 * t * t - 6)
 
 
-def _x4_small_t(t: complex) -> list[tuple[complex, complex]]:
-    """Solve the coupled (u, eta) system directly near t = 0, where the
-    quartic has double roots and eta = (...)/t is ill-conditioned.
-
-    Newton from the four exact t = 0 solutions (u^2 + u + 1 = 0,
-    eta^2 = 6); the Jacobian is nonsingular there.
-    """
-    out = []
-    for eps in (1, -1):
-        for ep2 in (1, -1):
-            u = (-1 + eps * 1j * cmath.sqrt(3)) / 2
-            eta = ep2 * cmath.sqrt(6)
-            for _ in range(60):
-                f1, f2 = _x4_system(t, u, eta)
-                if max(abs(f1), abs(f2)) <= 1e-13:
-                    break
-                j11 = -2 * u - 1                      # df1/du
-                j12 = t                               # df1/deta
-                j21 = -2 * t * eta - 5 * t * t        # df2/du
-                j22 = 2 * eta + t * (t * t + 4 - 2 * u)
-                det = j11 * j22 - j12 * j21
-                u -= (f1 * j22 - f2 * j12) / det
-                eta -= (f2 * j11 - f1 * j21) / det
-            if not any(abs(u - u0) <= CLUSTER_TOL and abs(eta - e0) <= CLUSTER_TOL
-                       for u0, e0 in out):
-                out.append((u, eta))
-    return out
-
-
 def _x4_samples(t: complex) -> list[ComponentSample]:
-    if abs(t) > SAMPLER_MARGIN:
-        out = []
-        for u in _sorted_roots(solve_poly(excellent_quartic(t))):
-            if abs(u - 1) <= GUARD_MARGIN:
-                raise ExcludedParameter("X4: u = 1 branch")
-            out.append((u, (u * u + u - t * t + 1) / t))
-    else:
-        out = _x4_small_t(t)
+    """The four X4 points (u, eta) over t, read off one 4x4 matrix.
+
+    Under weights (2, 3) on (u, eta) the X4 equations lead with the coprime
+    u^2 and eta^2: a Groebner basis for every t. Row i of m_u (m_eta) is u
+    (eta) times element i of the quotient basis (1, u, eta, u*eta), and no
+    entry divides by t. m_u + c*m_eta has eigenvectors (1, u, eta, u*eta),
+    scaled; points i, j share an eigenvalue when c*(u_i + u_j + 1) = -t. So
+    c = 1 fails at t = -1, c = -1 at t = 1, both only where points coincide:
+    keep the shift with the larger least gap, then take one Newton step.
+    """
+    t2 = t * t
+    t4 = t2 * t2
+    m_u = ((0, 1, 0, 0), (t2 - 1, -1, t, 0), (0, 0, 0, 1),
+           (-t * (t4 + 4 * t2 - 6), 5 * t2 * t, -t4 - 3 * t2 - 1, 2 * t2 - 1))
+    m_eta = ((0, 0, 1, 0), (0, 0, 0, 1),
+             (-t4 - 4 * t2 + 6, 5 * t2, -t * (t2 + 4), 2 * t),
+             (-t2 * (2 * t4 + 3 * t2 - 7), 9 * t4 - 9 * t2 + 6,
+              -t * (2 * t4 + t2 + 2), t * (3 * t2 - 6)))
+    # summed in Python: an overflow reaches eig as inf or NaN, a ValueError
+    w, v = np.linalg.eig(np.array(
+        [[[a + c * b for a, b in zip(ru, re)] for ru, re in zip(m_u, m_eta)]
+         for c in (1, -1)], dtype=complex))
+    gaps = np.abs(w[:, :, None] - w[:, None, :]) + np.diag(np.full(4, np.inf))
+    out = []
+    for vec in v[gaps.min(axis=(1, 2)).argmax()].T.tolist():
+        u, eta = vec[1] / vec[0], vec[2] / vec[0]
+        f1, f2 = _x4_system(t, u, eta)
+        j11, j12 = -2 * u - 1, t
+        j21, j22 = -2 * t * eta - 5 * t2, 2 * eta + t * (t2 + 4 - 2 * u)
+        det = j11 * j22 - j12 * j21
+        u -= (f1 * j22 - f2 * j12) / det
+        eta -= (f2 * j11 - f1 * j21) / det
+        if abs(u - 1) <= GUARD_MARGIN:  # the quartic at u = 1 is (t^2 - 3)^2
+            raise ExcludedParameter("X4: u = 1 branch")
+        out.append((u, eta))
+    out.sort(key=lambda p: [round(x, 10) for z in p for x in (z.real, z.imag)])
     return [ComponentSample("X4", k, {"t": t, "u": u, "eta": eta},
                             _x4_vector(t, u, eta))
             for k, (u, eta) in enumerate(out)]

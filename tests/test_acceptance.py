@@ -118,8 +118,6 @@ def test_criterion_5_excellent_quartic():
     checked = 0
     while checked < 100:
         t = random_t(rng, 3.0)
-        if abs(t) <= 1e-3:
-            continue
         try:
             samples = sample_component("X4", t)
         except Exception:

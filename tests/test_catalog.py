@@ -210,24 +210,61 @@ def test_excellent_quartic_elimination_oracle(rng):
 def test_quartic_matches_x4_samples(rng):
     for _ in range(10):
         t = admissible_t(rng)
-        if abs(t) <= 1e-3:
-            continue
         roots = solve_poly(excellent_quartic(t))
         us = [s.params["u"] for s in sample_component("X4", t)]
         assert match_multisets(us, roots, 1e-7)
 
 
-def test_x4_small_t_path():
-    samples = sample_component("X4", 0.0)
-    assert len(samples) == 4
-    us = [s.params["u"] for s in samples]
-    etas = [s.params["eta"] for s in samples]
-    w = (-1 + 1j * SQRT3) / 2
-    assert match_multisets(us, [w, w, w.conjugate(), w.conjugate()], 1e-9)
-    assert match_multisets(etas, [cmath.sqrt(6), -cmath.sqrt(6)] * 2, 1e-9)
-    # a slightly off-zero t still yields four clean samples
-    samples = sample_component("X4", 5e-4 + 2e-4j)
-    assert len(samples) == 4
+def test_x4_samples_across_t():
+    # one sampler for every t: just above |t| = 1e-3, where dividing by t
+    # missed the 1e-10 gate; t = 0; t where one fixed shift c of the
+    # multiplication matrix collides (c = 1 at t = -1, c = -1 at t = 1,
+    # c = 0.7390851332151607 at t = -1.3530241037995296); and larger t
+    ts = [0.0004993895497135015 + 0.0009801071766072046j,
+          -0.0004993895497135015 - 0.0009801071766072046j,
+          0.0, 1.0, -1.0, -1.3530241037995296, 2.0, 100.0]
+    ts += [r * cmath.exp(1j * cmath.pi * k / 360)
+           for r in (1.0000001e-3, 1.1e-3) for k in range(721)]
+    for t in ts:
+        samples = sample_component("X4", t)
+        pairs = [(s.params["u"], s.params["eta"]) for s in samples]
+        assert len(pairs) == 4, t
+        assert all(max(abs(u - u2), abs(e - e2)) > CLUSTER_TOL
+                   for i, (u, e) in enumerate(pairs)
+                   for u2, e2 in pairs[:i]), t
+        assert max(worst("X4", s.vector) for s in samples) <= 1e-10, t
+        if t == 0:  # four distinct pairs of a root of u^2 + u + 1 and +-sqrt6
+            assert all(abs(u * u + u + 1) <= 1e-12 and abs(e * e - 6) <= 1e-12
+                       for u, e in pairs)
+        else:
+            assert match_multisets([u for u, _ in pairs],
+                                   solve_poly(excellent_quartic(t)), 1e-7), t
+
+
+def test_sampler_guards_sit_over_excluded_t():
+    # a guard inside a sampler must fire only over an excluded t, which
+    # check_admissible has refused already; exact in sympy
+    sp = pytest.importorskip("sympy")
+    t, u, eta = sp.symbols("t u eta")
+    quartic = sp.resultant(*catalog._x4_system(t, u, eta), eta)
+    for tv in (0.3 + 0.2j, 2.0, -1.7 + 1j):  # it is excellent_quartic
+        got = excellent_quartic(tv).coeffs
+        want = [complex(c.subs(t, tv))
+                for c in sp.Poly(quartic, u).all_coeffs()]
+        assert np.abs(np.array(got) - want).max() <= 1e-12
+    # X4's u = 1 guard lies over t = +-sqrt3
+    assert sp.expand(quartic.subs(u, 1) - (t ** 2 - 3) ** 2) == 0
+    # the X1/X2 (alpha, mu) and (alpha, z) guards lie over alpha = 2 +- 2sqrt2,
+    # that is over t = +-(1 + sqrt2) and t = +-(sqrt2 - 1)
+    s2 = sp.sqrt(2)
+    for bad_al, r in ((2 + 2 * s2, 1 + s2), (2 - 2 * s2, s2 - 1)):
+        assert sp.expand(catalog._alpha(t) - bad_al - (t - r) * (t + r)) == 0
+    exotic = ("X11", "X12", "X21", "X22")
+    for cids, r in ((("X4",), sp.sqrt(3)), (exotic, 1 + s2), (exotic, s2 - 1)):
+        for cid in cids:
+            for z in (float(r), -float(r)):
+                assert min(abs(z - bad) for bad in catalog.EXCLUDED_T[cid]) \
+                    <= 1e-15, (cid, z)
 
 
 def test_special_points_all_satisfy_x4():
