@@ -1,0 +1,216 @@
+"""The batched residual-and-Jacobian kernel of the Newton probe.
+
+The probe system is {12 trace equations, 4 type II, 16 type I} in the ten
+coordinates COORD_KEYS[1:] at a fixed trace t, the same equations that
+tracealg's scalar kernels evaluate one vector at a time. Here they are
+evaluated, with their exact derivatives, for many vectors at once, from
+index tables built on tracealg's slot tables. Its caller is the Newton loop
+of catalog.explore_solve.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .tracealg import _EQ_SLOTS, _GRAM_SLOTS, _SHIFT_PAIRS, _TYPEI_SLOTS
+
+# The probe's unknowns y are COORD_KEYS[1:], so COORD_KEYS slot k of the
+# tracealg tables is column k - 1 of y; its s-array holds s0 and the six
+# s-pairs in their SCoords slots 0..6. The Newton loop solves the system
+# [J | -f]: 32 equations, each with its 10 derivatives and then its negated
+# residual, so entry (i, j) of a row's system is entry 11 i + j of the row.
+
+# columns of (t12, t13, t14, t23, t24, t123, t124) after each subscript
+# rotation p; they enter the residual rows 3p + (tr0, tr1-tr2, tr1+tr2)
+_EQ_COLS = np.array(_EQ_SLOTS) - 1
+# the trace-equation entries of rows 3p..3p+2: a (20, 4) table over (entry,
+# rotation p) of those that vary with y (the three residuals, then columns
+# 0, 2, 3 of row 3p and all seven of rows 3p + 1 and 3p + 2), a (4, 4) table
+# of the constant ones (columns 1, 4, 5, 6 of row 3p: t, -t, -a, a), and
+# the zeros (the three columns a row's rotation does not use)
+_EQ_VARY = np.array(
+    [[11 * (3 * p + k) + 10 for p in range(4)] for k in range(3)]
+    + [[33 * p + _EQ_COLS[p, c] for p in range(4)] for c in (0, 2, 3)]
+    + [[11 * (3 * p + k) + _EQ_COLS[p, c] for p in range(4)]
+       for k in (1, 2) for c in range(7)])
+_EQ_CONST = np.array([[33 * p + _EQ_COLS[p, c] for c in (1, 4, 5, 6)]
+                      for p in range(4)])
+_EQ_ZERO = np.array([11 * (3 * p + k) + c for p in range(4) for k in range(3)
+                     for c in range(10) if c not in _EQ_COLS[p]])
+_GRAM = np.array(_GRAM_SLOTS).reshape(4, 4)     # s-slot of Gram entry (i, j)
+_SHIFT_COLS = np.array(_SHIFT_PAIRS)            # pair columns of each shift
+_ALT = np.array([1, -1, 1, -1])
+# type II: each off-diagonal s_ij of relation i, as (i, column, j)
+_II_ROWS, _II_COLS, _II_J = np.array(
+    [(i, _GRAM[i, j] - 1, j) for i in range(4) for j in range(4)
+     if i != j]).T
+# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b]
+_TI_A, _TI_B = np.divmod(np.arange(16), 4)
+
+
+def _minor_table():
+    """Index tables of the type I Gram minors, in plain ints.
+
+    Cofactor (i, j) of a 3x3 minor M is M[i', j'] M[i'', j''] -
+    M[i', j''] M[i'', j'] with i' = i + 1 and i'' = i + 2 (mod 3), the same
+    for j. The 144 cofactors of the 16 minors are, up to sign, 46 distinct
+    2x2 minors s_a s_b - s_c s_d of the s-array, with operand order kept
+    (complex products need not commute bitwise). Returns the (46, 4) slots
+    (a, b, c, d); the column of each cofactor in mx = [m, -m, 0], the
+    minors, their negatives and a zero; and, as two (16, 6) tables, the mx
+    columns of the entries (row-major) of minor r that hold pair column k.
+    A pair sits in at most two entries, and a missing one points at the
+    zero column; diagonal entries are the constant s0 and hold no pair.
+    """
+    seen, signed = {}, []      # minor -> its index; (index, negated)
+    for pos in _TYPEI_SLOTS:
+        g = [_GRAM_SLOTS[p] for p in pos]
+        rows = g[:3], g[3:6], g[6:]
+        for i in range(3):
+            r1, r2 = rows[i - 2], rows[i - 1]      # rows i + 1, i + 2 (mod 3)
+            for j in range(3):
+                key = (r1[j - 2], r2[j - 1], r1[j - 1], r2[j - 2])
+                neg = key[2:] + key[:2]
+                signed.append((seen[neg], True) if neg in seen
+                              else (seen.setdefault(key, len(seen)), False))
+    ops = list(seen)
+    cof = [k + len(ops) if negated else k for k, negated in signed]
+    gather = [[[2 * len(ops)] * 6 for _ in _TYPEI_SLOTS] for _ in range(2)]
+    for r, pos in enumerate(_TYPEI_SLOTS):
+        used = [0] * 6
+        for e, p in enumerate(pos):
+            k = _GRAM_SLOTS[p] - 1
+            if k >= 0:
+                gather[used[k]][r][k] = cof[9 * r + e]
+                used[k] += 1
+    return ops, cof, gather
+
+
+_MINOR_OPS, _COF, _TI_GATHER = map(np.array, _minor_table())
+_COF = _COF.reshape(16, 3, 3)
+_TI_ROW0 = _GRAM.ravel()[np.array(_TYPEI_SLOTS)[:, :3]]  # s-slots, row 0
+
+
+class _ProbeSystem:
+    """The systems [J | -f] of _probe_system at one trace t.
+
+    The tables that depend on t alone (d st / dy in its type II and type I
+    forms, s0, and the constant trace-equation entries) are computed once
+    per t. A call on an (n, 10) array y writes the entries of its n systems
+    into one new buffer, entry-major (entry e of all n rows is one
+    contiguous run), and returns the (n, 32, 11) view of it. Each entry is
+    formed by the same operations, in the same operand order, whatever the
+    other rows are, so a row's system does not depend on the rows it is
+    computed with.
+    """
+
+    def __init__(self, t: complex):
+        tt = t * t
+        a = tt - 1
+        self.t, self.tt, self.a = t, tt, a
+        self.s0, self.half_tt = tt / 2 - 2, tt / 2
+        self.half_t, self.half_t3 = t / 2, t ** 3 / 2
+        dst = np.zeros((4, 10), dtype=complex)   # d st / dy, for every row
+        dst[np.arange(4)[:, None], _SHIFT_COLS] = -t / 2
+        dst[:, 6:] = np.eye(4)
+        self.dst_ii = _ALT[:, None] * dst[::-1]
+        self.dst_a, self.dst_b = dst[_TI_A, :, None], dst[_TI_B, :, None]
+        self.eq_const = np.array([t, -t, -a, a])[:, None]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        n = len(y)
+        ent = np.empty((352, n), dtype=complex)  # entry 11 i + j of each row
+        ent[_EQ_CONST] = self.eq_const
+        ent[_EQ_ZERO] = 0
+        self._trace_rows(y, ent)
+        s = np.empty((n, 7), dtype=complex)
+        s[:, 0] = self.s0
+        np.subtract(y[:, :6], self.half_tt, out=s[:, 1:])
+        st = (y[:, 6:] - self.half_t * y[:, _SHIFT_COLS].sum(axis=2)
+              + self.half_t3)
+        ent = ent.reshape(32, 11, n)
+        self._typeII_rows(s, st, ent[12:16])
+        self._typeI_rows(s.T, st.T, ent[16:])
+        np.negative(ent[:, 10], out=ent[:, 10])
+        return ent.transpose(2, 0, 1)
+
+    def _trace_rows(self, y, ent):
+        """Rows 0..11: the trace equations under the four rotations."""
+        t, tt, a = self.t, self.tt, self.a
+        vary = np.empty((20, 4, len(y)), dtype=complex)
+        # in _EQ_VARY's order: residual k, entry (0, c) as j0c, then the
+        # entries of rows 1 and 2, each named by its value
+        f0, f1, f2, j00, j02, j03, j10, c2, mc3, c3, mc2, mc1, c1, \
+            j20, d2, md3, md3_, d2_, d1, d1_ = vary
+        t12, t13, t14, t23, t24, t123, t124 = y.T[_EQ_COLS.T]
+        dq, sq = t124 - t123, t124 + t123
+        dm, dp = t13 - t24, t13 + t24
+        em, ep = t14 - t23, t14 + t23
+        tm = np.multiply(t, t12 - 1, out=j03)
+        np.multiply(t, t12 + tt - 2, out=c1)
+        np.subtract(t12 + tt, 1, out=c2)
+        np.subtract(t12 * t12 + a * t12 - tt, 1, out=c3)
+        np.multiply(t, tt - 2 - t12, out=d1)
+        np.subtract(t12 + 1, tt, out=d2)
+        d3 = 1 - t12 * t12 + a * t12 - tt
+        np.subtract(a * dq + t * dm, tm * em, out=f0)
+        np.subtract(c1 * dq + c2 * dm, c3 * em, out=f1)
+        np.subtract(d1 * sq + d2 * dp, d3 * ep, out=f2)
+        np.multiply(-t, em, out=j00)
+        np.negative(tm, out=j02)
+        np.subtract(t * dq + dm, (2 * t12 + a) * em, out=j10)
+        np.negative(c3, out=mc3)
+        np.negative(c2, out=mc2)
+        np.negative(c1, out=mc1)
+        np.subtract(dp - t * sq, (a - 2 * t12) * ep, out=j20)
+        np.negative(d3, out=md3)
+        md3_[...], d2_[...], d1_[...] = md3, d2, d1
+        ent[_EQ_VARY] = vary
+
+    def _typeII_rows(self, s, st, ent):
+        """Rows 12..15: the type II relations, from the (n, 4, 4) Gram
+        matrices of the (n, 7) s-array s and the (n, 4) shifts st."""
+        gram = s[:, _GRAM]
+        w = st[:, ::-1] * _ALT                   # s_i1 s234 - s_i2 s134 + ...
+        ent[:, 10] = (gram * w[:, None, :]).sum(axis=2).T
+        ent[:, :10] = np.einsum("nij,jk->ikn", gram, self.dst_ii)
+        ent[_II_ROWS, _II_COLS] += w[:, _II_J].T
+
+    def _typeI_rows(self, s, st, ent):
+        """Rows 16..31: the type I relations, from the 46 minors of the
+        entry-major (7, n) s-array s and (4, n) shifts st."""
+        nm = len(_MINOR_OPS)
+        mx = np.empty((2 * nm + 1, s.shape[1]), dtype=complex)
+        a, b, c, d = _MINOR_OPS.T
+        np.subtract(s[a] * s[b], s[c] * s[d], out=mx[:nm])
+        np.negative(mx[:nm], out=mx[nm:2 * nm])
+        mx[2 * nm] = 0
+        row, cof = s[_TI_ROW0], mx[_COF[:, 0, :]]       # (16, 3, n) each
+        sa, sb = st[_TI_A], st[_TI_B]
+        np.add(2 * sa * sb, row[:, 0] * cof[:, 0] + row[:, 1] * cof[:, 1]
+               + row[:, 2] * cof[:, 2], out=ent[:, 10])
+        del row, cof                  # before the Jacobian's temporaries
+        jac = ent[:, :10]
+        np.multiply(sb[:, None], self.dst_a, out=jac)
+        jac += sa[:, None] * self.dst_b
+        np.multiply(2, jac, out=jac)
+        pairs = mx[_TI_GATHER[0]]
+        pairs += mx[_TI_GATHER[1]]
+        jac[:, :6] += pairs
+
+
+def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and exact Jacobian of {12 trace equations, 4 type II,
+    16 type I} at each row of y, an (n, 10) array of the coordinates
+    COORD_KEYS[1:] at trace t.
+
+    Returns the (n, 32) raw residuals, ordered as trace_equation_residuals,
+    typeII_residuals and typeI_residuals list them, and their (n, 32, 10)
+    derivatives. Every equation has degree <= 3 and the s-coordinates are
+    affine in y, so the type I derivatives are the cofactors of the 3x3
+    Gram minors mapped back onto the pair columns; each distinct cofactor
+    is computed once (see _minor_table). The Newton loop takes the same
+    entries as one [J | -f] array from _ProbeSystem.
+    """
+    aug = _ProbeSystem(t)(y)
+    return -aug[:, :, 10], aug[:, :, :10]

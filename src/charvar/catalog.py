@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
 from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
-from .tracealg import (COORD_KEYS, TraceVector, _EQ_SLOTS, _GRAM_SLOTS,
-                       _SHIFT_PAIRS, _TYPEI_SLOTS, _finish, _t_pairs,
+from .tracealg import (COORD_KEYS, TraceVector, _finish, _t_pairs,
                        s_from_t, typeI_residuals, typeII_residuals)
 
 COMPONENTS = ("X11", "X12", "X21", "X22", "X3", "X4",
@@ -38,10 +37,14 @@ _SQRT5 = math.sqrt(5)
 # triple invariants for the exotic components
 _EXOTIC_EXCLUDED = (0.0, 1.0, -1.0, _SQRT3, -_SQRT3, _SQRT5, -_SQRT5,
                     1 + _SQRT2, -1 - _SQRT2, _SQRT2 - 1, 1 - _SQRT2)
-# t^4 - 6t^2 + 4 = 0 is the locus where X4 degenerates to x3 = x1^(-1)
+# t^4 - 6t^2 + 4 = 0 is the locus where X4 degenerates to x3 = x1^(-1); the
+# u-discriminant of excellent_quartic is
+# 16 t^4 (t^2 - 6)^2 (t^2 - 3)^2 (t^2 - 2t - 1)(t^2 + 2t - 1): over t^2 = 6
+# the fiber has two double points, so its four samples are not distinct
 _X4_EXCLUDED = (_SQRT3, -_SQRT3,
                 math.sqrt(3 + _SQRT5), -math.sqrt(3 + _SQRT5),
-                math.sqrt(3 - _SQRT5), -math.sqrt(3 - _SQRT5))
+                math.sqrt(3 - _SQRT5), -math.sqrt(3 - _SQRT5),
+                math.sqrt(6), -math.sqrt(6))
 
 EXCLUDED_T = {
     "X11": _EXOTIC_EXCLUDED, "X12": _EXOTIC_EXCLUDED,
@@ -397,11 +400,14 @@ def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
 
 
 def best_membership(v: TraceVector) -> tuple[str, float]:
-    """Component with the smallest worst-case membership residual."""
+    """Component with the smallest worst-case membership residual; one
+    with a NaN residual never wins ("", inf when none is finite)."""
     best, best_val = "", float("inf")
     for cid in COMPONENTS:
-        worst = max(abs(x) for x in membership_residual(cid, v).values())
-        if worst < best_val:
+        res = [abs(x) for x in membership_residual(cid, v).values()]
+        worst = max(res)
+        # `not (x <= worst)` holds for a NaN, which max() drops unless first
+        if all(x <= worst for x in res) and worst < best_val:
             best, best_val = cid, worst
     return best, best_val
 
@@ -484,136 +490,17 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 
 #: the Newton loop's working set: at most this many starts are advanced
 #: together as one array, and a start that stops hands its row to the next
-#: unstarted one; bounds the probe's working memory (each start's iteration
-#: does not depend on it)
-_PROBE_BLOCK = 32
-
-# The probe's unknowns y are COORD_KEYS[1:], so COORD_KEYS slot k of the
-# tracealg tables is column k - 1 of y; its s-array holds s0 and the six
-# s-pairs in their SCoords slots 0..6.
-
-# columns of (t12, t13, t14, t23, t24, t123, t124) after each subscript
-# rotation p, and the residual rows 3p + (tr0, tr1-tr2, tr1+tr2) they enter
-_EQ_COLS = np.array(_EQ_SLOTS) - 1
-_EQ_JAC_ROWS, _EQ_JAC_COLS = np.broadcast_arrays(
-    np.arange(12).reshape(4, 3, 1), _EQ_COLS[:, None, :])
-_GRAM = np.array(_GRAM_SLOTS).reshape(4, 4)     # s-slot of Gram entry (i, j)
-_SHIFT_COLS = np.array(_SHIFT_PAIRS)            # pair columns of each shift
-_ALT = np.array([1, -1, 1, -1])
-# type II: each off-diagonal s_ij of row i, as (row, column, j)
-_II_ROWS, _II_COLS, _II_J = np.array(
-    [(12 + i, _GRAM[i, j] - 1, j) for i in range(4) for j in range(4)
-     if i != j]).T
-# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b]
-_TI_A, _TI_B = np.divmod(np.arange(16), 4)
-
-
-def _minor_table():
-    """Index tables of the type I Gram minors, in plain ints.
-
-    Cofactor (i, j) of a 3x3 minor M is M[i', j'] M[i'', j''] -
-    M[i', j''] M[i'', j'] with i' = i + 1 and i'' = i + 2 (mod 3), the same
-    for j. The 144 cofactors of the 16 minors are, up to sign, 46 distinct
-    2x2 minors s_a s_b - s_c s_d of the s-array, with operand order kept
-    (complex products need not commute bitwise). Returns the (46, 4) slots
-    (a, b, c, d); the column of each cofactor in mx = [m, -m, 0], the
-    minors, their negatives and a zero; and, as two (16, 6) tables, the mx
-    columns of the entries (row-major) of minor r that hold pair column k.
-    A pair sits in at most two entries, and a missing one points at the
-    zero column; diagonal entries are the constant s0 and hold no pair.
-    """
-    seen, signed = {}, []      # minor -> its index; (index, negated)
-    for pos in _TYPEI_SLOTS:
-        g = [_GRAM_SLOTS[p] for p in pos]
-        rows = g[:3], g[3:6], g[6:]
-        for i in range(3):
-            r1, r2 = rows[i - 2], rows[i - 1]      # rows i + 1, i + 2 (mod 3)
-            for j in range(3):
-                key = (r1[j - 2], r2[j - 1], r1[j - 1], r2[j - 2])
-                neg = key[2:] + key[:2]
-                signed.append((seen[neg], True) if neg in seen
-                              else (seen.setdefault(key, len(seen)), False))
-    ops = list(seen)
-    cof = [k + len(ops) if negated else k for k, negated in signed]
-    gather = [[[2 * len(ops)] * 6 for _ in _TYPEI_SLOTS] for _ in range(2)]
-    for r, pos in enumerate(_TYPEI_SLOTS):
-        used = [0] * 6
-        for e, p in enumerate(pos):
-            k = _GRAM_SLOTS[p] - 1
-            if k >= 0:
-                gather[used[k]][r][k] = cof[9 * r + e]
-                used[k] += 1
-    return ops, cof, gather
-
-
-_MINOR_OPS, _COF, _TI_GATHER = map(np.array, _minor_table())
-_COF = _COF.reshape(16, 3, 3)
-_TI_ROW0 = _GRAM.ravel()[np.array(_TYPEI_SLOTS)[:, :3]]  # s-slots, row 0
-
-
-def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and exact Jacobian of {12 trace equations, 4 type II,
-    16 type I} at each row of y, an (n, 10) array of the coordinates
-    COORD_KEYS[1:] at trace t.
-
-    Returns the (n, 32) raw residuals, ordered as trace_equation_residuals,
-    typeII_residuals and typeI_residuals list them, and their (n, 32, 10)
-    derivatives. Every equation has degree <= 3 and the s-coordinates are
-    affine in y, so the type I derivatives are the cofactors of the 3x3
-    Gram minors mapped back onto the pair columns; each distinct cofactor
-    is computed once (see _minor_table).
-    """
-    n = len(y)
-    tt = t * t
-    a = tt - 1
-    f = np.empty((n, 32), dtype=complex)
-    jac = np.zeros((n, 32, 10), dtype=complex)
-
-    t12, t13, t14, t23, t24, t123, t124 = np.moveaxis(y[:, _EQ_COLS], 2, 0)
-    dq, sq = t124 - t123, t124 + t123
-    dm, dp = t13 - t24, t13 + t24
-    em, ep = t14 - t23, t14 + t23
-    tm = t * (t12 - 1)
-    c1, c2, c3 = t * (t12 + tt - 2), t12 + tt - 1, t12 * t12 + a * t12 - tt - 1
-    d1, d2, d3 = t * (tt - 2 - t12), t12 + 1 - tt, 1 - t12 * t12 + a * t12 - tt
-    eq = np.empty((n, 4, 3), dtype=complex)
-    eq[..., 0] = a * dq + t * dm - tm * em
-    eq[..., 1] = c1 * dq + c2 * dm - c3 * em
-    eq[..., 2] = d1 * sq + d2 * dp - d3 * ep
-    f[:, :12] = eq.reshape(n, 12)
-    deq = np.empty((n, 4, 3, 7), dtype=complex)
-    for k, row in enumerate((
-            (-t * em, t, -tm, tm, -t, -a, a),
-            (t * dq + dm - (2 * t12 + a) * em, c2, -c3, c3, -c2, -c1, c1),
-            (dp - t * sq - (a - 2 * t12) * ep, d2, -d3, -d3, d2, d1, d1))):
-        for c, val in enumerate(row):
-            deq[..., k, c] = val
-    jac[:, _EQ_JAC_ROWS, _EQ_JAC_COLS] = deq
-
-    s = np.concatenate([np.full((n, 1), tt / 2 - 2), y[:, :6] - tt / 2], 1)
-    gram = s[:, _GRAM]
-    st = y[:, 6:] - (t / 2) * y[:, _SHIFT_COLS].sum(axis=2) + t ** 3 / 2
-    dst = np.zeros((4, 10), dtype=complex)   # d st / dy, the same for all rows
-    dst[np.arange(4)[:, None], _SHIFT_COLS] = -t / 2
-    dst[:, 6:] = np.eye(4)
-
-    w = st[:, ::-1] * _ALT                   # s_i1 s234 - s_i2 s134 + ...
-    f[:, 12:16] = (gram * w[:, None, :]).sum(axis=2)
-    jac[:, 12:16] = np.einsum("nij,jk->nik", gram, _ALT[:, None] * dst[::-1])
-    jac[:, _II_ROWS, _II_COLS] += w[:, _II_J]
-
-    q = s[:, _MINOR_OPS]                        # (n, 46, 4)
-    m = q[..., 0] * q[..., 1] - q[..., 2] * q[..., 3]
-    mx = np.concatenate([m, -m, np.zeros((n, 1))], axis=1)
-    row, cof = s[:, _TI_ROW0], mx[:, _COF[:, 0, :]]     # (n, 16, 3) each
-    det = (row[..., 0] * cof[..., 0] + row[..., 1] * cof[..., 1]
-           + row[..., 2] * cof[..., 2])
-    sa, sb = st[:, _TI_A], st[:, _TI_B]
-    f[:, 16:] = 2 * sa * sb + det
-    jac[:, 16:] = 2 * (sb[:, :, None] * dst[_TI_A] + sa[:, :, None] * dst[_TI_B])
-    jac[:, 16:, :6] += mx[:, _TI_GATHER[0]] + mx[:, _TI_GATHER[1]]
-    return f, jac
-
+#: unstarted one (each start's iterates do not depend on it). A row's
+#: system [J | -f] takes 5632 bytes, and an iteration about 12 KB a row at
+#: its peak (the system, then np.linalg.qr's copies of _SOLVE_BLOCK systems
+#: and of their R). Each iteration also pays about 80 numpy calls whatever
+#: its width; 128 rows spread them over more starts (68 iterations for the
+#: 200 starts of a probe benchmark call, 158 at width 32) while the probe
+#: benchmark's peak RSS stays within 2% of width 32's (160 and 200 rows ran
+#: a few % faster at +3% and +4% RSS). One explore_solve(1.7421+0.3885j,
+#: 7, 200) peaks at 1.71 MB of traced memory (numpy 2.4, Python 3.11);
+#: test_probe_working_memory_is_bounded holds it under 2.2 MB, 29% above.
+_PROBE_BLOCK = 128
 
 # Newton stop rules (see _newton_starts), on the max raw residual of a start
 
@@ -640,6 +527,9 @@ _DIVERGED = 1e8
 #: system is far above lstsq's cutoff and its step is unique (see
 #: _lstsq_steps)
 _QR_COND_MAX = 1e8
+#: systems factored per np.linalg.qr call: it copies its whole input and
+#: then R, so this bounds those copies at a wide working set (_PROBE_BLOCK)
+_SOLVE_BLOCK = 64
 
 
 def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -666,8 +556,18 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     overflows) is solved by _svd_steps. For finite input no LinAlgError
     is raised.
     """
-    n, _, k = jac.shape
-    r = np.linalg.qr(np.concatenate([jac, rhs[:, :, None]], axis=2), mode="r")
+    return _augmented_steps(np.concatenate([jac, rhs[:, :, None]], axis=2))
+
+
+def _augmented_steps(aug: np.ndarray) -> np.ndarray:
+    """_lstsq_steps of the (n, m, k + 1) stack aug[i] = [jac[i] | rhs[i]],
+    in any memory layout, _SOLVE_BLOCK systems at a time."""
+    if len(aug) > _SOLVE_BLOCK:
+        return np.concatenate([_augmented_steps(aug[lo:lo + _SOLVE_BLOCK])
+                               for lo in range(0, len(aug), _SOLVE_BLOCK)])
+    n, _, k = aug.shape
+    k -= 1
+    r = np.linalg.qr(aug, mode="r")
     tri, qtb = r[:, :k, :k], r[:, :k, k]
     steps = np.empty((n, k), dtype=r.dtype)
     # a triangular matrix with a nonzero diagonal is invertible, so inv
@@ -683,7 +583,7 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rest = np.ones(n, dtype=bool)
     rest[done] = False
     if rest.any():
-        steps[rest] = _svd_steps(jac[rest], rhs[rest])
+        steps[rest] = _svd_steps(aug[rest, :, :k], aug[rest, :, k])
     return steps
 
 
@@ -694,9 +594,12 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     At most _PROBE_BLOCK starts are live at a time, in start order; when a
     start stops or fails, or has taken _NEWTON_ITERS steps, the next
-    unstarted one takes its row. An iteration evaluates f and J, applies
-    the stop rules and, for a start that goes on, takes the step and checks
-    it for divergence. A start stops when its max residual reaches
+    unstarted one takes its row. An iteration builds one (n, 32, 11) array
+    [J | -f] of its n live rows (_ProbeSystem, whose per-t tables are made
+    once per call), applies the stop rules, moves each row that goes on
+    into the place of a stopped one before it, so that they fill the front
+    of the array, and solves them there (_augmented_steps); it then checks
+    each step for divergence. A start stops when its max residual reaches
     _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
     decrease), or is still above _WANDER_RES after _WANDER_ITER of its
     iterations; it fails when a coordinate turns non-finite or exceeds
@@ -711,10 +614,13 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     iters = np.zeros(n, dtype=int)            # iterations each start has taken
     live = np.arange(min(n, _PROBE_BLOCK))
     unstarted = live.size                     # the next start to take a row
+    # imported on first use: `import charvar` need not load the kernel
+    from ._probe_kernel import _ProbeSystem
+    system = _ProbeSystem(t)
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size:
-            f, jac = _probe_system(t, y[live])
-            fmax = np.abs(f).max(axis=1)
+            aug = system(y[live])
+            fmax = np.abs(aug[:, :, -1]).max(axis=1)   # |f|
             better = fmax < best_res[live]
             best_y[live[better]] = y[live[better]]
             best_res[live[better]] = fmax[better]
@@ -724,9 +630,16 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     # wandering; basin unlikely
                     | ((iters[live] >= _WANDER_ITER) & (fmax > _WANDER_RES)))
             prev[live] = fmax
-            go = ~stop
-            live = live[go]
-            y[live] += _lstsq_steps(jac[go], -f[go])
+            if stop.any():
+                # a stopped row before the cut takes a later row that goes on
+                cut = live.size - np.count_nonzero(stop)
+                holes = np.flatnonzero(stop[:cut])
+                movers = cut + np.flatnonzero(~stop[cut:])
+                aug[holes] = aug[movers]
+                live[holes] = live[movers]
+                live, aug = live[:cut], aug[:cut]
+            y[live] += _augmented_steps(aug)
+            del aug                           # before the next one is built
             moved = y[live]
             bad = (~np.isfinite(moved).all(axis=1)
                    | (np.abs(moved).max(axis=1) > _DIVERGED))
@@ -758,7 +671,7 @@ def classify_point(v: TraceVector) -> str:
     s = s_from_t(v)
     definitive = [*typeI_residuals(s, normalized=True),
                   *typeII_residuals(s, normalized=True)]
-    if max(abs(x) for x in definitive) > 1e-6:
+    if any(not abs(x) <= 1e-6 for x in definitive):  # NaN included
         return "non-character"
     if _is_reducible_like(v):
         return "reducible"
@@ -776,8 +689,10 @@ def explore_solve(t: complex, seed: int,
     steps with the exact Jacobian, solved by QR, or by SVD for the rare
     ill-conditioned Jacobian (see _newton_starts and _lstsq_steps). Up to
     _PROBE_BLOCK starts run together as one array, and a finished start's
-    row is refilled with the next unstarted one; each start runs
-    independently of the others.
+    row is refilled with the next unstarted one; each start's iterates are
+    bitwise the same whatever starts share its array. Snapping compares
+    at most _PROBE_BLOCK converged points at a time with the samples, so
+    its temporaries stay below the Newton loop's.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any
@@ -804,7 +719,7 @@ def explore_solve(t: complex, seed: int,
     best, ok = _newton_starts(t, starts)
     found = best[ok]
     out = []
-    for lo in range(0, len(found), _PROBE_BLOCK):    # bounded temporaries
+    for lo in range(0, len(found), _PROBE_BLOCK):
         chunk = found[lo:lo + _PROBE_BLOCK]
         near = np.abs(chunk[:, None, :] - targets).max(axis=2) <= 1e-4
         for y, hit, first in zip(chunk.tolist(), near.any(axis=1),

@@ -1,22 +1,27 @@
 import cmath
+import dataclasses
+import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import admissible_t
-from charvar import catalog
+from charvar import _probe_kernel, catalog
+from charvar._probe_kernel import _probe_system
 from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
                              ComponentSample, _dedup, _lstsq_steps,
-                             _probe_system, check_admissible, classify_point,
-                             enumerate_parabolic, excellent_quartic,
-                             explore_solve, membership_residual,
-                             sample_component, special_points)
+                             best_membership, check_admissible,
+                             classify_point, enumerate_parabolic,
+                             excellent_quartic, explore_solve,
+                             membership_residual, sample_component,
+                             special_points)
 from charvar.errors import CharVarError, ExcludedParameter, UnknownComponent
 from charvar.numfield import CLUSTER_TOL, Poly, match_multisets, solve_poly
 from charvar.reconstruct import realize_character
-from charvar.tracealg import (_TYPEI_SLOTS, TraceVector, rotate, s_from_t,
-                              typeI_residuals, typeII_residuals)
+from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector, rotate,
+                              s_from_t, typeI_residuals, typeII_residuals)
 
 SQRT3 = cmath.sqrt(3)
 
@@ -68,6 +73,20 @@ def test_sampler_guards():
         sample_component("X51", SQRT3)
     with pytest.raises(ExcludedParameter):
         sample_component("X4", SQRT3)  # u = 1 double root lives here
+
+
+@pytest.mark.parametrize("root", [math.sqrt(6), -math.sqrt(6)])
+def test_x4_double_points_excluded(root):
+    # over t^2 = 6 the X4 fiber has two double points (the u-discriminant
+    # of excellent_quartic has the factor (t^2 - 6)^2)
+    with pytest.raises(ExcludedParameter):
+        sample_component("X4", root)
+    for step in (2e-3, -2e-3, 2e-3j, -2e-3j):
+        samples = sample_component("X4", root + step)
+        assert len(samples) == 4
+        for i, a in enumerate(samples):
+            for b in samples[i + 1:]:
+                assert a.vector.max_dev(b.vector) > 0.1, (step, i)
 
 
 def test_membership_self_and_cross(rng):
@@ -291,6 +310,19 @@ def test_classify_exact_samples(rng):
         assert classify_point(smp.vector) == cid
 
 
+def test_nan_coordinate_is_never_labelled():
+    # a NaN anywhere fails the definitive relations, and a component whose
+    # membership residuals hold a NaN never wins, wherever the NaN sits
+    for cid in COMPONENTS:
+        for smp in sample_component(cid, 1.3 + 0.4j):
+            assert classify_point(smp.vector) == cid
+            for key in COORD_KEYS:
+                v = dataclasses.replace(smp.vector, **{key: complex(math.nan)})
+                assert classify_point(v) == "non-character", (cid, key)
+                label, value = best_membership(v)
+                assert (label, value) == ("", math.inf), (cid, key)
+
+
 def test_probe_system_matches_public_functions(rng):
     # the batched probe kernel must agree with the reference implementations
     from charvar.tracealg import TraceVector, trace_equation_residuals
@@ -324,13 +356,14 @@ def _typeI_by_cofactors(t, y):
     Gram minors, each Jacobian entry the sum of the cofactors of the Gram
     entries that hold its pair, in row-major order."""
     n, nxt, aft, tt = len(y), [1, 2, 0], [2, 0, 1], t * t
-    ta, tb, shift = catalog._TI_A, catalog._TI_B, catalog._SHIFT_COLS
+    ta, tb = _probe_kernel._TI_A, _probe_kernel._TI_B
+    shift = _probe_kernel._SHIFT_COLS
     s = np.concatenate([np.full((n, 1), tt / 2 - 2), y[:, :6] - tt / 2], 1)
     st = y[:, 6:] - (t / 2) * y[:, shift].sum(axis=2) + t ** 3 / 2
     dst = np.zeros((4, 10), dtype=complex)
     dst[np.arange(4)[:, None], shift] = -t / 2
     dst[:, 6:] = np.eye(4)
-    slots = catalog._GRAM.ravel()[np.array(_TYPEI_SLOTS)]      # (16, 9)
+    slots = _probe_kernel._GRAM.ravel()[np.array(_TYPEI_SLOTS)]  # (16, 9)
     minor = s[:, slots.reshape(16, 3, 3)]
     r1, r2 = minor[:, :, nxt], minor[:, :, aft]
     cof = r1[..., nxt] * r2[..., aft] - r1[..., aft] * r2[..., nxt]
@@ -346,7 +379,7 @@ def _typeI_by_cofactors(t, y):
 
 
 def test_minor_table_matches_cofactors_bitwise(rng):
-    assert len(catalog._MINOR_OPS) == 46
+    assert len(_probe_kernel._MINOR_OPS) == 46
     for t in (2 + 0j, 1e-3 + 2e-3j, 1.1 + 0.7j, -2.3 - 0.4j):
         for n in (1, 7, 32, 100):
             shape = (n, 10)
@@ -387,7 +420,9 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
                                               (1.1 + 0.7j, 5, 69)])
 def test_explore_qr_steps_match_svd_steps(t, seed, attempts, monkeypatch):
     qr = explore_solve(t, seed, attempts)
-    monkeypatch.setattr(catalog, "_lstsq_steps", catalog._svd_steps)
+    # the Newton loop solves each [J | -f] through _augmented_steps
+    monkeypatch.setattr(catalog, "_augmented_steps", lambda aug:
+                        catalog._svd_steps(aug[:, :, :-1], aug[:, :, -1]))
     svd = explore_solve(t, seed, attempts)
     assert [lbl for _, lbl in qr] == [lbl for _, lbl in svd]
     for (a, _), (b, _) in zip(qr, svd):
@@ -417,14 +452,56 @@ def test_explore_starts_independent_of_blocking(monkeypatch):
     short = explore_solve(t, seed=5, attempts=n)
     full = explore_solve(t, seed=5, attempts=2 * _PROBE_BLOCK + 3)
     assert len(short) < len(full)
-    assert short == full[:len(short)]
-    # width 1 runs one start at a time: the reference for every width
-    found = {}
-    for width in (1, 7, 32, 300):
-        monkeypatch.setattr(catalog, "_PROBE_BLOCK", width)
-        found[width] = explore_solve(t, seed=5, attempts=69)
-    assert found[1]
-    assert all(got == found[1] for got in found.values())
+    assert repr(short) == repr(full[:len(short)])
+    # width 1 runs one start at a time: the reference for every width; the
+    # last width of each sweep exceeds the attempts and starts them all at
+    # once, and the default width refills only in the second sweep
+    for attempts, widths in ((69, (1, 7, 32, _PROBE_BLOCK, 300)),
+                             (_PROBE_BLOCK + 41,
+                              (32, _PROBE_BLOCK, _PROBE_BLOCK + 42))):
+        found = []
+        for width in widths:
+            monkeypatch.setattr(catalog, "_PROBE_BLOCK", width)
+            found.append(repr(explore_solve(t, seed=5, attempts=attempts)))
+        assert found[0] != "[]"
+        assert found == found[:1] * len(widths), (attempts, widths)
+
+
+def test_probe_rows_bitwise_independent_of_block(rng):
+    # each row's residuals, Jacobian and step are the same bytes in a block
+    # of the default width as alone; the catalog rows include a rank-9 X51
+    # Jacobian, so the block also takes the SVD fallback
+    for t in (2 + 0j, 1e-3 + 2e-3j, 1.1 + 0.7j, -2.3 - 0.4j):
+        y = rng.standard_normal((_PROBE_BLOCK, 10)) \
+            + 1j * rng.standard_normal((_PROBE_BLOCK, 10))
+        for row, cid in zip((1, _PROBE_BLOCK // 2, -2), ("X51", "X61", "X3")):
+            smp = sample_component(cid, t)[0]
+            y[row] = list(smp.vector.coords().values())[1:]
+        f, jac = _probe_system(t, y)
+        steps = _lstsq_steps(jac, -f)
+        for k in range(len(y)):
+            fk, jk = _probe_system(t, y[k:k + 1])
+            assert fk.tobytes() == f[k:k + 1].tobytes(), (t, k)
+            assert jk.tobytes() == jac[k:k + 1].tobytes(), (t, k)
+            assert _lstsq_steps(jk, -fk).tobytes() == \
+                steps[k:k + 1].tobytes(), (t, k)
+
+
+def test_probe_working_memory_is_bounded():
+    # the Newton loop's temporaries grow with _PROBE_BLOCK; the bound and
+    # its margin are stated at _PROBE_BLOCK
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        explore_solve(1.7421 + 0.3885j, seed=7, attempts=200)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2.2e6
 
 
 def test_explore_excluded_t():
