@@ -16,8 +16,11 @@ import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
 from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
-from .tracealg import (COORD_KEYS, TraceVector, _finish, _t_pairs,
-                       s_from_t, typeI_residuals, typeII_residuals)
+from .tracealg import (COORD_KEYS, TraceVector, _t_pairs, definitive_excess,
+                       s_from_t)
+# no catalog code calls these; perfbench/tests/test_perfbench.py's tracer
+# test is their only reader here (it checks catalog.typeI_residuals)
+from .tracealg import typeI_residuals, typeII_residuals  # noqa: F401
 
 COMPONENTS = ("X11", "X12", "X21", "X22", "X3", "X4",
               "X51", "X52", "X61", "X62")
@@ -291,6 +294,35 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
 # ---------------------------------------------------------------------------
 # membership
 
+# one helper per arity: a variadic _n(*terms) gave the same bits but made
+# membership_residual 65% slower per call (17.5 against 10.6 us) and
+# perfbench verify about 3% slower (8 of 8 alternating pairs)
+def _n1(a):
+    return (0 + a) / max(1.0, abs(a))
+
+
+def _n2(a, b):
+    return (0 + a + b) / max(1.0, abs(a), abs(b))
+
+
+def _n3(a, b, c):
+    return (0 + a + b + c) / max(1.0, abs(a), abs(b), abs(c))
+
+
+def _n4(a, b, c, d):
+    return (0 + a + b + c + d) / max(1.0, abs(a), abs(b), abs(c), abs(d))
+
+
+def _n5(a, b, c, d, e):
+    return ((0 + a + b + c + d + e)
+            / max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e)))
+
+
+def _n6(a, b, c, d, e, f):
+    return ((0 + a + b + c + d + e + f)
+            / max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
+
+
 def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
     """Residuals of one component's defining equations at v.
 
@@ -298,105 +330,114 @@ def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
     and gamma are cleared, so the residuals are polynomial and meaningful on
     component closures (exclusion guards are deliberately not part of the
     test). All residuals small means v lies on the closure.
+
+    Each residual is normalized as tracealg's kernels are: its terms, passed
+    to `_n1` .. `_n6` by count, are summed left to right from 0 and divided
+    by max(1, largest term magnitude). The powers are taken first, so an
+    overflowing power raises before an abs() that overflows can.
     """
     t = v.t
     al = _alpha(t)
     one = complex(1)
-    r: list[tuple[str, list[complex]]] = []
     if cid in ("X11", "X12"):
+        al3, al4 = al ** 3, al ** 4
+        x = v.t12 - 1
         if cid == "X11":
-            x = v.t12 - 1
             mu = v.t12 + v.t23 - 2
-            r += [("t14", [v.t14, -v.t12]), ("t34", [v.t34, -v.t23]),
-                  ("t13", [v.t13, -one])]
+            r = {"t14": _n2(v.t14, -v.t12), "t34": _n2(v.t34, -v.t23),
+                 "t13": _n2(v.t13, -one)}
             tau_slot, e_a, e_b, e_p, e_m = v.t24, v.t123, v.t134, v.t124, v.t234
         else:
-            x = v.t12 - 1
             mu = v.t12 + v.t34 - 2
-            r += [("t23", [v.t23, -v.t12]), ("t14", [v.t14, -v.t34]),
-                  ("t24", [v.t24, -one])]
+            r = {"t23": _n2(v.t23, -v.t12), "t14": _n2(v.t14, -v.t34),
+                 "t24": _n2(v.t24, -one)}
             tau_slot, e_a, e_b, e_p, e_m = v.t13, v.t124, v.t234, v.t123, v.t134
-        r += [
-            ("tau", [al * tau_slot, -(al ** 3 - 3 * al * al + 4) * mu,
-                     al ** 4 - 4 * al ** 3 + 7 * al]),
-            ("tri_a", [al * e_a, -t * mu]),
-            ("tri_b", [al * e_b, -t * mu]),
-            ("sig_p", [al * e_p, -t * (1 + al) * mu, t * mu * mu,
-                       2 * t * al, -t * mu * x]),
-            ("sig_m", [al * e_m, -t * (1 + al) * mu, 2 * t * al, t * mu * x]),
-            ("q_mu", [mu * mu, (al * al - 4 * al) * mu, 4 * al * al - al ** 3]),
-            ("q_x", [al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al]),
-        ]
-    elif cid in ("X21", "X22"):
+        r["tau"] = _n3(al * tau_slot, -(al3 - 3 * al * al + 4) * mu,
+                       al4 - 4 * al3 + 7 * al)
+        r["tri_a"] = _n2(al * e_a, -t * mu)
+        r["tri_b"] = _n2(al * e_b, -t * mu)
+        r["sig_p"] = _n5(al * e_p, -t * (1 + al) * mu, t * mu * mu,
+                         2 * t * al, -t * mu * x)
+        r["sig_m"] = _n4(al * e_m, -t * (1 + al) * mu, 2 * t * al, t * mu * x)
+        r["q_mu"] = _n3(mu * mu, (al * al - 4 * al) * mu, 4 * al * al - al3)
+        r["q_x"] = _n4(al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al)
+        return r
+    if cid in ("X21", "X22"):
         if cid == "X21":
             z = v.t23 - 1
             g = v.t12 - al + 1
-            r += [("t14", [v.t14, -v.t23]),
-                  ("t34g", [g * v.t34, -z * z, -(al - 1) * g])]
+            z3 = z ** 3
+            r = {"t14": _n2(v.t14, -v.t23),
+                 "t34g": _n3(g * v.t34, -z * z, -(al - 1) * g)}
             e1a, e1b, e2a, e2b = v.t123, v.t124, v.t134, v.t234
         else:
             z = v.t12 - 1
             g = v.t23 - al + 1
-            r += [("t34", [v.t34, -v.t12]),
-                  ("t14g", [g * v.t14, -z * z, -(al - 1) * g])]
+            z3 = z ** 3
+            r = {"t34": _n2(v.t34, -v.t12),
+                 "t14g": _n3(g * v.t14, -z * z, -(al - 1) * g)}
             e1a, e1b, e2a, e2b = v.t123, v.t234, v.t124, v.t134
-        r += [
-            ("t13", [v.t13, -one]), ("t24", [v.t24, -one]),
-            ("q_z", [z * z, -al * z, al]),
-            ("q_g", [g * g, ((al - 2) * z * z - 2 * z) * g, z * z]),
-            ("tri_1", [al * e1a, -al * t, -t * z * g]),
-            ("tri_1b", [e1b, -e1a]),
-            ("tri_2", [al * g * e2a, -al * g * t, -t * z ** 3]),
-            ("tri_2b", [e2b, -e2a]),
-        ]
-    elif cid == "X3":
+        r["t13"] = _n2(v.t13, -one)
+        r["t24"] = _n2(v.t24, -one)
+        r["q_z"] = _n3(z * z, -al * z, al)
+        r["q_g"] = _n3(g * g, ((al - 2) * z * z - 2 * z) * g, z * z)
+        r["tri_1"] = _n3(al * e1a, -al * t, -t * z * g)
+        r["tri_1b"] = _n2(e1b, -e1a)
+        r["tri_2"] = _n3(al * g * e2a, -al * g * t, -t * z3)
+        r["tri_2b"] = _n2(e2b, -e2a)
+        return r
+    if cid == "X3":
         u = v.t12
         d = t * t - 2
         e = t * u - t
-        r += [("t23", [v.t23, -u]), ("t34", [v.t34, -u]), ("t14", [v.t14, -u]),
-              ("t13", [v.t13, -d]), ("t24", [v.t24, -d]),
-              ("t123", [v.t123, -e]), ("t124", [v.t124, -e]),
-              ("t134", [v.t134, -e]), ("t234", [v.t234, -e]),
-              ("q_u", [u * u, -(t * t + 1) * u, 2 * t * t - 1])]
-    elif cid == "X4":
+        return {"t23": _n2(v.t23, -u), "t34": _n2(v.t34, -u),
+                "t14": _n2(v.t14, -u), "t13": _n2(v.t13, -d),
+                "t24": _n2(v.t24, -d), "t123": _n2(v.t123, -e),
+                "t124": _n2(v.t124, -e), "t134": _n2(v.t134, -e),
+                "t234": _n2(v.t234, -e),
+                "q_u": _n3(u * u, -(t * t + 1) * u, 2 * t * t - 1)}
+    if cid == "X4":
         u = v.t12
         eta = v.t123
         d = 2 * u + 2 - t * t
-        r += [("t23", [v.t23, -u]), ("t34", [v.t34, -u]), ("t14", [v.t14, -u]),
-              ("t13", [v.t13, -d]), ("t24", [v.t24, -d]),
-              ("t124", [v.t124, -eta]), ("t134", [v.t134, -eta]),
-              ("t234", [v.t234, -eta]),
-              ("lin", [t * eta, -u * u, -u, t * t, -one]),
-              ("q_eta", [eta * eta, t * (t * t + 4 - 2 * u) * eta,
-                         -5 * t * t * u, t ** 4, 4 * t * t, -6 * one])]
-    elif cid in ("X51", "X52"):
+        t4 = t ** 4
+        return {"t23": _n2(v.t23, -u), "t34": _n2(v.t34, -u),
+                "t14": _n2(v.t14, -u), "t13": _n2(v.t13, -d),
+                "t24": _n2(v.t24, -d), "t124": _n2(v.t124, -eta),
+                "t134": _n2(v.t134, -eta), "t234": _n2(v.t234, -eta),
+                "lin": _n5(t * eta, -u * u, -u, t * t, -one),
+                "q_eta": _n6(eta * eta, t * (t * t + 4 - 2 * u) * eta,
+                             -5 * t * t * u, t4, 4 * t * t, -6 * one)}
+    if cid in ("X51", "X52"):
         d = t * t - 2
         if cid == "X51":
-            names = (("t12", v.t12 - 1), ("t34", v.t34 - 1),
-                     ("t23", v.t23 - d), ("t14", v.t14 - d))
+            r = {"t12": _n1(v.t12 - 1), "t34": _n1(v.t34 - 1),
+                 "t23": _n1(v.t23 - d), "t14": _n1(v.t14 - d)}
         else:
-            names = (("t23", v.t23 - 1), ("t14", v.t14 - 1),
-                     ("t12", v.t12 - d), ("t34", v.t34 - d))
-        r += [(n, [val]) for n, val in names]
-        r += [("t13", [v.t13, -one]), ("t24", [v.t24, -one]),
-              ("t123", [v.t123]), ("t124", [v.t124]),
-              ("t134", [v.t134]), ("t234", [v.t234])]
-    elif cid in ("X61", "X62"):
+            r = {"t23": _n1(v.t23 - 1), "t14": _n1(v.t14 - 1),
+                 "t12": _n1(v.t12 - d), "t34": _n1(v.t34 - d)}
+        r["t13"] = _n2(v.t13, -one)
+        r["t24"] = _n2(v.t24, -one)
+        r["t123"] = _n1(v.t123)
+        r["t124"] = _n1(v.t124)
+        r["t134"] = _n1(v.t134)
+        r["t234"] = _n1(v.t234)
+        return r
+    if cid in ("X61", "X62"):
         q = 4 * t * t - 2 - t ** 4
         p = 3 * t - t ** 3
-        r += [("t12", [v.t12, -one]), ("t23", [v.t23, -one]),
-              ("t34", [v.t34, -one]), ("t14", [v.t14, -one])]
+        r = {"t12": _n2(v.t12, -one), "t23": _n2(v.t23, -one),
+             "t34": _n2(v.t34, -one), "t14": _n2(v.t14, -one)}
         if cid == "X61":
-            r += [("t13", [v.t13, -one]), ("t24", [v.t24, -q]),
-                  ("t123", [v.t123]), ("t134", [v.t134]),
-                  ("t124", [v.t124, -p]), ("t234", [v.t234, -p])]
+            r.update(t13=_n2(v.t13, -one), t24=_n2(v.t24, -q),
+                     t123=_n1(v.t123), t134=_n1(v.t134),
+                     t124=_n2(v.t124, -p), t234=_n2(v.t234, -p))
         else:
-            r += [("t24", [v.t24, -one]), ("t13", [v.t13, -q]),
-                  ("t124", [v.t124]), ("t234", [v.t234]),
-                  ("t123", [v.t123, -p]), ("t134", [v.t134, -p])]
-    else:
-        raise UnknownComponent(f"unknown component id {cid!r}")
-    return {name: _finish(terms, normalized=True) for name, terms in r}
+            r.update(t24=_n2(v.t24, -one), t13=_n2(v.t13, -q),
+                     t124=_n1(v.t124), t234=_n1(v.t234),
+                     t123=_n2(v.t123, -p), t134=_n2(v.t134, -p))
+        return r
+    raise UnknownComponent(f"unknown component id {cid!r}")
 
 
 def best_membership(v: TraceVector) -> tuple[str, float]:
@@ -668,10 +709,7 @@ def _is_reducible_like(v: TraceVector) -> bool:
 
 def classify_point(v: TraceVector) -> str:
     """Component id, or one of "reducible", "non-character", "unclassified"."""
-    s = s_from_t(v)
-    definitive = [*typeI_residuals(s, normalized=True),
-                  *typeII_residuals(s, normalized=True)]
-    if any(not abs(x) <= 1e-6 for x in definitive):  # NaN included
+    if definitive_excess(s_from_t(v), 1e-6):  # NaN included
         return "non-character"
     if _is_reducible_like(v):
         return "reducible"

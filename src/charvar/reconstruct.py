@@ -21,9 +21,9 @@ import numpy as np
 from .errors import (ConstraintViolated, DegenerateCharacter,
                      FactorizationFailure, TraceMismatch)
 from .mat2 import Mat2
-from .tracealg import (_TRIPLE_ROWS, TraceVector, _gram, _s_triples,
-                       s_from_t, trace_vector_of, typeI_residuals,
-                       typeII_residuals)
+from .tracealg import (_TRIPLE_ROWS, COORD_KEYS, TraceVector, _gram,
+                       _s_triples, _t_coords, definitive_excess, s_from_t,
+                       trace_vector_of)
 
 _SQRT2 = cmath.sqrt(2)
 #: inverse of N = diag(sqrt2, sqrt2, i*sqrt2); N^T N = diag(2, 2, -2) is the
@@ -55,7 +55,10 @@ class Quadruple:
 
     def validate(self) -> None:
         for m in self.matrices():
-            if not abs(m.det() - 1) <= 1e-9 * max(1.0, m.norm() ** 2):
+            # the bound is at least 1e-9: test that first, as tracealg's
+            # gates test a raw residual, and take the norm only on a miss
+            e = abs(m.det() - 1)
+            if not (e <= 1e-9 or e <= 1e-9 * max(1.0, m.norm() ** 2)):
                 raise ConstraintViolated(f"det = {m.det()}")
             if not abs(m.trace() - self.t) <= 1e-9 * max(1.0, abs(self.t)):
                 raise TraceMismatch(f"trace {m.trace()} vs t = {self.t}")
@@ -126,17 +129,14 @@ def realize_character(v: TraceVector) -> Quadruple:
     finite and satisfy the type I/II relations (it need not satisfy the
     knot's trace equations: any character of the free group is accepted).
     """
-    coords = v.coords()
-    if not all(cmath.isfinite(c) for c in coords.values()):
+    want = _t_coords(v)
+    if not all(map(cmath.isfinite, want)):
         raise ConstraintViolated("non-finite trace coordinate")
     try:
         s = s_from_t(v)
     except OverflowError:
         raise ConstraintViolated("trace coordinates overflow") from None
-    pre = [*typeI_residuals(s, normalized=True),
-           *typeII_residuals(s, normalized=True)]
-    # `not (value <= tol)` and no max over all values: a NaN fails
-    over = [abs(r) for r in pre if not abs(r) <= 1e-7]
+    over = definitive_excess(s, 1e-7)
     if over:
         raise ConstraintViolated(
             f"definitive-relation residual {max(over):.3e} exceeds 1.0e-07")
@@ -146,10 +146,9 @@ def realize_character(v: TraceVector) -> Quadruple:
     q = Quadruple(*_realized_matrices(S, _TRIPLE_ROWS[k], st[k],
                                       complex(v.t / 2)), t=v.t)
     q.validate()
-    got = q.trace_vector()
-    for key, want in coords.items():
-        if not abs(getattr(got, key) - want) <= 1e-8 * max(1.0, abs(want)):
+    for key, x, w in zip(COORD_KEYS, _t_coords(q.trace_vector()), want):
+        e = abs(x - w)  # raw first, as in validate
+        if not (e <= 1e-8 or e <= 1e-8 * max(1.0, abs(w))):
             raise DegenerateCharacter(
-                f"realization misses target at {key}: {getattr(got, key)} "
-                f"vs {want}")
+                f"realization misses target at {key}: {x} vs {w}")
     return q

@@ -7,6 +7,17 @@ as ``sum()`` adds them, so the bits do not depend on how a kernel holds its
 terms. Residual functions return that raw sum by default; with
 ``normalized=True`` it is then divided by max(1, largest monomial
 magnitude), which is what the acceptance thresholds are stated against.
+That divisor is one flat max(1.0, |m0|, |m1|, ...), and max() skips a NaN
+magnitude wherever it stands. The quotient of a NaN-bearing sum is then
+nan+nanj whatever the divisor only because CPython 3.10-3.12 divide a
+complex by a float as complex division; a Python that divides
+componentwise would keep the finite part, divided by this flat divisor.
+
+A gate whose normalized value is not reported tests the raw residual
+first: the divisor is at least 1, so a normalized magnitude is at most its
+raw one, and a raw value within tolerance passes. Only a miss is
+normalized and tested again. NaN and inf never pass the raw test, so they
+always take the normalized path.
 
 Every kernel reads fixed slots: index tables built once at import from
 COORD_KEYS, PAIRS, TRIPLES and the subscript rotation say which coordinate
@@ -111,6 +122,8 @@ _t_pairs = attrgetter(*PAIR_KEYS)
 _t_triples = attrgetter(*TRIPLE_KEYS)
 _s_pairs = attrgetter(*_S_KEYS[1:7])
 _s_triples = attrgetter(*_S_KEYS[7:])
+#: all 11 values of a TraceVector, in COORD_KEYS order
+_t_coords = attrgetter(*COORD_KEYS)
 #: the 4x4 Gram matrix (s_ij) of an SCoords as a flat row-major 16-tuple:
 #: entry (i, j), 0-based, is _gram(s)[4 * i + j]
 _gram = attrgetter(*(_S_KEYS[k] for k in _GRAM_SLOTS))
@@ -243,23 +256,6 @@ def gram_matrices(s: SCoords) -> GramData:
                     Sdiamond=_block(g, range(4)))
 
 
-def _det3_terms(m00, m01, m02, m10, m11, m12, m20, m21, m22) -> tuple:
-    """The six signed monomials of a 3x3 determinant, entries row-major."""
-    return (m00 * m11 * m22,
-            -m00 * m12 * m21,
-            -m01 * m10 * m22,
-            m01 * m12 * m20,
-            m02 * m10 * m21,
-            -m02 * m11 * m20)
-
-
-def _finish(terms: list[complex], normalized: bool) -> complex:
-    val = sum(terms)
-    if not normalized:
-        return val
-    return val / max(1.0, max(map(abs, terms)))
-
-
 #: type I relation 4a + b: (a, b, getter of its minor)
 _TYPEI = tuple((r // 4, r % 4, itemgetter(*pos))
                for r, pos in enumerate(_TYPEI_SLOTS))
@@ -272,8 +268,15 @@ def typeI_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
     st = _s_triples(s)
     out = []
     for a, b, minor in _TYPEI:
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = minor(g)
         p0 = 2 * st[a] * st[b]
-        p1, p2, p3, p4, p5, p6 = _det3_terms(*minor(g))
+        # the 3x3 determinant of the minor, its six monomials in Leibniz order
+        p1 = m00 * m11 * m22
+        p2 = -m00 * m12 * m21
+        p3 = -m01 * m10 * m22
+        p4 = m01 * m12 * m20
+        p5 = m02 * m10 * m21
+        p6 = -m02 * m11 * m20
         val = 0 + p0 + p1 + p2 + p3 + p4 + p5 + p6
         if normalized:
             val = val / max(1.0, abs(p0), abs(p1), abs(p2), abs(p3),
@@ -297,6 +300,20 @@ def typeII_residuals(s: SCoords, normalized: bool = False) -> list[complex]:
     return out
 
 
+def definitive_excess(s: SCoords, tol: float) -> list[float]:
+    """Normalized magnitudes of the type I, then type II, residuals that do
+    not lie within tol (NaN included), in relation order; empty when all 20
+    do. The raw residuals are tested first (see the module docstring)."""
+    for r in (*typeI_residuals(s), *typeII_residuals(s)):
+        if not abs(r) <= tol:
+            break
+    else:
+        return []
+    return [abs(r) for r in (*typeI_residuals(s, normalized=True),
+                             *typeII_residuals(s, normalized=True))
+            if not abs(r) <= tol]
+
+
 #: Laplace expansion along row 0: (column j, cofactor sign, getter of the
 #: minor on rows 1..3 without column j)
 _DET4 = tuple((j, -1 if j % 2 else 1,
@@ -308,10 +325,21 @@ _DET4 = tuple((j, -1 if j % 2 else 1,
 def det_Sdiamond(s: SCoords, normalized: bool = False) -> complex:
     """Determinant of the 4x4 Gram matrix; vanishes on genuine quadruples."""
     g = _gram(s)
-    terms = []
+    val, big = 0, 1.0
     for j, sign, minor in _DET4:
-        terms.extend(sign * g[j] * x for x in _det3_terms(*minor(g)))
-    return _finish(terms, normalized)
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = minor(g)
+        c = sign * g[j]
+        p1 = c * (m00 * m11 * m22)
+        p2 = c * (-m00 * m12 * m21)
+        p3 = c * (-m01 * m10 * m22)
+        p4 = c * (m01 * m12 * m20)
+        p5 = c * (m02 * m10 * m21)
+        p6 = c * (-m02 * m11 * m20)
+        val = val + p1 + p2 + p3 + p4 + p5 + p6
+        if normalized:
+            big = max(big, abs(p1), abs(p2), abs(p3), abs(p4), abs(p5),
+                      abs(p6))
+    return val / big if normalized else val
 
 
 #: one getter per rotation p = 0..3 of the seven values _EQ_SLOTS[p] names
@@ -358,13 +386,17 @@ def eq19_residuals(v: TraceVector, normalized: bool = False) -> list[complex]:
     out = []
     for get in _EQ_IDX:
         t12, t13, t14, t23, t24, t123, t124 = get(v)
-        terms = [t * t * (t12 - 1) * t124,
-                 -t * t * (t12 - 1) * t123,
-                 t * (t12 - 1) * t13,
-                 -t * (t12 - 1) * t24,
-                 -t * (t12 * t12 - t12 - 1) * t14,
-                 t * (t12 * t12 - t12 - 1) * t23]
-        out.append(_finish(terms, normalized))
+        p0 = t * t * (t12 - 1) * t124
+        p1 = -t * t * (t12 - 1) * t123
+        p2 = t * (t12 - 1) * t13
+        p3 = -t * (t12 - 1) * t24
+        p4 = -t * (t12 * t12 - t12 - 1) * t14
+        p5 = t * (t12 * t12 - t12 - 1) * t23
+        val = 0 + p0 + p1 + p2 + p3 + p4 + p5
+        if normalized:
+            val = val / max(1.0, abs(p0), abs(p1), abs(p2), abs(p3),
+                            abs(p4), abs(p5))
+        out.append(val)
     return out
 
 

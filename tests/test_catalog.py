@@ -1,16 +1,20 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import admissible_t
 from charvar import _probe_kernel, catalog
 from charvar._probe_kernel import _probe_system
-from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, ROTATION_PAIR,
+from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, EXCLUDED_T,
+                             ROTATION_PAIR, SAMPLER_MARGIN,
                              ComponentSample, _dedup, _lstsq_steps,
                              best_membership, check_admissible,
                              classify_point, enumerate_parabolic,
@@ -22,6 +26,8 @@ from charvar.numfield import CLUSTER_TOL, Poly, match_multisets, solve_poly
 from charvar.reconstruct import realize_character
 from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector, rotate,
                               s_from_t, typeI_residuals, typeII_residuals)
+from charvar.wirtinger import (is_representation,
+                               necessary_conditions_residual)
 
 SQRT3 = cmath.sqrt(3)
 
@@ -550,3 +556,35 @@ def test_sampling_at_huge_t_is_finite_or_typed(t):
                 realize_character(smp.vector)
             except CharVarError:
                 pass
+
+
+#: t a few sampler margins from an excluded value or from the parabolic
+#: t = +-2, and t near 0, where the exotic components' triple invariants
+#: collapse
+_EDGE_CENTERS = sorted({*itertools.chain(*EXCLUDED_T.values()), 2.0, -2.0})
+_edge_t = st.one_of(
+    st.builds(lambda c, r, a: c + cmath.rect(r, a),
+              st.sampled_from(_EDGE_CENTERS),
+              st.floats(SAMPLER_MARGIN, 5 * SAMPLER_MARGIN),
+              st.floats(0, 2 * math.pi)),
+    st.builds(lambda e, a: cmath.rect(10 ** e, a),
+              st.floats(-11, -2), st.floats(0, 2 * math.pi)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(t=_edge_t)
+def test_samples_near_edges_realize_or_raise_typed(t):
+    for cid in COMPONENTS:
+        try:
+            samples = sample_component(cid, t)
+        except ExcludedParameter:
+            continue
+        assert samples, cid
+        for smp in samples:
+            try:
+                q = realize_character(smp.vector)
+            except CharVarError:
+                continue
+            ok, spread = is_representation(q)
+            assert ok, (cid, smp.branch, spread)
+            assert necessary_conditions_residual(q) <= 1e-8, (cid, smp.branch)

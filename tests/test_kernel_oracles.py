@@ -1,40 +1,62 @@
 """The verify kernels against their plain reference forms, bit for bit.
 
-`relators`, `RelatorSet.spread`, `trace_vector_of` and the type I, type II
-and trace-equation residuals compute in local scalars. The oracles below
-are the same mathematics written the plain way: Mat2 products and
-differences, and a list of monomials summed by `sum()` and divided by
-max(1, largest monomial). Both must take the same operations in the same
-order, so `repr` must agree exactly, the sign of a zero included.
+`relators`, `RelatorSet.spread`, `trace_vector_of`, the type I, type II,
+trace-equation and eq. (19) residuals, `det_Sdiamond` and
+`membership_residual` compute in local scalars. The oracles below are the
+same mathematics written the plain way: Mat2 products and differences, and
+a list of monomials summed by `sum()` and divided by max(1, largest
+monomial). Both must take the same operations in the same order, so `repr`
+must agree exactly, the sign of a zero included.
+
+The gates that test a raw residual before normalizing it are held against
+copies of the plain gates, which normalize every residual: the same
+outcome, and on a rejection the same exception type and message.
 """
 
+import cmath
 import itertools
 
 import numpy as np
 import pytest
 
 from conftest import E1, E2, E3, random_quadruple
-from charvar.catalog import COMPONENTS, sample_component
-from charvar.mat2 import IDENTITY, dist
-from charvar.reconstruct import Quadruple, realize_character
-from charvar.tracealg import (_EQ_IDX, _TYPEI, COORD_KEYS, SCoords,
-                              TraceVector, _S_KEYS, _gram, _s_triples,
-                              s_from_t, trace_equation_residuals,
-                              trace_vector_of, typeI_residuals,
-                              typeII_residuals)
+from charvar.catalog import (COMPONENTS, _alpha, _is_reducible_like,
+                             best_membership, classify_point,
+                             membership_residual, sample_component)
+from charvar.errors import (CharVarError, ConstraintViolated,
+                            DegenerateCharacter, TraceMismatch)
+from charvar.mat2 import IDENTITY, Mat2, dist
+from charvar.reconstruct import (Quadruple, _realized_matrices,
+                                 realize_character)
+from charvar.tracealg import (_DET4, _EQ_IDX, _TRIPLE_ROWS, _TYPEI,
+                              COORD_KEYS, SCoords, TraceVector, _S_KEYS,
+                              _gram, _s_triples, definitive_excess,
+                              det_Sdiamond, eq19_residuals, s_from_t,
+                              trace_equation_residuals, trace_vector_of,
+                              typeI_residuals, typeII_residuals)
 from charvar.wirtinger import RelatorSet, relators
 
-#: every catalog sample at these t is realized; a verify-square corner,
-#: the parabolic slice and a real t among them
-CATALOG_T = (1.3 + 0.4j, 2 + 0j, 3 + 0j,
-             -2.2951323803190267 - 2.4173618223573543j)
+#: corners of the verify square, where X11 and X12 coordinates reach about
+#: 1e4 and their raw definitive residuals exceed the realization gate
+CORNER_T = (-2.2951323803190267 - 2.4173618223573543j,
+            2.4860496789460553 + 2.4041766938811504j)
+#: every catalog sample at these t is realized; the verify-square corners,
+#: the parabolic slice and real t among them
+CATALOG_T = (1.3 + 0.4j, 2 + 0j, 3 + 0j, 0.7 + 0.3j) + CORNER_T
+NAN = float("nan")
 
 
 def _finish(terms, normalized):
-    val = sum(terms)
+    # left to right from 0, divided by one flat max that skips a NaN
+    # magnitude wherever it stands, as the kernels are (see the tracealg
+    # docstring): kernel and oracle agree on NaN inputs whatever a complex
+    # divided by a float does with the finite part
+    val = 0
+    for x in terms:
+        val = val + x
     if not normalized:
         return val
-    return val / max(1.0, max(map(abs, terms)))
+    return val / max(1.0, *map(abs, terms))
 
 
 def _det3_terms(m00, m01, m02, m10, m11, m12, m20, m21, m22):
@@ -58,6 +80,185 @@ def typeII_oracle(s, normalized=False):
         out.append(_finish([r1 * s234, -r2 * s134, r3 * s124, -r4 * s123],
                            normalized))
     return out
+
+
+def det_Sdiamond_oracle(s, normalized=False):
+    g = _gram(s)
+    terms = []
+    for j, sign, minor in _DET4:
+        terms.extend(sign * g[j] * x for x in _det3_terms(*minor(g)))
+    return _finish(terms, normalized)
+
+
+def eq19_oracle(v, normalized=False):
+    t = v.t
+    out = []
+    for get in _EQ_IDX:
+        t12, t13, t14, t23, t24, t123, t124 = get(v)
+        terms = [t * t * (t12 - 1) * t124,
+                 -t * t * (t12 - 1) * t123,
+                 t * (t12 - 1) * t13,
+                 -t * (t12 - 1) * t24,
+                 -t * (t12 * t12 - t12 - 1) * t14,
+                 t * (t12 * t12 - t12 - 1) * t23]
+        out.append(_finish(terms, normalized))
+    return out
+
+
+def membership_oracle(cid, v):
+    t = v.t
+    al = _alpha(t)
+    one = complex(1)
+    r = []
+    if cid in ("X11", "X12"):
+        if cid == "X11":
+            x = v.t12 - 1
+            mu = v.t12 + v.t23 - 2
+            r += [("t14", [v.t14, -v.t12]), ("t34", [v.t34, -v.t23]),
+                  ("t13", [v.t13, -one])]
+            tau_slot, e_a, e_b, e_p, e_m = v.t24, v.t123, v.t134, v.t124, v.t234
+        else:
+            x = v.t12 - 1
+            mu = v.t12 + v.t34 - 2
+            r += [("t23", [v.t23, -v.t12]), ("t14", [v.t14, -v.t34]),
+                  ("t24", [v.t24, -one])]
+            tau_slot, e_a, e_b, e_p, e_m = v.t13, v.t124, v.t234, v.t123, v.t134
+        r += [
+            ("tau", [al * tau_slot, -(al ** 3 - 3 * al * al + 4) * mu,
+                     al ** 4 - 4 * al ** 3 + 7 * al]),
+            ("tri_a", [al * e_a, -t * mu]),
+            ("tri_b", [al * e_b, -t * mu]),
+            ("sig_p", [al * e_p, -t * (1 + al) * mu, t * mu * mu,
+                       2 * t * al, -t * mu * x]),
+            ("sig_m", [al * e_m, -t * (1 + al) * mu, 2 * t * al, t * mu * x]),
+            ("q_mu", [mu * mu, (al * al - 4 * al) * mu, 4 * al * al - al ** 3]),
+            ("q_x", [al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al]),
+        ]
+    elif cid in ("X21", "X22"):
+        if cid == "X21":
+            z = v.t23 - 1
+            g = v.t12 - al + 1
+            r += [("t14", [v.t14, -v.t23]),
+                  ("t34g", [g * v.t34, -z * z, -(al - 1) * g])]
+            e1a, e1b, e2a, e2b = v.t123, v.t124, v.t134, v.t234
+        else:
+            z = v.t12 - 1
+            g = v.t23 - al + 1
+            r += [("t34", [v.t34, -v.t12]),
+                  ("t14g", [g * v.t14, -z * z, -(al - 1) * g])]
+            e1a, e1b, e2a, e2b = v.t123, v.t234, v.t124, v.t134
+        r += [
+            ("t13", [v.t13, -one]), ("t24", [v.t24, -one]),
+            ("q_z", [z * z, -al * z, al]),
+            ("q_g", [g * g, ((al - 2) * z * z - 2 * z) * g, z * z]),
+            ("tri_1", [al * e1a, -al * t, -t * z * g]),
+            ("tri_1b", [e1b, -e1a]),
+            ("tri_2", [al * g * e2a, -al * g * t, -t * z ** 3]),
+            ("tri_2b", [e2b, -e2a]),
+        ]
+    elif cid == "X3":
+        u = v.t12
+        d = t * t - 2
+        e = t * u - t
+        r += [("t23", [v.t23, -u]), ("t34", [v.t34, -u]), ("t14", [v.t14, -u]),
+              ("t13", [v.t13, -d]), ("t24", [v.t24, -d]),
+              ("t123", [v.t123, -e]), ("t124", [v.t124, -e]),
+              ("t134", [v.t134, -e]), ("t234", [v.t234, -e]),
+              ("q_u", [u * u, -(t * t + 1) * u, 2 * t * t - 1])]
+    elif cid == "X4":
+        u = v.t12
+        eta = v.t123
+        d = 2 * u + 2 - t * t
+        r += [("t23", [v.t23, -u]), ("t34", [v.t34, -u]), ("t14", [v.t14, -u]),
+              ("t13", [v.t13, -d]), ("t24", [v.t24, -d]),
+              ("t124", [v.t124, -eta]), ("t134", [v.t134, -eta]),
+              ("t234", [v.t234, -eta]),
+              ("lin", [t * eta, -u * u, -u, t * t, -one]),
+              ("q_eta", [eta * eta, t * (t * t + 4 - 2 * u) * eta,
+                         -5 * t * t * u, t ** 4, 4 * t * t, -6 * one])]
+    elif cid in ("X51", "X52"):
+        d = t * t - 2
+        if cid == "X51":
+            names = (("t12", v.t12 - 1), ("t34", v.t34 - 1),
+                     ("t23", v.t23 - d), ("t14", v.t14 - d))
+        else:
+            names = (("t23", v.t23 - 1), ("t14", v.t14 - 1),
+                     ("t12", v.t12 - d), ("t34", v.t34 - d))
+        r += [(n, [val]) for n, val in names]
+        r += [("t13", [v.t13, -one]), ("t24", [v.t24, -one]),
+              ("t123", [v.t123]), ("t124", [v.t124]),
+              ("t134", [v.t134]), ("t234", [v.t234])]
+    else:
+        q = 4 * t * t - 2 - t ** 4
+        p = 3 * t - t ** 3
+        r += [("t12", [v.t12, -one]), ("t23", [v.t23, -one]),
+              ("t34", [v.t34, -one]), ("t14", [v.t14, -one])]
+        if cid == "X61":
+            r += [("t13", [v.t13, -one]), ("t24", [v.t24, -q]),
+                  ("t123", [v.t123]), ("t134", [v.t134]),
+                  ("t124", [v.t124, -p]), ("t234", [v.t234, -p])]
+        else:
+            r += [("t24", [v.t24, -one]), ("t13", [v.t13, -q]),
+                  ("t124", [v.t124]), ("t234", [v.t234]),
+                  ("t123", [v.t123, -p]), ("t134", [v.t134, -p])]
+    return {name: _finish(terms, normalized=True) for name, terms in r}
+
+
+def definitive_oracle(s, tol):
+    pre = [*typeI_oracle(s, normalized=True), *typeII_oracle(s, normalized=True)]
+    return [abs(r) for r in pre if not abs(r) <= tol]
+
+
+def validate_oracle(q):
+    for m in q.matrices():
+        if not abs(m.det() - 1) <= 1e-9 * max(1.0, m.norm() ** 2):
+            raise ConstraintViolated(f"det = {m.det()}")
+        if not abs(m.trace() - q.t) <= 1e-9 * max(1.0, abs(q.t)):
+            raise TraceMismatch(f"trace {m.trace()} vs t = {q.t}")
+
+
+def realize_oracle(v):
+    coords = v.coords()
+    if not all(cmath.isfinite(c) for c in coords.values()):
+        raise ConstraintViolated("non-finite trace coordinate")
+    try:
+        s = s_from_t(v)
+    except OverflowError:
+        raise ConstraintViolated("trace coordinates overflow") from None
+    over = definitive_oracle(s, 1e-7)
+    if over:
+        raise ConstraintViolated(
+            f"definitive-relation residual {max(over):.3e} exceeds 1.0e-07")
+    st = _s_triples(s)
+    k = max(range(4), key=lambda i: abs(st[i]))
+    S = np.array(_gram(s), dtype=complex).reshape(4, 4)
+    q = Quadruple(*_realized_matrices(S, _TRIPLE_ROWS[k], st[k],
+                                      complex(v.t / 2)), t=v.t)
+    validate_oracle(q)
+    got = trace_vector_oracle(*q.matrices())
+    for key, want in coords.items():
+        if not abs(getattr(got, key) - want) <= 1e-8 * max(1.0, abs(want)):
+            raise DegenerateCharacter(
+                f"realization misses target at {key}: {getattr(got, key)} "
+                f"vs {want}")
+    return q
+
+
+def classify_oracle(v):
+    if definitive_oracle(s_from_t(v), 1e-6):
+        return "non-character"
+    if _is_reducible_like(v):
+        return "reducible"
+    cid, worst = best_membership(v)
+    return cid if worst <= 1e-5 else "unclassified"
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the CharVarError it raised."""
+    try:
+        return fn(*args)
+    except CharVarError as exc:
+        return type(exc), str(exc)
 
 
 def trace_equation_oracle(v, normalized=False):
@@ -105,10 +306,15 @@ def trace_vector_oracle(x1, x2, x3, x4):
 
 
 @pytest.fixture(scope="module")
-def quadruples():
+def samples():
+    return [smp for t in CATALOG_T for cid in COMPONENTS
+            for smp in sample_component(cid, t)]
+
+
+@pytest.fixture(scope="module")
+def quadruples(samples):
     rng = np.random.default_rng(20240817)
-    qs = [realize_character(smp.vector) for t in CATALOG_T
-          for cid in COMPONENTS for smp in sample_component(cid, t)]
+    qs = [realize_character(smp.vector) for smp in samples]
     for _ in range(300):
         t, xs = random_quadruple(rng)
         qs.append(Quadruple(*xs, t=t))
@@ -117,6 +323,32 @@ def quadruples():
         qs.append(Quadruple(*xs, t=0j))
         qs.append(Quadruple(*(x * 0.5 + IDENTITY for x in xs), t=2 + 0j))
     return qs
+
+
+def _with(v, key, value):
+    return TraceVector(**{**v.coords(), key: value})
+
+
+@pytest.fixture(scope="module")
+def vectors(samples, quadruples):
+    """Catalog samples, the characters of `quadruples`, each coordinate of
+    the samples at one t set to a NaN in turn, and vectors of signed zeros
+    and NaNs."""
+    vs = [smp.vector for smp in samples]
+    vs += [trace_vector_oracle(*q.matrices()) for q in quadruples]
+    for smp in samples[:26]:
+        for key in COORD_KEYS:
+            vs += [_with(smp.vector, key, complex(NAN, 0.0)),
+                   _with(smp.vector, key, complex(-0.0, NAN))]
+    # signed zeros: a sum that does not start from 0 can end on -0.0
+    zeros = np.array([0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    rng = np.random.default_rng(5)
+    for k in range(400):
+        v = rng.choice(zeros, 11).tolist()
+        if k % 4 == 0:
+            v[rng.integers(11)] = complex(NAN, -0.0)
+        vs.append(TraceVector(*v))
+    return vs
 
 
 def test_trace_vector_of_matches_matmul_oracle_bitwise(quadruples):
@@ -134,12 +366,11 @@ def test_relators_and_spread_match_mat2_chain_bitwise(quadruples):
 
 
 @pytest.mark.parametrize("normalized", [False, True])
-def test_residual_kernels_match_list_oracles_bitwise(quadruples, normalized):
-    pairs = [(v, s_from_t(v)) for v in
-             (trace_vector_oracle(*q.matrices()) for q in quadruples)]
-    # signed zeros: a sum that does not start from 0 can end on -0.0
+def test_residual_kernels_match_list_oracles_bitwise(vectors, normalized):
+    pairs = [(v, s_from_t(v)) for v in vectors]
+    # 1000 NaN-free signed-zero pairs, each TraceVector with its own SCoords
     zeros = np.array([0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(6)
     for _ in range(1000):
         v, s = rng.choice(zeros, (2, 11)).tolist()
         pairs.append((TraceVector(*v), SCoords(*s)))
@@ -148,8 +379,83 @@ def test_residual_kernels_match_list_oracles_bitwise(quadruples, normalized):
                 == repr(typeI_oracle(s, normalized)))
         assert (repr(typeII_residuals(s, normalized))
                 == repr(typeII_oracle(s, normalized)))
+        assert (repr(det_Sdiamond(s, normalized))
+                == repr(det_Sdiamond_oracle(s, normalized)))
         assert (repr(trace_equation_residuals(v, normalized))
                 == repr(trace_equation_oracle(v, normalized)))
+        assert (repr(eq19_residuals(v, normalized))
+                == repr(eq19_oracle(v, normalized)))
+
+
+def test_membership_residual_matches_list_oracle_bitwise(vectors):
+    for v in vectors:
+        for cid in COMPONENTS:
+            assert (repr(membership_residual(cid, v))
+                    == repr(membership_oracle(cid, v)))
+
+
+def test_definitive_gates_match_normalized_gates(vectors):
+    for v in vectors:
+        s = s_from_t(v)
+        for tol in (1e-7, 1e-6):
+            assert (repr(definitive_excess(s, tol))
+                    == repr(definitive_oracle(s, tol)))
+        assert classify_point(v) == classify_oracle(v)
+
+
+def test_raw_misses_take_the_normalized_fallback():
+    # at the verify-square corners the first two branches of X11 and X12
+    # miss the raw test of the realization gate (raw residuals 3.3e-7 to
+    # 1.4e-6) and pass on the normalized values (at most 4.9e-16)
+    for t in CORNER_T:
+        missed = set()
+        for cid in COMPONENTS:
+            for smp in sample_component(cid, t):
+                s = s_from_t(smp.vector)
+                raw = [*typeI_residuals(s), *typeII_residuals(s)]
+                if max(map(abs, raw)) > 1e-7:
+                    missed.add((cid, smp.branch))
+                assert definitive_excess(s, 1e-7) == []
+                assert (repr(realize_character(smp.vector))
+                        == repr(realize_oracle(smp.vector)))
+                assert classify_point(smp.vector) == cid
+        assert missed == {("X11", 0), ("X11", 1), ("X12", 0), ("X12", 1)}
+
+
+def test_realize_character_matches_plain_gates(samples, rng):
+    vs = [smp.vector for smp in samples]
+    for _ in range(100):
+        vs.append(trace_vector_of(*random_quadruple(rng)[1]))
+    # the input of test_realize_character_rejects_noncharacter, a NaN
+    # coordinate, an infinite one, and a near-miss of each kind
+    t, xs = random_quadruple(np.random.default_rng(20240817))
+    v = trace_vector_of(*xs)
+    vs += [_with(v, "t13", v.t13 + 0.1), _with(v, "t13", complex(NAN, 0.0)),
+           _with(v, "t24", complex(float("inf"), 0.0)),
+           _with(v, "t13", v.t13 + 1e-9), _with(v, "t13", v.t13 + 1e-5)]
+    rejected = 0
+    for w in vs:
+        got, want = outcome(realize_character, w), outcome(realize_oracle, w)
+        assert repr(got) == repr(want)
+        rejected += isinstance(want, tuple)
+    assert rejected >= 3
+
+
+def test_validate_matches_plain_gate(quadruples):
+    x = quadruples[0].x1
+    for q in quadruples[:40]:
+        assert outcome(q.validate) == outcome(validate_oracle, q)
+    for e in (1e-10, 2e-9, 1e-6):
+        # det 1 + e against the bound 1e-9 * max(1, norm^2): within 1e-9,
+        # or only within the bound, or beyond both
+        r = (1 + e) ** 0.5
+        for big in (1.0, 1e3):
+            m = Mat2(r * x.a * big, r * x.b * big, r * x.c / big,
+                     r * x.d / big)
+            q = Quadruple(m, x, x, x, t=x.trace())
+            assert outcome(q.validate) == outcome(validate_oracle, q)
+    q = Quadruple(Mat2(NAN, 0, 0, 1), x, x, x, t=x.trace())
+    assert outcome(q.validate) == outcome(validate_oracle, q)
 
 
 def test_raw_kernels_on_symbols_expand_to_oracle():
@@ -160,7 +466,9 @@ def test_raw_kernels_on_symbols_expand_to_oracle():
     v = TraceVector(*sp.symbols(COORD_KEYS))
     pairs = [(typeI_residuals(s), typeI_oracle(s)),
              (typeII_residuals(s), typeII_oracle(s)),
-             (trace_equation_residuals(v), trace_equation_oracle(v))]
+             ([det_Sdiamond(s)], [det_Sdiamond_oracle(s)]),
+             (trace_equation_residuals(v), trace_equation_oracle(v)),
+             (eq19_residuals(v), eq19_oracle(v))]
     for got, want in pairs:
         assert len(got) == len(want)
         for g, w in zip(got, want):
