@@ -3,6 +3,7 @@ G(t) of SL(2,C), traceless parts, and irreducibility tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated, SingularMatrix
@@ -111,19 +112,51 @@ def in_gt(m: Mat2, t: complex) -> bool:
     return abs(m.det() - 1) <= 1e-10 and abs(m.trace() - t) <= 1e-10
 
 
+# The identity residuals below compute in local entries and build one Mat2.
+# Each takes the operations of its Mat2 expression in the same order: the
+# complex() coercions of `*` and scalar(), and the int 1 and 0 that IDENTITY
+# adds (-0.0 + 0 is 0.0, so the 0 fixes the sign of a zero). The 0 that
+# scalar() subtracts off the diagonal is left out: x - 0 is x for every
+# number, -0.0 included. So the bits are those of the expression, which
+# tests/test_kernel_oracles.py keeps as the oracle.
+
 def ch_residual(x: Mat2, t: complex) -> Mat2:
-    """x^2 - t x + e, which vanishes on G(t)."""
-    return x @ x - t * x + IDENTITY
+    """x^2 - t x + e, which vanishes on G(t): x @ x - t * x + IDENTITY."""
+    a, b, c, d = x.a, x.b, x.c, x.d
+    z = complex(t)
+    return Mat2((a * a + b * c) - a * z + 1, (a * b + b * d) - b * z + 0,
+                (c * a + d * c) - c * z + 0, (c * b + d * d) - d * z + 1)
 
 
 def xyx_expand(x: Mat2, y: Mat2, t: complex) -> Mat2:
-    """xyx - (tr(xy) x + y - t e), which vanishes for x, y in G(t)."""
-    return x @ y @ x - ((x @ y).trace() * x + y - scalar(t))
+    """xyx - (tr(xy) x + y - t e), which vanishes for x, y in G(t):
+    x @ y @ x - ((x @ y).trace() * x + y - scalar(t))."""
+    xa, xb, xc, xd = x.a, x.b, x.c, x.d
+    ya, yb, yc, yd = y.a, y.b, y.c, y.d
+    pa = xa * ya + xb * yc
+    pb = xa * yb + xb * yd
+    pc = xc * ya + xd * yc
+    pd = xc * yb + xd * yd
+    z = complex(pa + pd)
+    zt = complex(t)
+    return Mat2((pa * xa + pb * xc) - ((xa * z + ya) - zt),
+                (pa * xb + pb * xd) - (xb * z + yb),
+                (pc * xa + pd * xc) - (xc * z + yc),
+                (pc * xb + pd * xd) - ((xd * z + yd) - zt))
 
 
 def anticommutator_residual(u: Mat2, v: Mat2) -> Mat2:
-    """uv + vu - tr(uv) e for traceless u, v."""
-    return u @ v + v @ u - scalar((u @ v).trace())
+    """uv + vu - tr(uv) e for traceless u, v:
+    u @ v + v @ u - scalar((u @ v).trace())."""
+    ua, ub, uc, ud = u.a, u.b, u.c, u.d
+    va, vb, vc, vd = v.a, v.b, v.c, v.d
+    pa = ua * va + ub * vc
+    pd = uc * vb + ud * vd
+    z = complex(pa + pd)
+    return Mat2((pa + (va * ua + vb * uc)) - z,
+                (ua * vb + ub * vd) + (va * ub + vb * ud),
+                (uc * va + ud * vc) + (vc * ua + vd * uc),
+                (pd + (vc * ub + vd * ud)) - z)
 
 
 def triple_trace(u: Mat2, v: Mat2, w: Mat2) -> complex:
@@ -181,7 +214,7 @@ def has_common_eigenvector(ms) -> bool:
 
 def is_irreducible_pair(x: Mat2, y: Mat2, t: complex) -> bool:
     """Trace criterion for a pair in G(t): tr(xy) outside {2, t^2 - 2}."""
-    txy = (x @ y).trace()
+    txy = (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
     s = max(1.0, abs(txy), abs(t) ** 2)
     return abs(txy - 2) > 1e-9 * s and abs(txy - (t * t - 2)) > 1e-9 * s
 
@@ -217,8 +250,15 @@ def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:
     return "equal" if eps == 1 else "inverse"
 
 
+def _check_spread(spread: float) -> None:
+    # a zero, NaN or infinite spread never passes the rejection tests below
+    if not (math.isfinite(spread) and spread > 0):
+        raise ValueError(f"spread must be finite and > 0, got {spread!r}")
+
+
 def random_sl2(rng, spread: float = 1.0) -> Mat2:
     """Random SL(2,C) element with entries O(spread)."""
+    _check_spread(spread)
     while True:
         a, b, c, d = (complex(x, y) * spread for x, y in
                       rng.standard_normal((4, 2)))
@@ -229,9 +269,12 @@ def random_sl2(rng, spread: float = 1.0) -> Mat2:
 
 
 def random_gt(rng, t: complex, spread: float = 1.0) -> Mat2:
-    """Random element of G(t): trace t, determinant 1."""
+    """Random element of G(t): trace t, determinant 1. One draw of four
+    normals per try, the same stream as two draws of two."""
+    _check_spread(spread)
     while True:
-        a = complex(*rng.standard_normal(2)) * spread
-        b = complex(*rng.standard_normal(2)) * spread
+        ar, ai, br, bi = rng.standard_normal(4).tolist()
+        a = complex(ar, ai) * spread
+        b = complex(br, bi) * spread
         if abs(b) > 0.1 * spread:
             return Mat2(a, b, (a * (t - a) - 1) / b, t - a)

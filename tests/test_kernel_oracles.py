@@ -1,12 +1,15 @@
 """The verify kernels against their plain reference forms, bit for bit.
 
 `relators`, `RelatorSet.spread`, `trace_vector_of`, the type I, type II,
-trace-equation and eq. (19) residuals, `det_Sdiamond` and
-`membership_residual` compute in local scalars. The oracles below are the
+trace-equation and eq. (19) residuals, `det_Sdiamond`,
+`membership_residual`, the `mat2` identity residuals (`ch_residual`,
+`xyx_expand`, `anticommutator_residual`) and the tr(xy) of
+`is_irreducible_pair` compute in local scalars. The oracles below are the
 same mathematics written the plain way: Mat2 products and differences, and
 a list of monomials summed by `sum()` and divided by max(1, largest
 monomial). Both must take the same operations in the same order, so `repr`
-must agree exactly, the sign of a zero included.
+must agree exactly, the sign of a zero included. `random_gt` draws its
+four normals at once; its oracle draws two pairs, the same stream.
 
 The gates that test a raw residual before normalizing it are held against
 copies of the plain gates, which normalize every residual: the same
@@ -15,17 +18,21 @@ outcome, and on a rejection the same exception type and message.
 
 import cmath
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from conftest import E1, E2, E3, random_quadruple
+from conftest import E1, E2, E3, random_quadruple, reducible_pair
+from charvar import cli, mat2
 from charvar.catalog import (COMPONENTS, _alpha, _is_reducible_like,
                              best_membership, classify_point,
                              membership_residual, sample_component)
 from charvar.errors import (CharVarError, ConstraintViolated,
                             DegenerateCharacter, TraceMismatch)
-from charvar.mat2 import IDENTITY, Mat2, dist
+from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual,
+                          ch_residual, dist, is_irreducible_pair, random_gt,
+                          scalar, xyx_expand)
 from charvar.reconstruct import (Quadruple, _realized_matrices,
                                  realize_character)
 from charvar.tracealg import (_DET4, _EQ_IDX, _TRIPLE_ROWS, _TYPEI,
@@ -305,6 +312,32 @@ def trace_vector_oracle(x1, x2, x3, x4):
         (x23 @ x4).trace())
 
 
+def ch_oracle(x, t):
+    return x @ x - t * x + IDENTITY
+
+
+def xyx_oracle(x, y, t):
+    return x @ y @ x - ((x @ y).trace() * x + y - scalar(t))
+
+
+def anticommutator_oracle(u, v):
+    return u @ v + v @ u - scalar((u @ v).trace())
+
+
+def pair_oracle(x, y, t):
+    txy = (x @ y).trace()
+    s = max(1.0, abs(txy), abs(t) ** 2)
+    return abs(txy - 2) > 1e-9 * s and abs(txy - (t * t - 2)) > 1e-9 * s
+
+
+def random_gt_oracle(rng, t, spread=1.0):
+    while True:
+        a = complex(*rng.standard_normal(2)) * spread
+        b = complex(*rng.standard_normal(2)) * spread
+        if abs(b) > 0.1 * spread:
+            return Mat2(a, b, (a * (t - a) - 1) / b, t - a)
+
+
 @pytest.fixture(scope="module")
 def samples():
     return [smp for t in CATALOG_T for cid in COMPONENTS
@@ -363,6 +396,91 @@ def test_relators_and_spread_match_mat2_chain_bitwise(quadruples):
         got = relators(q)
         assert repr(got) == repr(want)
         assert repr(got.spread()) == repr(spread_oracle(want))
+
+
+IDENTITY_KERNELS = (ch_residual, xyx_expand, anticommutator_residual,
+                    is_irreducible_pair)
+IDENTITY_ORACLES = (ch_oracle, xyx_oracle, anticommutator_oracle,
+                    pair_oracle)
+
+
+def _identity_outcomes(fns, x, y, t):
+    """Each identity residual's repr and the pair criterion, or the type of
+    the exception each raised."""
+    out = []
+    for fn, args in zip(fns, ((x, t), (x, y, t), (x, y), (x, y, t))):
+        try:
+            out.append(repr(fn(*args)))
+        except ArithmeticError as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_identity_residuals_match_mat2_oracles_bitwise(quadruples):
+    cases = []
+    for q in quadruples:
+        x1, x2, x3, _ = q.matrices()
+        cases += [(x1, x2, q.t), (x2, x1, q.t), (x1, x1, q.t),
+                  (x1.traceless_part(), x3.traceless_part(), q.t)]
+    # reducible pairs and x with itself sit on the criterion's thresholds
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        t, x, y = reducible_pair(rng)
+        cases += [(x, y, t), (x, x, t)]
+    # int entries, signed zeros, NaN, inf and 1e300, whose products overflow
+    pool = [1, 0, -1, 2, 0.0, -0.0, 0j, -0j, complex(-0.0, 0.0),
+            complex(0.0, -0.0), NAN, complex(NAN, -0.0), float("inf"),
+            complex(-0.0, float("-inf")), 1e300, complex(1e300, -1e300),
+            0.5 + 0.25j, np.complex128(-1.5 + 2j)]
+    ts = [0, 2, -0.0, complex(-0.0, 0.0), NAN, float("inf"), 1e300,
+          1.3 + 0.4j, np.complex128(1.3 + 0.4j)]
+    cases += [(IDENTITY, IDENTITY, t) for t in ts]
+    cases += [(E1, E2, t) for t in ts] + [(E2, -E2, t) for t in ts]
+    # signed zeros alone: an entry's sign rests on every zero it sums
+    zeros = [0, 0.0, -0.0, 0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    for pick, tpick in [(pool, ts)] * 4000 + [(zeros, zeros)] * 2000:
+        x, y = (Mat2(*(pick[k] for k in rng.integers(len(pick), size=4)))
+                for _ in range(2))
+        cases.append((x, y, tpick[rng.integers(len(tpick))]))
+    with np.errstate(all="ignore"):  # the numpy entry meets inf and NaN
+        for x, y, t in cases:
+            assert (_identity_outcomes(IDENTITY_KERNELS, x, y, t)
+                    == _identity_outcomes(IDENTITY_ORACLES, x, y, t))
+
+
+@pytest.mark.parametrize("spread", [1.0, 2.5, 1e-3])
+def test_random_gt_matches_two_draw_oracle(spread):
+    # the first b of seeds 178 and 300 is rejected (|b| <= 0.1 spread)
+    for seed in (178, 300):
+        g = np.random.default_rng(seed)
+        g.standard_normal(2)
+        assert abs(complex(*g.standard_normal(2))) <= 0.1
+    for seed in (178, 300, 0, 20240817):
+        got, want = (np.random.default_rng(seed) for _ in range(2))
+        for k in range(300):
+            t = (0, 2, -0.0, 1.3 + 0.4j, complex(-2.5, 1.0))[k % 5]
+            assert (repr(random_gt(got, t, spread))
+                    == repr(random_gt_oracle(want, t, spread)))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.standard_normal() == want.standard_normal()
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_identities_report_matches_mat2_oracles(tmp_path, monkeypatch,
+                                                fault):
+    args = ["identities", "--seed", "3", "--n", "200"]
+    args += ["--inject-fault"] if fault else []
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    code = cli.main(args + ["--out", str(new)])
+    monkeypatch.setattr(mat2, "ch_residual", ch_oracle)
+    monkeypatch.setattr(mat2, "xyx_expand", xyx_oracle)
+    monkeypatch.setattr(mat2, "anticommutator_residual",
+                        anticommutator_oracle)
+    monkeypatch.setattr(cli, "is_irreducible_pair", pair_oracle)
+    monkeypatch.setattr(cli, "random_gt", random_gt_oracle)
+    assert cli.main(args + ["--out", str(old)]) == code == int(fault)
+    assert new.read_bytes() == old.read_bytes()
+    assert json.loads(new.read_text())["pass"] is not fault
 
 
 @pytest.mark.parametrize("normalized", [False, True])

@@ -185,3 +185,21 @@ def test_norm_and_distances_propagate_nan():
     m = Mat2(1 + 2j, -3, 0.5j, 1)
     assert m.norm() == 3 and dist(m, IDENTITY) == 3
     assert Mat2(float("inf"), 0, 0, 1).norm() == float("inf")
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def standard_normal(self, *args):
+        raise AssertionError("sampler drew before checking its spread")
+
+
+@pytest.mark.parametrize("spread", [0, 0.0, -1.0, float("nan"), float("inf"),
+                                    float("-inf")])
+def test_samplers_reject_bad_spread(spread):
+    # a zero, NaN or infinite spread never passes the rejection test, and a
+    # negative one has no meaning: ValueError before the first draw
+    with pytest.raises(ValueError, match="spread"):
+        random_gt(_NoDraws(), 1.0, spread)
+    with pytest.raises(ValueError, match="spread"):
+        random_sl2(_NoDraws(), spread)
