@@ -88,7 +88,39 @@ def _minor_table():
 
 _MINOR_OPS, _COF, _TI_GATHER = map(np.array, _minor_table())
 _COF = _COF.reshape(16, 3, 3)
+_TI_GATHER = _TI_GATHER.reshape(2, 96)      # entries (r, c < 6), r-major
 _TI_ROW0 = _GRAM.ravel()[np.array(_TYPEI_SLOTS)[:, :3]]  # s-slots, row 0
+
+
+def _typeI_jac_table():
+    """Index tables of the type I Jacobian before its pair cofactors.
+
+    Entry (r, c) of row r = 4a + b is 2 (st_b dst[a, c] + st_a dst[b, c]),
+    with dst = d st / dy. An entry of dst is -t/2 on the pair columns of
+    its shift, 1 on the shift's own column and 0 elsewhere, so each product
+    is one of 12: st_i times value v, row 4 v + i of a (12, n) table. The
+    160 sums have 84 distinct operand pairs. Returns their product rows as
+    two lists, the st_b product first as the sum adds them; and the pair of
+    each entry (r, c), r-major, for c < 6 and for c >= 6.
+    """
+    def value(i, c):                      # 0, 1 or -t/2, as 0, 1 or 2
+        return 2 if c in _SHIFT_PAIRS[i] else int(c == 6 + i)
+
+    seen, k = {}, []
+    for r in range(16):
+        a, b = divmod(r, 4)
+        k.append([seen.setdefault((4 * value(a, c) + b, 4 * value(b, c) + a),
+                                  len(seen)) for c in range(10)])
+    sum_b, sum_a = zip(*seen)
+    k = np.array(k)
+    return sum_b, sum_a, k[:, :6].ravel(), k[:, 6:].ravel()
+
+
+_TI_SUM_B, _TI_SUM_A, _TI_SUM_PAIR, _TI_SUM_REST = map(
+    np.array, _typeI_jac_table())
+# rows 11 r + c of the (176, n) type I entries, for c < 6 and for c >= 6
+_TI_PAIR_ROWS = (11 * np.arange(16)[:, None] + np.arange(6)).ravel()
+_TI_REST_ROWS = (11 * np.arange(16)[:, None] + np.arange(6, 10)).ravel()
 
 
 class _ProbeSystem:
@@ -114,7 +146,7 @@ class _ProbeSystem:
         dst[np.arange(4)[:, None], _SHIFT_COLS] = -t / 2
         dst[:, 6:] = np.eye(4)
         self.dst_ii = _ALT[:, None] * dst[::-1]
-        self.dst_a, self.dst_b = dst[_TI_A, :, None], dst[_TI_B, :, None]
+        self.dst_values = (0j, 1 + 0j, -t / 2)   # by _typeI_jac_table code
         self.eq_const = np.array([t, -t, -a, a])[:, None]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -179,8 +211,8 @@ class _ProbeSystem:
     def _typeI_rows(self, s, st, ent):
         """Rows 16..31: the type I relations, from the 46 minors of the
         entry-major (7, n) s-array s and (4, n) shifts st."""
-        nm = len(_MINOR_OPS)
-        mx = np.empty((2 * nm + 1, s.shape[1]), dtype=complex)
+        nm, n = len(_MINOR_OPS), s.shape[1]
+        mx = np.empty((2 * nm + 1, n), dtype=complex)
         a, b, c, d = _MINOR_OPS.T
         np.subtract(s[a] * s[b], s[c] * s[d], out=mx[:nm])
         np.negative(mx[:nm], out=mx[nm:2 * nm])
@@ -190,13 +222,23 @@ class _ProbeSystem:
         np.add(2 * sa * sb, row[:, 0] * cof[:, 0] + row[:, 1] * cof[:, 1]
                + row[:, 2] * cof[:, 2], out=ent[:, 10])
         del row, cof                  # before the Jacobian's temporaries
-        jac = ent[:, :10]
-        np.multiply(sb[:, None], self.dst_a, out=jac)
-        jac += sa[:, None] * self.dst_b
-        np.multiply(2, jac, out=jac)
+        # every operand below is contiguous and of the result's shape, or
+        # a scalar, so no ufunc goes through numpy's buffered iterator
         pairs = mx[_TI_GATHER[0]]
         pairs += mx[_TI_GATHER[1]]
-        jac[:, :6] += pairs
+        del mx
+        prod = np.empty((3, 4, n), dtype=complex)
+        for v, value in enumerate(self.dst_values):
+            np.multiply(sb[:4], value, out=prod[v])    # sb[:4] is st
+        prod = prod.reshape(12, n)
+        sums = prod[_TI_SUM_B]
+        sums += prod[_TI_SUM_A]
+        del prod
+        np.multiply(2, sums, out=sums)
+        np.add(sums[_TI_SUM_PAIR], pairs, out=pairs)
+        flat = ent.reshape(176, n)
+        flat[_TI_PAIR_ROWS] = pairs
+        flat[_TI_REST_ROWS] = sums[_TI_SUM_REST]
 
 
 def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -87,6 +87,9 @@ def check_admissible(cid: str, t: complex,
                      margin: float = SAMPLER_MARGIN) -> None:
     if cid not in EXCLUDED_T:
         raise UnknownComponent(f"unknown component id {cid!r}")
+    # a NaN is near no excluded value: abs(nan - bad) < margin is False
+    if not cmath.isfinite(t):
+        raise ExcludedParameter(f"{cid}: t = {t} is not finite")
     for bad in EXCLUDED_T[cid]:
         if abs(t - bad) < margin:
             raise ExcludedParameter(f"{cid}: t too close to {bad}")
@@ -534,13 +537,14 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 #: unstarted one (each start's iterates do not depend on it). A row's
 #: system [J | -f] takes 5632 bytes, and an iteration about 12 KB a row at
 #: its peak (the system, then np.linalg.qr's copies of _SOLVE_BLOCK systems
-#: and of their R). Each iteration also pays about 80 numpy calls whatever
-#: its width; 128 rows spread them over more starts (68 iterations for the
-#: 200 starts of a probe benchmark call, 158 at width 32) while the probe
-#: benchmark's peak RSS stays within 2% of width 32's (160 and 200 rows ran
-#: a few % faster at +3% and +4% RSS). One explore_solve(1.7421+0.3885j,
-#: 7, 200) peaks at 1.71 MB of traced memory (numpy 2.4, Python 3.11);
-#: test_probe_working_memory_is_bounded holds it under 2.2 MB, 29% above.
+#: and of their R). Each iteration also pays about 90 numpy calls whatever
+#: its width; 128 rows spread them over more starts (46 iterations for the
+#: 200 starts of a call at a probe benchmark panel t, 112 at width 32: the
+#: mean of the three panel t at seed 7) while the probe benchmark's peak
+#: RSS stays within 2% of width 32's (160 and 200 rows ran a few % faster
+#: at +3% and +4% RSS). One explore_solve(1.7421+0.3885j, 7, 200) peaks at
+#: 1.53 MB of traced memory (numpy 2.4, Python 3.11);
+#: test_probe_working_memory_is_bounded holds it under 2.2 MB, 44% above.
 _PROBE_BLOCK = 128
 
 # Newton stop rules (see _newton_starts), on the max raw residual of a start
@@ -557,10 +561,20 @@ _STALL_TOL = 1e-9
 #: factor has stalled: even at a double root Newton's residual falls about
 #: 4-fold a step, so a smaller decrease is rounding noise
 _STALL_RATIO = 0.7
-#: a start still above _WANDER_RES after _WANDER_ITER iterations is
-#: wandering between basins and is given up
+#: a start still above _WANDER_RES after _WANDER_ITER iterations is given
+#: up. Nearly all such starts have settled long before (see _SETTLE_STEP);
+#: this is the backstop for the rare one that never settles
 _WANDER_ITER = 50
 _WANDER_RES = 1e-1
+#: a start above _WANDER_RES whose step is at most this times
+#: max(1, max|y|) has settled at a stationary point of |f|^2 that is not a
+#: root, and is given up (MINPACK's x-convergence test, applied above the
+#: root floor). Over 50,509 starts at 254 t (|t| < 6, and a few sampler
+#: margins from every excluded t), 4,702 of the 4,847 starts given up at
+#: _WANDER_ITER had settled so, at a median iteration of 17. No start that
+#: converged took a step below 4.5e-5 relative while above _WANDER_RES,
+#: 45 times this bound.
+_SETTLE_STEP = 1e-6
 #: a coordinate beyond this modulus has diverged: far outside every root
 _DIVERGED = 1e8
 #: largest Frobenius condition number ||R||_F ||R^-1||_F of a step solved
@@ -640,12 +654,16 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     once per call), applies the stop rules, moves each row that goes on
     into the place of a stopped one before it, so that they fill the front
     of the array, and solves them there (_augmented_steps); it then checks
-    each step for divergence. A start stops when its max residual reaches
-    _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
-    decrease), or is still above _WANDER_RES after _WANDER_ITER of its
-    iterations; it fails when a coordinate turns non-finite or exceeds
-    _DIVERGED in modulus. Returns each start's lowest-residual point and
-    whether that residual is at most _STALL_TOL without failure.
+    each step. A start stops when its max residual reaches _ROOT_TOL,
+    stalls at or below _STALL_TOL (less than a _STALL_RATIO decrease), or
+    is still above _WANDER_RES after _WANDER_ITER of its iterations. It
+    also stops once its residual is above _WANDER_RES and its step at most
+    _SETTLE_STEP times max(1, max|y|): settled at a stationary point of
+    |f|^2 that is not a root, it would be given up at _WANDER_ITER anyway.
+    It fails when a coordinate turns non-finite or exceeds _DIVERGED in
+    modulus. Every rule reads only the start's own residual, step and y.
+    Returns each start's lowest-residual point and whether that residual is
+    at most _STALL_TOL without failure.
     """
     n = len(y)
     best_y = y.copy()
@@ -679,13 +697,19 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 aug[holes] = aug[movers]
                 live[holes] = live[movers]
                 live, aug = live[:cut], aug[:cut]
-            y[live] += _augmented_steps(aug)
+            steps = _augmented_steps(aug)
             del aug                           # before the next one is built
+            # settled above the root floor: stationary, but not at a root
+            scale = np.maximum(np.abs(y[live]).max(axis=1), 1.0)
+            settled = ((prev[live] > _WANDER_RES)
+                       & (np.abs(steps).max(axis=1) <= _SETTLE_STEP * scale))
+            y[live] += steps
+            del steps
             moved = y[live]
             bad = (~np.isfinite(moved).all(axis=1)
                    | (np.abs(moved).max(axis=1) > _DIVERGED))
             failed[live[bad]] = True
-            live = live[~bad]
+            live = live[~(bad | settled)]
             iters[live] += 1
             live = live[iters[live] < _NEWTON_ITERS]
             refill = min(_PROBE_BLOCK - live.size, n - unstarted)
@@ -725,7 +749,9 @@ def explore_solve(t: complex, seed: int,
     Start k draws its real and then its imaginary parts from
     default_rng([seed, k]), scaled by 1.5, and takes undamped least-squares
     steps with the exact Jacobian, solved by QR, or by SVD for the rare
-    ill-conditioned Jacobian (see _newton_starts and _lstsq_steps). Up to
+    ill-conditioned Jacobian (see _newton_starts and _lstsq_steps). A start
+    whose steps have shrunk to nothing while its residual is still above
+    _WANDER_RES has settled off every root and is given up at once. Up to
     _PROBE_BLOCK starts run together as one array, and a finished start's
     row is refilled with the next unstarted one; each start's iterates are
     bitwise the same whatever starts share its array. Snapping compares

@@ -473,6 +473,90 @@ def test_explore_starts_independent_of_blocking(monkeypatch):
         assert found == found[:1] * len(widths), (attempts, widths)
 
 
+def _count_probe_rows(monkeypatch):
+    """Wrap _ProbeSystem.__call__; the returned dict counts its calls
+    (Newton iterations) and the rows it was given."""
+    count = {"calls": 0, "rows": 0}
+    call = _probe_kernel._ProbeSystem.__call__
+
+    def counted(self, y):
+        count["calls"] += 1
+        count["rows"] += len(y)
+        return call(self, y)
+
+    monkeypatch.setattr(_probe_kernel._ProbeSystem, "__call__", counted)
+    return count
+
+
+def _explore_start(t, seed, k):
+    """Start k of explore_solve(t, seed, ...), drawn as explore_solve draws
+    it, as a (1, 10) array."""
+    rng = np.random.default_rng([seed, k])
+    y = np.empty((1, 10), dtype=complex)
+    y[0].real = rng.standard_normal(10) * 1.5
+    y[0].imag = rng.standard_normal(10) * 1.5
+    return y
+
+
+def test_settle_rule_changes_no_explore_output(monkeypatch):
+    # the perfbench probe panel, each point as one of its sign images, as
+    # the benchmark draws them; criterion 11's t values and seeds; and the
+    # pinned call of test_explore_classifies
+    calls = [(-1.3585 + 1.6948j, 7, 200), (-1.7421 - 0.3885j, 7, 200),
+             (0.5667 - 1.1545j, 7, 200), (2 + 1j, 3, 40)]
+    rng = np.random.default_rng(11)
+    calls += [(admissible_t(rng, margin_extra=1e-3), 100 + i, 200)
+              for i in range(5)]
+    count = _count_probe_rows(monkeypatch)
+    found, rows = [], []
+    for settle in (catalog._SETTLE_STEP, -1.0):    # -1: the rule never fires
+        monkeypatch.setattr(catalog, "_SETTLE_STEP", settle)
+        count["rows"] = 0
+        found.append([repr(explore_solve(*c)) for c in calls])
+        rows.append(count["rows"])
+    assert found[0] == found[1]
+    assert rows[0] < rows[1]
+
+
+def test_settle_rule_gives_up_a_settled_start(monkeypatch):
+    # start 5 of the panel call at t = 1.7421+0.3885i, seed 7, settles at a
+    # stationary point of |f|^2 above _WANDER_RES: the rule gives it up
+    # long before _WANDER_ITER, and it counts as not converged either way
+    t = 1.7421 + 0.3885j
+    count = _count_probe_rows(monkeypatch)
+    iterations = []
+    for settle in (catalog._SETTLE_STEP, -1.0):
+        monkeypatch.setattr(catalog, "_SETTLE_STEP", settle)
+        count["calls"] = 0
+        best, ok = catalog._newton_starts(t, _explore_start(t, 7, 5))
+        iterations.append(count["calls"])
+        assert not ok[0]
+        f, _ = _probe_system(t, best)
+        assert np.abs(f).max() > catalog._WANDER_RES
+    # the iteration-50 rule evaluates the system once more, after step 50
+    assert iterations[1] == catalog._WANDER_ITER + 1
+    assert iterations[0] < catalog._WANDER_ITER // 2
+
+
+def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
+    # a start 1e-3 from a catalog point takes ever smaller steps too, but
+    # its residual is below _WANDER_RES from the first, so the rule cannot
+    # give it up even when every step counts as settled
+    t = 1.3 + 0.4j
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(catalog, "_SETTLE_STEP", math.inf)
+    for cid, branch in (("X11", 2), ("X21", 3), ("X3", 0), ("X4", 3),
+                        ("X51", 0), ("X61", 0)):
+        smp = sample_component(cid, t)[branch]
+        root = np.array([list(smp.vector.coords().values())[1:]])
+        y = root + 1e-3 * np.exp(2j * np.pi * rng.random((1, 10)))
+        f, _ = _probe_system(t, y)
+        assert np.abs(f).max() <= catalog._WANDER_RES, cid
+        best, ok = catalog._newton_starts(t, y)
+        assert ok[0], cid
+        assert np.abs(best - root).max() <= 1e-6, cid
+
+
 def test_probe_rows_bitwise_independent_of_block(rng):
     # each row's residuals, Jacobian and step are the same bytes in a block
     # of the default width as alone; the catalog rows include a rank-9 X51
@@ -513,6 +597,19 @@ def test_probe_working_memory_is_bounded():
 def test_explore_excluded_t():
     with pytest.raises(ExcludedParameter):
         explore_solve(SQRT3, seed=0, attempts=1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, complex(1, math.nan),
+                               complex(0, -math.inf)])
+def test_non_finite_t_is_excluded(t):
+    # abs(nan - bad) < margin is False, so a NaN t once passed the margin
+    # check and failed later, with a per-component error type and message
+    for cid in COMPONENTS:
+        for call in (check_admissible, sample_component):
+            with pytest.raises(ExcludedParameter, match="not finite"):
+                call(cid, t)
+    with pytest.raises(ExcludedParameter, match="not finite"):
+        explore_solve(t, seed=0, attempts=1)
 
 
 def test_check_admissible_unknown_component():
