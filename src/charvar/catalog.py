@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
-from .numfield import CLUSTER_TOL, Poly, solve_poly, solve_quadratic
+from .numfield import Poly, solve_quadratic
 from .tracealg import (COORD_KEYS, TraceVector, _t_pairs, definitive_excess,
                        s_from_t)
 # no catalog code calls these; perfbench/tests/test_perfbench.py's tracer
@@ -166,10 +166,20 @@ def _x6_vector(t, second: bool) -> TraceVector:
 # sampling
 
 def excellent_quartic(t: complex) -> Poly:
-    """The degree-4 defining polynomial of the excellent component in u."""
+    """The degree-4 defining polynomial of the excellent component in u.
+
+    A t that is not finite, or whose coefficients overflow, raises
+    ExcludedParameter, as sample_component("X4", t) does.
+    """
     t = complex(t)
-    return Poly([1, 2 - 2 * t * t, t ** 4 + 3, 2 - 2 * t ** 4,
-                 2 * t ** 4 - 4 * t * t + 1])
+    try:
+        return Poly([1, 2 - 2 * t * t, t ** 4 + 3, 2 - 2 * t ** 4,
+                     2 * t ** 4 - 4 * t * t + 1])
+    except (OverflowError, ValueError):
+        # complex ** raises OverflowError; Poly refuses with a ValueError a
+        # coefficient that is inf or NaN (a NaN t, or an overflowing *)
+        raise ExcludedParameter(
+            f"X4: quartic coefficients not finite at t = {t}") from None
 
 
 def _sorted_roots(roots):
@@ -239,11 +249,16 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
             over = [abs(r) for r in smp.residuals().values()
                     if not abs(r) <= 1e-10]
             if over:
+                # complex * overflows to inf or NaN without raising; only a
+                # sample that misses its residuals pays for this scan
+                if not all(cmath.isfinite(c)
+                           for c in smp.vector.coords().values()):
+                    raise OverflowError  # reported as ExcludedParameter
                 raise ConstraintViolated(
                     f"{cid} branch {smp.branch}: residual {max(over):.3e}")
     except (OverflowError, ValueError):
-        # at a very large t, complex ** overflows, and a quartic coefficient
-        # that reached inf is refused by Poly
+        # at a very large t, complex ** overflows, numpy's eig refuses an
+        # inf or NaN matrix, and * leaves non-finite coordinates
         raise ExcludedParameter(
             f"{cid}: arithmetic overflows at t = {t}") from None
     return samples
@@ -459,6 +474,11 @@ def best_membership(v: TraceVector) -> tuple[str, float]:
 # ---------------------------------------------------------------------------
 # parabolic census
 
+#: absolute tolerance of the census dedup: two samples whose coordinates all
+#: lie within it of each other are one class
+CLUSTER_TOL = 1e-8
+
+
 def _dedup(samples: list[ComponentSample]) -> list[ComponentSample]:
     """The samples in order, less each one whose coordinates all lie within
     CLUSTER_TOL of a sample kept before it."""
@@ -502,18 +522,20 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
             u = (-1 + eps * 1j * cmath.sqrt(3)) / 2
             pts.append((f"t0_eps{eps:+d}{ep2:+d}",
                         {"t": 0j, "u": u, "eta": ep2 * cmath.sqrt(6)}))
-    for k, u in enumerate(_sorted_roots(solve_poly(Poly([1, 0, 4, 0, -1])))):
+    # at t = 1 the quartic is u^4 + 4u^2 - 1, so u^2 = -2 +- sqrt5; at
+    # t = sqrt5 it is the same quartic in u - 2
+    s5 = cmath.sqrt(5)
+    roots = [s * cmath.sqrt(-2 + e * s5) for s in (1, -1) for e in (1, -1)]
+    for k, u in enumerate(_sorted_roots(roots)):
         pts.append((f"t2_1_root{k}", {"t": 1 + 0j, "u": u, "eta": u * u + u}))
     for eps in (1, -1):
         t = cmath.sqrt(3)
         u = 1 + eps * 1j * cmath.sqrt(6)
         pts.append((f"t2_3_eps{eps:+d}",
                     {"t": t, "u": u, "eta": (u * u + u - 2) / t}))
-    for k, u in enumerate(_sorted_roots(
-            solve_poly(Poly([1, -8, 28, -48, 31])))):
-        t = cmath.sqrt(5)
+    for k, u in enumerate(_sorted_roots([2 + r for r in roots])):
         pts.append((f"t2_5_root{k}",
-                    {"t": t, "u": u, "eta": (u * u + u - 4) / t}))
+                    {"t": s5, "u": u, "eta": (u * u + u - 4) / s5}))
     for eps in (1, -1):
         t = cmath.sqrt(3 + eps * cmath.sqrt(5))
         pts.append((f"inverse_pattern_eps{eps:+d}",
@@ -580,7 +602,7 @@ _DIVERGED = 1e8
 #: largest Frobenius condition number ||R||_F ||R^-1||_F of a step solved
 #: from its QR factor: kappa_2 <= kappa_F, so every singular value of such a
 #: system is far above lstsq's cutoff and its step is unique (see
-#: _lstsq_steps)
+#: _augmented_steps)
 _QR_COND_MAX = 1e8
 #: systems factored per np.linalg.qr call: it copies its whole input and
 #: then R, so this bounds those copies at a wide working set (_PROBE_BLOCK)
@@ -598,9 +620,11 @@ def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.einsum("nik,ni->nk", vh.conj(), coef)
 
 
-def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares solutions of jac[k] x = rhs[k] that
-    _svd_steps computes, for an (n, m, k) stack of systems with m >= k.
+def _augmented_steps(aug: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solutions of jac[i] x = rhs[i] that
+    _svd_steps computes, for the (n, m, k + 1) stack of augmented systems
+    aug[i] = [jac[i] | rhs[i]] with m >= k, in any memory layout,
+    _SOLVE_BLOCK systems at a time.
 
     One batched R-only QR of [jac | rhs] gives R and Q^H rhs. A system whose
     R has a nonzero diagonal and a Frobenius condition number at most
@@ -611,12 +635,6 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     overflows) is solved by _svd_steps. For finite input no LinAlgError
     is raised.
     """
-    return _augmented_steps(np.concatenate([jac, rhs[:, :, None]], axis=2))
-
-
-def _augmented_steps(aug: np.ndarray) -> np.ndarray:
-    """_lstsq_steps of the (n, m, k + 1) stack aug[i] = [jac[i] | rhs[i]],
-    in any memory layout, _SOLVE_BLOCK systems at a time."""
     if len(aug) > _SOLVE_BLOCK:
         return np.concatenate([_augmented_steps(aug[lo:lo + _SOLVE_BLOCK])
                                for lo in range(0, len(aug), _SOLVE_BLOCK)])
@@ -645,7 +663,7 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
 def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undamped Gauss-Newton from every start row of y (overwritten): each
     step is the minimum-norm least-squares solution of J dy = -f, solved by
-    QR, or by SVD for the rare ill-conditioned J (see _lstsq_steps).
+    QR, or by SVD for the rare ill-conditioned J (see _augmented_steps).
 
     At most _PROBE_BLOCK starts are live at a time, in start order; when a
     start stops or fails, or has taken _NEWTON_ITERS steps, the next
@@ -749,14 +767,14 @@ def explore_solve(t: complex, seed: int,
     Start k draws its real and then its imaginary parts from
     default_rng([seed, k]), scaled by 1.5, and takes undamped least-squares
     steps with the exact Jacobian, solved by QR, or by SVD for the rare
-    ill-conditioned Jacobian (see _newton_starts and _lstsq_steps). A start
-    whose steps have shrunk to nothing while its residual is still above
-    _WANDER_RES has settled off every root and is given up at once. Up to
-    _PROBE_BLOCK starts run together as one array, and a finished start's
-    row is refilled with the next unstarted one; each start's iterates are
-    bitwise the same whatever starts share its array. Snapping compares
-    at most _PROBE_BLOCK converged points at a time with the samples, so
-    its temporaries stay below the Newton loop's.
+    ill-conditioned Jacobian (see _newton_starts and _augmented_steps). A
+    start whose steps have shrunk to nothing while its residual is still
+    above _WANDER_RES has settled off every root and is given up at once.
+    Up to _PROBE_BLOCK starts run together as one array, and a finished
+    start's row is refilled with the next unstarted one; each start's
+    iterates are bitwise the same whatever starts share its array. Snapping
+    compares at most _PROBE_BLOCK converged points at a time with the
+    samples, so its temporaries stay below the Newton loop's.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any

@@ -6,11 +6,7 @@ class CharVarError(Exception):
 
 
 class DegenerateLeadingCoefficient(CharVarError):
-    """Quadratic/quartic solver got a leading coefficient below threshold."""
-
-
-class NonConvergence(CharVarError):
-    """Iterative solver hit its iteration cap with residual above tolerance."""
+    """Poly or solve_quadratic got a leading coefficient below LEAD_TOL."""
 
 
 class SingularMatrix(CharVarError):

@@ -9,14 +9,15 @@ import time
 
 import numpy as np
 
-from conftest import admissible_t, random_quadruple, random_t, reducible_pair
+from conftest import (admissible_t, match_multisets, random_quadruple,
+                      random_t, reducible_pair, solve_poly)
 from charvar.catalog import (COMPONENTS, ROTATION_PAIR, enumerate_parabolic,
                              excellent_quartic, explore_solve,
                              membership_residual, sample_component,
                              special_points)
 from charvar.mat2 import (dist, has_common_eigenvector, is_irreducible_pair,
                           lemma25_apply, random_gt, random_sl2, rel_dist)
-from charvar.numfield import Poly, match_multisets, solve_poly
+from charvar.numfield import Poly
 from charvar.reconstruct import Quadruple, realize_character
 from charvar.tracealg import (det_Sdiamond, eq19_residuals, rotate, s_from_t,
                               trace_equation_residuals, trace_vector_of,

@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_t
+from conftest import admissible_t, match_multisets, solve_poly
 from charvar import _probe_kernel, catalog
 from charvar._probe_kernel import _probe_system
-from charvar.catalog import (_PROBE_BLOCK, COMPONENTS, EXCLUDED_T,
-                             ROTATION_PAIR, SAMPLER_MARGIN,
-                             ComponentSample, _dedup, _lstsq_steps,
+from charvar.catalog import (_PROBE_BLOCK, CLUSTER_TOL, COMPONENTS,
+                             EXCLUDED_T, ROTATION_PAIR, SAMPLER_MARGIN,
+                             ComponentSample, _augmented_steps, _dedup,
                              best_membership, check_admissible,
                              classify_point, enumerate_parabolic,
                              excellent_quartic, explore_solve,
                              membership_residual, sample_component,
                              special_points)
 from charvar.errors import CharVarError, ExcludedParameter, UnknownComponent
-from charvar.numfield import CLUSTER_TOL, Poly, match_multisets, solve_poly
+from charvar.numfield import Poly
 from charvar.reconstruct import realize_character
 from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector, rotate,
                               s_from_t, typeI_residuals, typeII_residuals)
@@ -214,6 +214,15 @@ def test_excellent_quartic_frozen_slices():
     assert excellent_quartic(0.0).coeffs == (1, 2 + 0j, 3 + 0j, 2 + 0j, 1 + 0j)
 
 
+@pytest.mark.parametrize("t", [1e100, complex("nan")])
+def test_excellent_quartic_overflow_is_typed(t):
+    # t ** 4 overflows at 1e100, and a NaN t is no parameter: both raise
+    # what sample_component("X4", t) raises at the same t
+    for call in (excellent_quartic, lambda t: sample_component("X4", t)):
+        with pytest.raises(ExcludedParameter):
+            call(t)
+
+
 def test_excellent_quartic_elimination_oracle(rng):
     # oracle: expand (u^2+u+1-t^2)^2 + t^2 (t^2+4-2u)(u^2+u+1-t^2)
     #         - t^2 (5 t^2 u - t^4 - 4 t^2 + 6) with polynomial arithmetic
@@ -290,6 +299,19 @@ def test_sampler_guards_sit_over_excluded_t():
             for z in (float(r), -float(r)):
                 assert min(abs(z - bad) for bad in catalog.EXCLUDED_T[cid]) \
                     <= 1e-15, (cid, z)
+
+
+def test_special_points_quartic_roots_match_oracle():
+    # the closed forms at t = 1 and t = sqrt5, label by label, against the
+    # Durand-Kerner roots of the quartic there in the same order
+    pts = {lbl: params for lbl, params, _ in special_points()}
+    for tag, t, coeffs in (("t2_1", 1, [1, 0, 4, 0, -1]),
+                           ("t2_5", cmath.sqrt(5), [1, -8, 28, -48, 31])):
+        want = catalog._sorted_roots(solve_poly(Poly(coeffs)))
+        for k, u in enumerate(want):
+            params = pts[f"{tag}_root{k}"]
+            assert abs(params["t"] - t) <= 1e-12, (tag, k)
+            assert abs(params["u"] - u) <= 1e-12, (tag, k)
 
 
 def test_special_points_all_satisfy_x4():
@@ -415,7 +437,7 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
         return svd_steps(j, r)
 
     monkeypatch.setattr(catalog, "_svd_steps", spy)
-    got = _lstsq_steps(jac, rhs)
+    got = _augmented_steps(np.dstack([jac, rhs]))
     assert sorted(svd_rows) == [5, 6, 7]
     for k in range(len(jac)):
         ref = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
@@ -568,12 +590,12 @@ def test_probe_rows_bitwise_independent_of_block(rng):
             smp = sample_component(cid, t)[0]
             y[row] = list(smp.vector.coords().values())[1:]
         f, jac = _probe_system(t, y)
-        steps = _lstsq_steps(jac, -f)
+        steps = _augmented_steps(np.dstack([jac, -f]))
         for k in range(len(y)):
             fk, jk = _probe_system(t, y[k:k + 1])
             assert fk.tobytes() == f[k:k + 1].tobytes(), (t, k)
             assert jk.tobytes() == jac[k:k + 1].tobytes(), (t, k)
-            assert _lstsq_steps(jk, -fk).tobytes() == \
+            assert _augmented_steps(np.dstack([jk, -fk])).tobytes() == \
                 steps[k:k + 1].tobytes(), (t, k)
 
 
@@ -638,13 +660,13 @@ def test_explore_negative_attempts():
 
 @pytest.mark.parametrize("t", [1e40, 1e80, 1e110, 1e160, 1e300])
 def test_sampling_at_huge_t_is_finite_or_typed(t):
-    # the arithmetic overflows at such t; a component must raise a typed
-    # error or return finite samples, never inf or NaN coordinates, and a
-    # finite sample must realize or raise a typed error
+    # the arithmetic overflows at such t; a component must raise
+    # ExcludedParameter or return finite samples, never inf or NaN
+    # coordinates, and a finite sample must realize or raise a typed error
     for cid in COMPONENTS:
         try:
             samples = sample_component(cid, t)
-        except CharVarError:
+        except ExcludedParameter:
             continue
         for smp in samples:
             coords = smp.vector.coords().values()

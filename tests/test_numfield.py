@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.errors import DegenerateLeadingCoefficient, NonConvergence
-from charvar.numfield import (Poly, cluster_roots, match_multisets,
-                              solve_poly, solve_quadratic)
+from conftest import NonConvergence, cluster_roots, match_multisets, solve_poly
+from charvar.errors import DegenerateLeadingCoefficient
+from charvar.numfield import Poly, solve_quadratic
 
 SQRT3 = cmath.sqrt(3)
 
