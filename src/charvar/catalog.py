@@ -83,6 +83,16 @@ class CensusReport:
     total: int
 
 
+def _as_t(t, who: str) -> complex:
+    """complex(t), with a t beyond the double range (an int such as 10**400)
+    raising ExcludedParameter instead of OverflowError."""
+    try:
+        return complex(t)
+    except OverflowError:
+        raise ExcludedParameter(f"{who}: t overflows a complex double") \
+            from None
+
+
 def check_admissible(cid: str, t: complex,
                      margin: float = SAMPLER_MARGIN) -> None:
     if cid not in EXCLUDED_T:
@@ -171,7 +181,7 @@ def excellent_quartic(t: complex) -> Poly:
     A t that is not finite, or whose coefficients overflow, raises
     ExcludedParameter, as sample_component("X4", t) does.
     """
-    t = complex(t)
+    t = _as_t(t, "X4")
     try:
         return Poly([1, 2 - 2 * t * t, t ** 4 + 3, 2 - 2 * t ** 4,
                      2 * t ** 4 - 4 * t * t + 1])
@@ -240,7 +250,7 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     Branch enumeration is exhaustive and deterministically ordered; every
     sample satisfies its membership residuals to 1e-10.
     """
-    t = complex(t)
+    t = _as_t(t, cid)
     check_admissible(cid, t)
     try:
         samples = _branch_samples(cid, t)
@@ -249,10 +259,12 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
             over = [abs(r) for r in smp.residuals().values()
                     if not abs(r) <= 1e-10]
             if over:
-                # complex * overflows to inf or NaN without raising; only a
-                # sample that misses its residuals pays for this scan
-                if not all(cmath.isfinite(c)
-                           for c in smp.vector.coords().values()):
+                # complex * overflows to inf or NaN without raising, in the
+                # sample or in its residuals; only a sample that misses its
+                # residuals pays for this scan
+                if not (all(map(math.isfinite, over))
+                        and all(map(cmath.isfinite,
+                                    smp.vector.coords().values()))):
                     raise OverflowError  # reported as ExcludedParameter
                 raise ConstraintViolated(
                     f"{cid} branch {smp.branch}: residual {max(over):.3e}")
@@ -558,15 +570,16 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 #: together as one array, and a start that stops hands its row to the next
 #: unstarted one (each start's iterates do not depend on it). A row's
 #: system [J | -f] takes 5632 bytes, and an iteration about 12 KB a row at
-#: its peak (the system, then np.linalg.qr's copies of _SOLVE_BLOCK systems
-#: and of their R). Each iteration also pays about 90 numpy calls whatever
-#: its width; 128 rows spread them over more starts (46 iterations for the
-#: 200 starts of a call at a probe benchmark panel t, 112 at width 32: the
-#: mean of the three panel t at seed 7) while the probe benchmark's peak
-#: RSS stays within 2% of width 32's (160 and 200 rows ran a few % faster
-#: at +3% and +4% RSS). One explore_solve(1.7421+0.3885j, 7, 200) peaks at
-#: 1.53 MB of traced memory (numpy 2.4, Python 3.11);
-#: test_probe_working_memory_is_bounded holds it under 2.2 MB, 44% above.
+#: its peak (the system and the R of every row, then np.linalg.qr's copies
+#: of _SOLVE_BLOCK systems and of their R). Each iteration also pays about
+#: 100 C-level calls whatever its width (numpy and builtins, as counted by
+#: sys.setprofile); 128 rows spread them over more starts (46 iterations
+#: for the 200 starts of a call at a probe benchmark panel t, 112 at width
+#: 32: the mean of the three panel t at seed 7) while the probe
+#: benchmark's peak RSS stays within 2% of width 32's (160 and 200 rows ran
+#: a few % faster at +3% and +4% RSS). One explore_solve(1.7421+0.3885j, 7,
+#: 200) peaks at 1.59 MB of traced memory (numpy 2.4, Python 3.11);
+#: test_probe_working_memory_is_bounded holds it under 2.2 MB, 38% above.
 _PROBE_BLOCK = 128
 
 # Newton stop rules (see _newton_starts), on the max raw residual of a start
@@ -600,12 +613,14 @@ _SETTLE_STEP = 1e-6
 #: a coordinate beyond this modulus has diverged: far outside every root
 _DIVERGED = 1e8
 #: largest Frobenius condition number ||R||_F ||R^-1||_F of a step solved
-#: from its QR factor: kappa_2 <= kappa_F, so every singular value of such a
-#: system is far above lstsq's cutoff and its step is unique (see
-#: _augmented_steps)
+#: from its QR factor, tested squared on the R^-1 of the back substitution:
+#: kappa_2 <= kappa_F, so every singular value of such a system is far
+#: above lstsq's cutoff and its step is unique (see _augmented_steps)
 _QR_COND_MAX = 1e8
 #: systems factored per np.linalg.qr call: it copies its whole input and
-#: then R, so this bounds those copies at a wide working set (_PROBE_BLOCK)
+#: then R, so this bounds those copies at a wide working set (_PROBE_BLOCK).
+#: The back substitution that follows takes every row at once, with 3.4 KB
+#: a row (its R and [R^-1 | step]) and no copy of the system
 _SOLVE_BLOCK = 64
 
 
@@ -623,36 +638,46 @@ def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _augmented_steps(aug: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares solutions of jac[i] x = rhs[i] that
     _svd_steps computes, for the (n, m, k + 1) stack of augmented systems
-    aug[i] = [jac[i] | rhs[i]] with m >= k, in any memory layout,
-    _SOLVE_BLOCK systems at a time.
+    aug[i] = [jac[i] | rhs[i]] with m >= k, in any memory layout.
 
-    One batched R-only QR of [jac | rhs] gives R and Q^H rhs. A system whose
-    R has a nonzero diagonal and a Frobenius condition number at most
-    _QR_COND_MAX has full column rank, lstsq drops none of its singular
-    values, and its unique solution is R^-1 Q^H rhs (Golub & Van Loan,
-    Matrix Computations, 5.3); the two agree to about kappa * eps. Every
-    other system (rank-deficient, ill-conditioned, or with an R^-1 that
-    overflows) is solved by _svd_steps. For finite input no LinAlgError
-    is raised.
+    A batched R-only QR of [jac | rhs], _SOLVE_BLOCK systems per call, gives
+    R and Q^H rhs. Every system whose R has a nonzero diagonal is then
+    solved at once by back substitution, R [X | x] = [I | Q^H rhs], from
+    the last row up: X = R^-1 and x = R^-1 Q^H rhs. A system with
+    ||R||_F^2 ||X||_F^2 <= _QR_COND_MAX^2, a Frobenius condition number at
+    most _QR_COND_MAX, has full column rank, lstsq drops none of its
+    singular values, and its unique solution is x (Golub & Van Loan, Matrix
+    Computations, 5.3); back substitution is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 8), so the two
+    agree to about kappa * eps. Every other system (rank-deficient,
+    ill-conditioned, or with an X that overflows to inf or nan) is solved
+    by _svd_steps. For finite input no LinAlgError is raised. Each row's
+    step is the same bytes whatever rows share its stack.
     """
-    if len(aug) > _SOLVE_BLOCK:
-        return np.concatenate([_augmented_steps(aug[lo:lo + _SOLVE_BLOCK])
-                               for lo in range(0, len(aug), _SOLVE_BLOCK)])
-    n, _, k = aug.shape
+    n, m, k = aug.shape
     k -= 1
-    r = np.linalg.qr(aug, mode="r")
-    tri, qtb = r[:, :k, :k], r[:, :k, k]
-    steps = np.empty((n, k), dtype=r.dtype)
-    # a triangular matrix with a nonzero diagonal is invertible, so inv
-    # cannot raise; its inverse may still overflow to inf or nan
-    rows = np.flatnonzero((np.diagonal(tri, axis1=1, axis2=2) != 0).all(axis=1))
+    r = np.empty((n, min(m, k + 1), k + 1), dtype=aug.dtype)
+    for lo in range(0, n, _SOLVE_BLOCK):
+        r[lo:lo + _SOLVE_BLOCK] = np.linalg.qr(aug[lo:lo + _SOLVE_BLOCK],
+                                               mode="r")
+    rows = np.flatnonzero(
+        (np.diagonal(r[:, :k, :k], axis1=1, axis2=2) != 0).all(axis=1))
+    tri = r[rows, :k, :k]
+    z = np.empty((rows.size, k, k + 1), dtype=aug.dtype)   # [X | x]
+    z[:, :, :k] = np.eye(k)
+    z[:, :, k] = r[rows, :k, k]
+    del r
     with np.errstate(over="ignore", invalid="ignore"):
-        rinv = np.linalg.inv(tri[rows])
-        kappa = (np.linalg.norm(tri[rows], axis=(1, 2))
-                 * np.linalg.norm(rinv, axis=(1, 2)))
-    good = kappa <= _QR_COND_MAX             # false for inf and nan
+        for i in range(k - 1, -1, -1):
+            z[:, i] -= np.matmul(tri[:, i:i + 1, i + 1:], z[:, i + 1:])[:, 0]
+            z[:, i] /= tri[:, i, i:i + 1]     # * (1 / r_ii) rounds otherwise
+        tf, xf = tri.view(float), z[:, :, :k].view(float)
+        good = (np.einsum("nij,nij->n", tf, tf)
+                * np.einsum("nij,nij->n", xf, xf)
+                <= _QR_COND_MAX ** 2)         # false for inf and nan
     done = rows[good]
-    steps[done] = np.einsum("nij,nj->ni", rinv[good], qtb[done])
+    steps = np.empty((n, k), dtype=aug.dtype)
+    steps[done] = z[good, :, k]
     rest = np.ones(n, dtype=bool)
     rest[done] = False
     if rest.any():
@@ -787,7 +812,7 @@ def explore_solve(t: complex, seed: int,
     """
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
-    t = complex(t)
+    t = _as_t(t, "explore")
     for cid in COMPONENTS:
         check_admissible(cid, t)
     exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ def test_excellent_quartic_overflow_is_typed(t):
             call(t)
 
 
+@pytest.mark.parametrize("t", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["int", "negative-int", "Fraction"])
+def test_t_beyond_double_range_is_typed(t):
+    # complex(t) itself overflows; no sampler, quartic or probe gets a t
+    calls = [excellent_quartic, lambda t: explore_solve(t, 0, 1)]
+    calls += [lambda t, cid=cid: sample_component(cid, t)
+              for cid in COMPONENTS]
+    for call in calls:
+        with pytest.raises(ExcludedParameter, match="overflows"):
+            call(t)
+
+
 def test_excellent_quartic_elimination_oracle(rng):
     # oracle: expand (u^2+u+1-t^2)^2 + t^2 (t^2+4-2u)(u^2+u+1-t^2)
     #         - t^2 (5 t^2 u - t^4 - 4 t^2 + 6) with polynomial arithmetic
@@ -423,11 +436,18 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    jac, rhs = cplx(9, 32, 10), cplx(9, 32)
+    jac, rhs = cplx(11, 32, 10), cplx(11, 32)
     jac[5, :, 9] = jac[5, :, 3]                  # rank 9: a repeated column
     jac[6] *= np.logspace(0, -10, 10)            # kappa about 1e10
     jac[7] = 0                                   # all-zero J
     rhs[8] = 0                                   # zero right-hand side
+    # R^-1 near 1e200: its squared norm overflows in the gate
+    jac[9] *= 1e-200
+    rhs[9] *= 1e-200
+    # R is this upper triangular J itself, whose inverse grows as 1e40^k:
+    # the back substitution overflows to inf and then nan
+    jac[10] = 0
+    jac[10, :10] = np.eye(10) - 1e40 * np.triu(np.ones((10, 10)), 1)
     assert 1e9 < np.linalg.cond(jac[6]) < 1e11
     svd_rows, svd_steps = [], catalog._svd_steps
 
@@ -437,11 +457,17 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
         return svd_steps(j, r)
 
     monkeypatch.setattr(catalog, "_svd_steps", spy)
-    got = _augmented_steps(np.dstack([jac, rhs]))
-    assert sorted(svd_rows) == [5, 6, 7]
-    for k in range(len(jac)):
-        ref = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
-        assert np.linalg.norm(got[k] - ref) <= 1e-9 * np.linalg.norm(ref)
+    fallback = [5, 6, 7, 9, 10]
+    for pick in (range(len(jac)), fallback):
+        svd_rows.clear()
+        got = _augmented_steps(np.dstack([jac[pick], rhs[pick]]))
+        assert sorted(svd_rows) == fallback
+        for k, step in zip(pick, got):
+            ref = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
+            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+    svd_rows.clear()
+    got = _augmented_steps(np.empty((0, 32, 11), dtype=complex))
+    assert got.shape == (0, 10) and svd_rows == []
 
 
 @pytest.mark.parametrize("t,seed,attempts", [(2 + 1j, 3, 40),

@@ -14,6 +14,12 @@ four normals at once; its oracle draws two pairs, the same stream.
 The gates that test a raw residual before normalizing it are held against
 copies of the plain gates, which normalize every residual: the same
 outcome, and on a rejection the same exception type and message.
+
+The Newton step solve, a back substitution for R^-1 and the step, is held
+against the np.linalg.inv form it replaced. That cannot be bit for bit, as
+the two round differently: the steps agree to about kappa * eps, the same
+systems go to the SVD fallback, and every probe point snapped to a catalog
+sample is the same.
 """
 
 import cmath
@@ -24,9 +30,9 @@ import numpy as np
 import pytest
 
 from conftest import E1, E2, E3, random_quadruple, reducible_pair
-from charvar import cli, mat2
+from charvar import catalog, cli, mat2
 from charvar.catalog import (COMPONENTS, _alpha, _is_reducible_like,
-                             best_membership, classify_point,
+                             best_membership, classify_point, explore_solve,
                              membership_residual, sample_component)
 from charvar.errors import (CharVarError, ConstraintViolated,
                             DegenerateCharacter, TraceMismatch)
@@ -591,3 +597,89 @@ def test_raw_kernels_on_symbols_expand_to_oracle():
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g != 0 and sp.expand(g - w) == 0
+
+
+def augmented_steps_oracle(aug):
+    """The Newton step solve as it was before back substitution: R^-1 from
+    np.linalg.inv of the triangular R, then R^-1 Q^H rhs by einsum,
+    _SOLVE_BLOCK systems at a time, and the same _QR_COND_MAX gate on
+    ||R||_F ||R^-1||_F."""
+    if len(aug) > catalog._SOLVE_BLOCK:
+        return np.concatenate([
+            augmented_steps_oracle(aug[lo:lo + catalog._SOLVE_BLOCK])
+            for lo in range(0, len(aug), catalog._SOLVE_BLOCK)])
+    n, _, k = aug.shape
+    k -= 1
+    r = np.linalg.qr(aug, mode="r")
+    tri, qtb = r[:, :k, :k], r[:, :k, k]
+    steps = np.empty((n, k), dtype=r.dtype)
+    rows = np.flatnonzero(
+        (np.diagonal(tri, axis1=1, axis2=2) != 0).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rinv = np.linalg.inv(tri[rows])
+        kappa = (np.linalg.norm(tri[rows], axis=(1, 2))
+                 * np.linalg.norm(rinv, axis=(1, 2)))
+    good = kappa <= catalog._QR_COND_MAX
+    done = rows[good]
+    steps[done] = np.einsum("nij,nj->ni", rinv[good], qtb[done])
+    rest = np.ones(n, dtype=bool)
+    rest[done] = False
+    if rest.any():
+        steps[rest] = catalog._svd_steps(aug[rest, :, :k], aug[rest, :, k])
+    return steps
+
+
+def test_augmented_steps_match_inverse_oracle(monkeypatch):
+    # 2 * _SOLVE_BLOCK + 7 systems with condition numbers up to about 1e6,
+    # and three planted ones that the gate sends to _svd_steps
+    rng = np.random.default_rng(19)
+    n = 2 * catalog._SOLVE_BLOCK + 7
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    jac, rhs = cplx(n, 32, 10), cplx(n, 32)
+    jac *= np.logspace(0, -1, 10) ** rng.uniform(0, 6, (n, 1, 1))
+    planted = [3, catalog._SOLVE_BLOCK + 1, n - 2]
+    jac[3, :, 9] = jac[3, :, 0]                  # rank 9
+    jac[planted[1]] *= np.logspace(0, -10, 10)   # kappa about 1e10
+    jac[n - 2] = 0
+    svd_rows, svd_steps = [], catalog._svd_steps
+
+    def spy(j, r):
+        svd_rows.append(sorted(k for x in j for k in range(n)
+                               if np.array_equal(jac[k], x)))
+        return svd_steps(j, r)
+
+    monkeypatch.setattr(catalog, "_svd_steps", spy)
+    aug = np.dstack([jac, rhs])
+    got = catalog._augmented_steps(aug)
+    want = augmented_steps_oracle(aug)
+    assert svd_rows[0] == planted
+    assert sum(svd_rows[1:], []) == planted    # the oracle, block by block
+    eps = np.finfo(float).eps
+    for k in range(n):
+        if k in planted:
+            assert got[k].tobytes() == want[k].tobytes()
+        else:
+            kappa = np.linalg.cond(jac[k])
+            assert kappa < 1e7
+            assert (np.linalg.norm(got[k] - want[k])
+                    <= 10 * kappa * eps * np.linalg.norm(want[k])), k
+
+
+def test_explore_matches_inverse_oracle(monkeypatch):
+    # the probe panel images at seed 7 and test_explore_classifies's call:
+    # the same labels, catalog points snapped to the same sample, and the
+    # stalls on the singular reducible locus within 1e-6
+    calls = [(-1.3585 + 1.6948j, 7, 200), (-1.7421 - 0.3885j, 7, 200),
+             (0.5667 - 1.1545j, 7, 200), (2 + 1j, 3, 40)]
+    got = [explore_solve(*c) for c in calls]
+    monkeypatch.setattr(catalog, "_augmented_steps", augmented_steps_oracle)
+    want = [explore_solve(*c) for c in calls]
+    for g, w in zip(got, want):
+        assert [lbl for _, lbl in g] == [lbl for _, lbl in w]
+        for (a, lbl), (b, _) in zip(g, w):
+            if lbl in COMPONENTS:
+                assert repr(a) == repr(b)
+            else:
+                assert a.max_dev(b) <= 1e-6

@@ -111,3 +111,25 @@ def test_solve_poly_rejects_overflowed_roots(coeffs):
     # the bound rather than slip past it
     with pytest.raises(NonConvergence):
         solve_poly(Poly(coeffs))
+
+
+@pytest.mark.parametrize("b", [1e155, -1e155, 1e155j, 1e200 - 3e199j])
+def test_quadratic_huge_middle_coefficient(b):
+    # b * b overflows, yet both roots, about -b and -1/b, are finite
+    r1, r2 = solve_quadratic(1, b, 1)
+    assert abs(r1 + b) <= 1e-15 * abs(b)
+    assert abs(r2 + 1 / b) <= 1e-15 / abs(b)
+
+
+def test_quadratic_rescale_leaves_finite_roots_bitwise(rng):
+    # the rescaled retry runs only on a non-finite root from finite input
+    calls = [(1, -5, 7), (1, -4, 4), (1, -1, 0), (1, 0, 0), (1, 1e150, 1)]
+    calls += [tuple(rng.standard_normal(3) * 10.0 ** rng.integers(-150, 150, 3)
+                    + 1j * rng.standard_normal(3)) for _ in range(200)]
+    for a, b, c in calls:
+        a, b, c = complex(a), complex(b), complex(c)
+        disc = cmath.sqrt(b * b - 4 * a * c)
+        z1 = max((-b + disc, -b - disc), key=abs) / (2 * a)
+        want = (0j, 0j) if z1 == 0 else (z1, c / (a * z1))
+        assert all(map(cmath.isfinite, want))
+        assert repr(solve_quadratic(a, b, c)) == repr(want)
