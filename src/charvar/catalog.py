@@ -3,7 +3,10 @@ parabolic census, the excellent-component quartic, distinguished points, and
 a random-start Newton probe over the trace-equation system.
 
 Component ids: X11, X12, X21, X22, X3, X4, X51, X52, X61, X62. The subscript
-rotation interchanges X11/X12, X21/X22, X51/X52, X61/X62 and fixes X3, X4.
+rotation (`TraceVector.rotate`) interchanges X11/X12, X21/X22, X51/X52,
+X61/X62 and fixes X3, X4. The partners X12, X22, X52 and X62 are built from
+their bases by it: each partner sample rotates onto a base sample, and a
+partner's membership residuals are its base's at the rotated vector.
 """
 
 from __future__ import annotations
@@ -29,8 +32,15 @@ ROTATION_PAIR = {"X11": "X12", "X12": "X11", "X21": "X22", "X22": "X21",
                  "X3": "X3", "X4": "X4", "X51": "X52", "X52": "X51",
                  "X61": "X62", "X62": "X61"}
 
+#: partner -> base: the partner, the larger id of its pair, is the rotate()
+#: image of its base (rotate has order 4, and rotate^2 fixes each component)
+_BASE = {p: b for b, p in ROTATION_PAIR.items() if b < p}
+
 SAMPLER_MARGIN = 1e-3
 GUARD_MARGIN = 1e-6
+#: largest normalized membership residual of a sample or special point: the
+#: exact ones sit at rounding level (at most 1.2e-14 at 2000 t, |t| <= 2.5)
+SAMPLE_TOL = 1e-10
 
 _SQRT2 = math.sqrt(2)
 _SQRT3 = math.sqrt(3)
@@ -49,14 +59,13 @@ _X4_EXCLUDED = (_SQRT3, -_SQRT3,
                 math.sqrt(3 - _SQRT5), -math.sqrt(3 - _SQRT5),
                 math.sqrt(6), -math.sqrt(6))
 
-EXCLUDED_T = {
-    "X11": _EXOTIC_EXCLUDED, "X12": _EXOTIC_EXCLUDED,
-    "X21": _EXOTIC_EXCLUDED, "X22": _EXOTIC_EXCLUDED,
-    "X3": (_SQRT5, -_SQRT5),
-    "X4": _X4_EXCLUDED,
-    "X51": (_SQRT3, -_SQRT3), "X52": (_SQRT3, -_SQRT3),
-    "X61": (_SQRT3, -_SQRT3, 0.0), "X62": (_SQRT3, -_SQRT3, 0.0),
+_BASE_EXCLUDED = {
+    "X11": _EXOTIC_EXCLUDED, "X21": _EXOTIC_EXCLUDED,
+    "X3": (_SQRT5, -_SQRT5), "X4": _X4_EXCLUDED,
+    "X51": (_SQRT3, -_SQRT3), "X61": (_SQRT3, -_SQRT3, 0.0),
 }
+#: each partner excludes its base's t
+EXCLUDED_T = {cid: _BASE_EXCLUDED[_BASE.get(cid, cid)] for cid in COMPONENTS}
 
 
 @dataclass(frozen=True)
@@ -112,32 +121,24 @@ def _alpha(t):
     return t * t - 1
 
 
-def _x1_vector(t, mu, x, second: bool) -> TraceVector:
+def _x1_vector(t, mu, x) -> TraceVector:
     al = _alpha(t)
     tau = (al * al - 3 * al + 4 / al) * mu - al ** 3 + 4 * al * al - 7
     sig_p = (1 / al + 1) * mu - mu * mu / al - 2 + (mu / al) * x
     sig_m = (1 / al + 1) * mu - 2 - (mu / al) * x
     tm = t * mu / al
-    if not second:  # X11
-        return TraceVector(t=t, t12=x + 1, t23=mu + 1 - x, t34=mu + 1 - x,
-                           t14=x + 1, t13=1, t24=tau,
-                           t123=tm, t124=t * sig_p, t134=tm, t234=t * sig_m)
-    return TraceVector(t=t, t12=x + 1, t23=x + 1, t34=mu + 1 - x,
-                       t14=mu + 1 - x, t13=tau, t24=1,
-                       t123=t * sig_p, t124=tm, t134=t * sig_m, t234=tm)
+    return TraceVector(t=t, t12=x + 1, t23=mu + 1 - x, t34=mu + 1 - x,
+                       t14=x + 1, t13=1, t24=tau,
+                       t123=tm, t124=t * sig_p, t134=tm, t234=t * sig_m)
 
 
-def _x2_vector(t, z, g, second: bool) -> TraceVector:
+def _x2_vector(t, z, g) -> TraceVector:
     al = _alpha(t)
     ta = t + t * z * g / al
     tb = t + t * z ** 3 / (al * g)
-    if not second:  # X21
-        return TraceVector(t=t, t12=g + al - 1, t23=z + 1,
-                           t34=z * z / g + al - 1, t14=z + 1, t13=1, t24=1,
-                           t123=ta, t124=ta, t134=tb, t234=tb)
-    return TraceVector(t=t, t12=z + 1, t23=g + al - 1, t34=z + 1,
-                       t14=z * z / g + al - 1, t13=1, t24=1,
-                       t123=ta, t124=tb, t134=tb, t234=ta)
+    return TraceVector(t=t, t12=g + al - 1, t23=z + 1,
+                       t34=z * z / g + al - 1, t14=z + 1, t13=1, t24=1,
+                       t123=ta, t124=ta, t134=tb, t234=tb)
 
 
 def _x3_vector(t, u) -> TraceVector:
@@ -153,23 +154,17 @@ def _x4_vector(t, u, eta) -> TraceVector:
                        t123=eta, t124=eta, t134=eta, t234=eta)
 
 
-def _x5_vector(t, second: bool) -> TraceVector:
+def _x5_vector(t) -> TraceVector:
     d = t * t - 2
-    if not second:
-        return TraceVector(t=t, t12=1, t23=d, t34=1, t14=d, t13=1, t24=1,
-                           t123=0, t124=0, t134=0, t234=0)
-    return TraceVector(t=t, t12=d, t23=1, t34=d, t14=1, t13=1, t24=1,
+    return TraceVector(t=t, t12=1, t23=d, t34=1, t14=d, t13=1, t24=1,
                        t123=0, t124=0, t134=0, t234=0)
 
 
-def _x6_vector(t, second: bool) -> TraceVector:
+def _x6_vector(t) -> TraceVector:
     q = 4 * t * t - 2 - t ** 4
     p = 3 * t - t ** 3
-    if not second:
-        return TraceVector(t=t, t12=1, t23=1, t34=1, t14=1, t13=1, t24=q,
-                           t123=0, t124=p, t134=0, t234=p)
-    return TraceVector(t=t, t12=1, t23=1, t34=1, t14=1, t13=q, t24=1,
-                       t123=p, t124=0, t134=p, t234=0)
+    return TraceVector(t=t, t12=1, t23=1, t34=1, t14=1, t13=1, t24=q,
+                       t123=0, t124=p, t134=0, t234=p)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,11 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     """All branch samples of one component over a fixed trace value t.
 
     Branch enumeration is exhaustive and deterministically ordered; every
-    sample satisfies its membership residuals to 1e-10.
+    sample satisfies its membership residuals to SAMPLE_TOL. A partner's
+    samples (X12, X22, X52, X62) are the points whose rotate() is its
+    base's samples (X11, X21, X51, X61), with the base's params and branch
+    order; it samples, or raises the base's exception with its own id in
+    the message, exactly where its base does.
     """
     t = _as_t(t, cid)
     check_admissible(cid, t)
@@ -257,7 +256,7 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
         for smp in samples:
             # `not (value <= tol)` and no max over all values: a NaN fails
             over = [abs(r) for r in smp.residuals().values()
-                    if not abs(r) <= 1e-10]
+                    if not abs(r) <= SAMPLE_TOL]
             if over:
                 # complex * overflows to inf or NaN without raising, in the
                 # sample or in its residuals; only a sample that misses its
@@ -278,9 +277,10 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
 
 def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
     """sample_component before its self-check."""
+    base = _BASE.get(cid, cid)
     al = _alpha(t)
     samples: list[ComponentSample] = []
-    if cid in ("X11", "X12"):
+    if base == "X11":
         k = 0
         for mu in solve_quadratic(1, al * al - 4 * al, 4 * al * al - al ** 3):
             for bad_al, bad_mu in ((2 + 2 * _SQRT2, 2 * _SQRT2),
@@ -291,9 +291,9 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
             for x in solve_quadratic(1, -mu, 2 * mu / al + al - 4):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "mu": mu, "x": x},
-                    _x1_vector(t, mu, x, cid == "X12")))
+                    _x1_vector(t, mu, x)))
                 k += 1
-    elif cid in ("X21", "X22"):
+    elif base == "X21":
         k = 0
         for z in solve_quadratic(1, -al, al):
             for bad_al, bad_z in ((2 + 2 * _SQRT2, _SQRT2),
@@ -304,20 +304,26 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
             for g in solve_quadratic(1, (al - 2) * z * z - 2 * z, z * z):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "z": z, "gamma": g},
-                    _x2_vector(t, z, g, cid == "X22")))
+                    _x2_vector(t, z, g)))
                 k += 1
-    elif cid == "X3":
+    elif base == "X3":
         for k, u in enumerate(solve_quadratic(1, -(t * t + 1), 2 * t * t - 1)):
             samples.append(ComponentSample(cid, k, {"t": t, "u": u},
                                            _x3_vector(t, u)))
-    elif cid == "X4":
+    elif base == "X4":
         samples = _x4_samples(t)
-    elif cid in ("X51", "X52"):
-        samples = [ComponentSample(cid, 0, {"t": t},
-                                   _x5_vector(t, cid == "X52"))]
-    elif cid in ("X61", "X62"):
-        samples = [ComponentSample(cid, 0, {"t": t},
-                                   _x6_vector(t, cid == "X62"))]
+    elif base == "X51":
+        samples = [ComponentSample(cid, 0, {"t": t}, _x5_vector(t))]
+    elif base == "X61":
+        samples = [ComponentSample(cid, 0, {"t": t}, _x6_vector(t))]
+    if base != cid:
+        # rotate^3 = rotate^-1: each partner sample rotates onto its base
+        # sample, so its self-check is the base's, bit for bit (one rotate()
+        # gives X12 the x = mu - x of another branch, read off mu + 1 - x,
+        # which cancels: it failed the check at t = 20)
+        samples = [ComponentSample(cid, smp.branch, smp.params,
+                                   smp.vector.rotate().rotate().rotate())
+                   for smp in samples]
     return samples
 
 
@@ -359,63 +365,50 @@ def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
     Parameters are recovered linearly from the vector; denominators in alpha
     and gamma are cleared, so the residuals are polynomial and meaningful on
     component closures (exclusion guards are deliberately not part of the
-    test). All residuals small means v lies on the closure.
+    test). All residuals small means v lies on the closure. A partner's
+    residuals (X12, X22, X52, X62) are its base's at v.rotate(): the same
+    dict, with the base's key names.
 
     Each residual is normalized as tracealg's kernels are: its terms, passed
     to `_n1` .. `_n6` by count, are summed left to right from 0 and divided
     by max(1, largest term magnitude). The powers are taken first, so an
     overflowing power raises before an abs() that overflows can.
     """
+    if cid in _BASE:
+        cid, v = _BASE[cid], v.rotate()
     t = v.t
     al = _alpha(t)
     one = complex(1)
-    if cid in ("X11", "X12"):
+    if cid == "X11":
         al3, al4 = al ** 3, al ** 4
         x = v.t12 - 1
-        if cid == "X11":
-            mu = v.t12 + v.t23 - 2
-            r = {"t14": _n2(v.t14, -v.t12), "t34": _n2(v.t34, -v.t23),
-                 "t13": _n2(v.t13, -one)}
-            tau_slot, e_a, e_b, e_p, e_m = v.t24, v.t123, v.t134, v.t124, v.t234
-        else:
-            mu = v.t12 + v.t34 - 2
-            r = {"t23": _n2(v.t23, -v.t12), "t14": _n2(v.t14, -v.t34),
-                 "t24": _n2(v.t24, -one)}
-            tau_slot, e_a, e_b, e_p, e_m = v.t13, v.t124, v.t234, v.t123, v.t134
-        r["tau"] = _n3(al * tau_slot, -(al3 - 3 * al * al + 4) * mu,
-                       al4 - 4 * al3 + 7 * al)
-        r["tri_a"] = _n2(al * e_a, -t * mu)
-        r["tri_b"] = _n2(al * e_b, -t * mu)
-        r["sig_p"] = _n5(al * e_p, -t * (1 + al) * mu, t * mu * mu,
-                         2 * t * al, -t * mu * x)
-        r["sig_m"] = _n4(al * e_m, -t * (1 + al) * mu, 2 * t * al, t * mu * x)
-        r["q_mu"] = _n3(mu * mu, (al * al - 4 * al) * mu, 4 * al * al - al3)
-        r["q_x"] = _n4(al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al)
-        return r
-    if cid in ("X21", "X22"):
-        if cid == "X21":
-            z = v.t23 - 1
-            g = v.t12 - al + 1
-            z3 = z ** 3
-            r = {"t14": _n2(v.t14, -v.t23),
-                 "t34g": _n3(g * v.t34, -z * z, -(al - 1) * g)}
-            e1a, e1b, e2a, e2b = v.t123, v.t124, v.t134, v.t234
-        else:
-            z = v.t12 - 1
-            g = v.t23 - al + 1
-            z3 = z ** 3
-            r = {"t34": _n2(v.t34, -v.t12),
-                 "t14g": _n3(g * v.t14, -z * z, -(al - 1) * g)}
-            e1a, e1b, e2a, e2b = v.t123, v.t234, v.t124, v.t134
-        r["t13"] = _n2(v.t13, -one)
-        r["t24"] = _n2(v.t24, -one)
-        r["q_z"] = _n3(z * z, -al * z, al)
-        r["q_g"] = _n3(g * g, ((al - 2) * z * z - 2 * z) * g, z * z)
-        r["tri_1"] = _n3(al * e1a, -al * t, -t * z * g)
-        r["tri_1b"] = _n2(e1b, -e1a)
-        r["tri_2"] = _n3(al * g * e2a, -al * g * t, -t * z3)
-        r["tri_2b"] = _n2(e2b, -e2a)
-        return r
+        mu = v.t12 + v.t23 - 2
+        return {"t14": _n2(v.t14, -v.t12), "t34": _n2(v.t34, -v.t23),
+                "t13": _n2(v.t13, -one),
+                "tau": _n3(al * v.t24, -(al3 - 3 * al * al + 4) * mu,
+                           al4 - 4 * al3 + 7 * al),
+                "tri_a": _n2(al * v.t123, -t * mu),
+                "tri_b": _n2(al * v.t134, -t * mu),
+                "sig_p": _n5(al * v.t124, -t * (1 + al) * mu, t * mu * mu,
+                             2 * t * al, -t * mu * x),
+                "sig_m": _n4(al * v.t234, -t * (1 + al) * mu, 2 * t * al,
+                             t * mu * x),
+                "q_mu": _n3(mu * mu, (al * al - 4 * al) * mu,
+                            4 * al * al - al3),
+                "q_x": _n4(al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al)}
+    if cid == "X21":
+        z = v.t23 - 1
+        g = v.t12 - al + 1
+        z3 = z ** 3
+        return {"t14": _n2(v.t14, -v.t23),
+                "t34g": _n3(g * v.t34, -z * z, -(al - 1) * g),
+                "t13": _n2(v.t13, -one), "t24": _n2(v.t24, -one),
+                "q_z": _n3(z * z, -al * z, al),
+                "q_g": _n3(g * g, ((al - 2) * z * z - 2 * z) * g, z * z),
+                "tri_1": _n3(al * v.t123, -al * t, -t * z * g),
+                "tri_1b": _n2(v.t124, -v.t123),
+                "tri_2": _n3(al * g * v.t134, -al * g * t, -t * z3),
+                "tri_2b": _n2(v.t234, -v.t134)}
     if cid == "X3":
         u = v.t12
         d = t * t - 2
@@ -438,35 +431,21 @@ def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
                 "lin": _n5(t * eta, -u * u, -u, t * t, -one),
                 "q_eta": _n6(eta * eta, t * (t * t + 4 - 2 * u) * eta,
                              -5 * t * t * u, t4, 4 * t * t, -6 * one)}
-    if cid in ("X51", "X52"):
+    if cid == "X51":
         d = t * t - 2
-        if cid == "X51":
-            r = {"t12": _n1(v.t12 - 1), "t34": _n1(v.t34 - 1),
-                 "t23": _n1(v.t23 - d), "t14": _n1(v.t14 - d)}
-        else:
-            r = {"t23": _n1(v.t23 - 1), "t14": _n1(v.t14 - 1),
-                 "t12": _n1(v.t12 - d), "t34": _n1(v.t34 - d)}
-        r["t13"] = _n2(v.t13, -one)
-        r["t24"] = _n2(v.t24, -one)
-        r["t123"] = _n1(v.t123)
-        r["t124"] = _n1(v.t124)
-        r["t134"] = _n1(v.t134)
-        r["t234"] = _n1(v.t234)
-        return r
-    if cid in ("X61", "X62"):
+        return {"t12": _n1(v.t12 - 1), "t34": _n1(v.t34 - 1),
+                "t23": _n1(v.t23 - d), "t14": _n1(v.t14 - d),
+                "t13": _n2(v.t13, -one), "t24": _n2(v.t24, -one),
+                "t123": _n1(v.t123), "t124": _n1(v.t124),
+                "t134": _n1(v.t134), "t234": _n1(v.t234)}
+    if cid == "X61":
         q = 4 * t * t - 2 - t ** 4
         p = 3 * t - t ** 3
-        r = {"t12": _n2(v.t12, -one), "t23": _n2(v.t23, -one),
-             "t34": _n2(v.t34, -one), "t14": _n2(v.t14, -one)}
-        if cid == "X61":
-            r.update(t13=_n2(v.t13, -one), t24=_n2(v.t24, -q),
-                     t123=_n1(v.t123), t134=_n1(v.t134),
-                     t124=_n2(v.t124, -p), t234=_n2(v.t234, -p))
-        else:
-            r.update(t24=_n2(v.t24, -one), t13=_n2(v.t13, -q),
-                     t124=_n1(v.t124), t234=_n1(v.t234),
-                     t123=_n2(v.t123, -p), t134=_n2(v.t134, -p))
-        return r
+        return {"t12": _n2(v.t12, -one), "t23": _n2(v.t23, -one),
+                "t34": _n2(v.t34, -one), "t14": _n2(v.t14, -one),
+                "t13": _n2(v.t13, -one), "t24": _n2(v.t24, -q),
+                "t123": _n1(v.t123), "t134": _n1(v.t134),
+                "t124": _n2(v.t124, -p), "t234": _n2(v.t234, -p)}
     raise UnknownComponent(f"unknown component id {cid!r}")
 
 
@@ -519,7 +498,7 @@ def enumerate_parabolic() -> CensusReport:
 
 def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
     """Named (t, u, eta) points of the excellent component, each satisfying
-    the defining system to 1e-10."""
+    the defining system to SAMPLE_TOL."""
     pts: list[tuple[str, dict[str, complex]]] = []
     s2 = cmath.sqrt(2)
     pts.append(("hyperbolicity_limit",
@@ -556,7 +535,7 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
     for label, p in pts:
         vec = _x4_vector(p["t"], p["u"], p["eta"])
         over = [abs(x) for x in membership_residual("X4", vec).values()
-                if not abs(x) <= 1e-10]
+                if not abs(x) <= SAMPLE_TOL]
         if over:
             raise ConstraintViolated(f"{label}: X4 residual {max(over):.3e}")
         out.append((label, p, vec))

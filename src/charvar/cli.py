@@ -156,9 +156,10 @@ def cmd_verify(args) -> int:
              "trace_equation_residual", "pass"]]
     for blk in blocks:
         for it in blk["items"]:
-            rows.append([blk["t"], it["id"], it["branch"],
-                         repr(it["relator_residual"]),
-                         repr(it["trace_equation_residual"]), it["pass"]])
+            # an item whose realization raised has an "error", no residuals
+            res = [repr(it[k]) if k in it else "" for k in
+                   ("relator_residual", "trace_equation_residual")]
+            rows.append([blk["t"], it["id"], it["branch"], *res, it["pass"]])
     _emit(payload, args, rows)
     return 0 if all_ok else 1
 

@@ -22,7 +22,8 @@ from charvar.catalog import (_PROBE_BLOCK, CLUSTER_TOL, COMPONENTS,
                              excellent_quartic, explore_solve,
                              membership_residual, sample_component,
                              special_points)
-from charvar.errors import CharVarError, ExcludedParameter, UnknownComponent
+from charvar.errors import (CharVarError, ConstraintViolated,
+                            ExcludedParameter, UnknownComponent)
 from charvar.numfield import Poly
 from charvar.reconstruct import realize_character
 from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector, rotate,
@@ -312,6 +313,48 @@ def test_sampler_guards_sit_over_excluded_t():
             for z in (float(r), -float(r)):
                 assert min(abs(z - bad) for bad in catalog.EXCLUDED_T[cid]) \
                     <= 1e-15, (cid, z)
+
+
+#: t over the X1/X2 (alpha, mu) and (alpha, z) guard pairs: alpha = 2 +- 2sqrt2
+_GUARD_T = (1 + math.sqrt(2), -1 - math.sqrt(2),
+            math.sqrt(2) - 1, 1 - math.sqrt(2))
+
+
+@pytest.mark.parametrize("partner", ["X12", "X22", "X52", "X62"])
+def test_partner_raises_where_its_base_raises(partner):
+    # a partner samples its base and rotates: it must refuse the same t
+    # with the same exception type, and name itself, not its base
+    base = ROTATION_PAIR[partner]
+    cases = [(sample_component, t) for t in EXCLUDED_T[base]]
+    if partner in ("X12", "X22"):
+        # the guard pairs themselves, which check_admissible keeps
+        # sample_component from reaching
+        cases += [(catalog._branch_samples, t) for t in _GUARD_T]
+    for call, t in cases:
+        with pytest.raises(CharVarError) as want:
+            call(base, t)
+        with pytest.raises(type(want.value)) as got:
+            call(partner, t)
+        assert type(got.value) is type(want.value), (call, t)
+        assert str(got.value) == str(want.value).replace(base, partner)
+
+
+@pytest.mark.parametrize("t", [30.0, 100.0, 1000.0, 3000.0, 20j])
+def test_partner_self_check_matches_its_base_at_large_t(t):
+    # the self-check of a partner sample is its base's check of the base
+    # sample: at large |t|, where some base samples miss SAMPLE_TOL, the
+    # partner samples or raises exactly when its base does
+    for partner in ("X12", "X22", "X52", "X62"):
+        base = ROTATION_PAIR[partner]
+        try:
+            want = [smp.vector for smp in sample_component(base, t)]
+        except ConstraintViolated as exc:
+            with pytest.raises(ConstraintViolated) as got:
+                sample_component(partner, t)
+            assert str(got.value) == str(exc).replace(base, partner)
+        else:
+            got = sample_component(partner, t)
+            assert [smp.vector.rotate() for smp in got] == want, partner
 
 
 def test_special_points_quartic_roots_match_oracle():

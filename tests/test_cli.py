@@ -63,6 +63,25 @@ def test_verify_excluded_t_exits_2(tmp_path):
     assert main(["verify", "--t", "1.7320508+0i", "--component", "X51"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_reports_a_realization_error(fmt, tmp_path):
+    # X51 at t = 3000 misses its t123 target in realization: the item
+    # carries an "error" and no residuals, and the report is still written
+    code, out = run(["verify", "--t", "3000", "--component", "X51",
+                     "--format", fmt], tmp_path, f"out.{fmt}")
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out.read_text())
+        assert payload["pass"] is False
+        [item] = payload["blocks"][0]["items"]
+        assert item["id"] == "X51" and item["pass"] is False
+        assert "misses target" in item["error"]
+    else:
+        assert out.read_text().splitlines() == [
+            "t,id,branch,relator_residual,trace_equation_residual,pass",
+            "+3000+0i,X51,0,,,False"]
+
+
 def test_parabolic_byte_stable(tmp_path):
     code1, out1 = run(["parabolic"], tmp_path, "a.json")
     code2, out2 = run(["parabolic"], tmp_path, "b.json")

@@ -29,10 +29,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import E1, E2, E3, random_quadruple, reducible_pair
+from conftest import (E1, E2, E3, admissible_t, random_quadruple,
+                      reducible_pair)
 from charvar import catalog, cli, mat2
-from charvar.catalog import (COMPONENTS, _alpha, _is_reducible_like,
-                             best_membership, classify_point, explore_solve,
+from charvar.catalog import (COMPONENTS, ROTATION_PAIR, _alpha,
+                             _is_reducible_like, best_membership,
+                             classify_point, explore_solve,
                              membership_residual, sample_component)
 from charvar.errors import (CharVarError, ConstraintViolated,
                             DegenerateCharacter, TraceMismatch)
@@ -511,11 +513,53 @@ def test_residual_kernels_match_list_oracles_bitwise(vectors, normalized):
                 == repr(eq19_oracle(v, normalized)))
 
 
+#: the rotate() image of each base component in ROTATION_PAIR
+PARTNERS = ("X12", "X22", "X52", "X62")
+
+
 def test_membership_residual_matches_list_oracle_bitwise(vectors):
+    # a partner's residuals are its base's equations at the rotated vector
     for v in vectors:
         for cid in COMPONENTS:
-            assert (repr(membership_residual(cid, v))
-                    == repr(membership_oracle(cid, v)))
+            want = (membership_oracle(ROTATION_PAIR[cid], v.rotate())
+                    if cid in PARTNERS else membership_oracle(cid, v))
+            assert repr(membership_residual(cid, v)) == repr(want)
+
+
+@pytest.fixture(scope="module")
+def rotation_pair_samples():
+    """(base sample, partner sample) pairs at CATALOG_T and at 300 random
+    admissible t."""
+    rng = np.random.default_rng(2020)
+    ts = [*CATALOG_T, *(admissible_t(rng) for _ in range(300))]
+    return [(a, b) for t in ts for cid in PARTNERS
+            for a, b in zip(sample_component(ROTATION_PAIR[cid], t),
+                            sample_component(cid, t), strict=True)]
+
+
+def test_partner_samples_are_rotated_base_samples(rotation_pair_samples):
+    # each partner sample rotates onto its base sample, so that
+    # membership_residual checks the partner at the base sample itself
+    for a, b in rotation_pair_samples:
+        assert (b.branch, b.params) == (a.branch, a.params)
+        assert b.vector.rotate() == a.vector
+
+
+def test_partner_samples_satisfy_explicit_partner_equations(
+        rotation_pair_samples):
+    # membership_oracle writes each partner's equations out by hand, an
+    # independent reference for the rotation construction
+    for _, b in rotation_pair_samples:
+        res = membership_oracle(b.id, b.vector)
+        assert max(map(abs, res.values())) <= catalog.SAMPLE_TOL, b
+
+
+def test_explicit_partner_equations_miss_base_samples(rotation_pair_samples):
+    # negative control: the partner equations do reject the unrotated
+    # samples, so the test above is not vacuous
+    for a, b in rotation_pair_samples:
+        res = membership_oracle(b.id, a.vector)
+        assert max(map(abs, res.values())) > 1e-3, a
 
 
 def test_definitive_gates_match_normalized_gates(vectors):

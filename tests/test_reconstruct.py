@@ -176,7 +176,7 @@ def test_degenerate_character_unmatched():
     # distinct generators, the all-ones slice at t = 0: its Gram matrix has
     # rank 2, and it realizes as an irreducible representation
     from charvar.catalog import _x6_vector
-    v = _x6_vector(0.0, False)
+    v = _x6_vector(0.0)
     s = s_from_t(v)
     assert max(abs(s.triple(i, j, k)) for (i, j, k) in
                ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))) <= 1e-12
