@@ -14,8 +14,8 @@ from .catalog import (COMPONENTS, ROTATION_PAIR, CensusReport,
 from .mat2 import Mat2, has_common_eigenvector, is_irreducible_pair
 from .numfield import Poly, solve_quadratic
 from .reconstruct import Quadruple, realize_character
-from .tracealg import (SCoords, TraceVector, det_Sdiamond, rotate, s_from_t,
-                       t_from_s, trace_equation_residuals, trace_vector_of,
+from .tracealg import (SCoords, TraceVector, det_Sdiamond, s_from_t,
+                       trace_equation_residuals, trace_vector_of,
                        typeI_residuals, typeII_residuals)
 from .wirtinger import (factors_through_fig8, is_representation,
                         lemma31_check, relators)

@@ -124,7 +124,16 @@ _TI_REST_ROWS = (11 * np.arange(16)[:, None] + np.arange(6, 10)).ravel()
 
 
 class _ProbeSystem:
-    """The systems [J | -f] of _probe_system at one trace t.
+    """The systems [J | -f] of {12 trace equations, 4 type II, 16 type I}
+    at one trace t, for each row of y, an (n, 10) array of the coordinates
+    COORD_KEYS[1:]: the raw residuals f, ordered as trace_equation_residuals,
+    typeII_residuals and typeI_residuals list them, and their exact
+    derivatives J.
+
+    Every equation has degree <= 3 and the s-coordinates are affine in y,
+    so the type I derivatives are the cofactors of the 3x3 Gram minors
+    mapped back onto the pair columns; each distinct cofactor is computed
+    once (see _minor_table).
 
     The tables that depend on t alone (d st / dy in its type II and type I
     forms, s0, and the constant trace-equation entries) are computed once
@@ -240,19 +249,3 @@ class _ProbeSystem:
         flat[_TI_PAIR_ROWS] = pairs
         flat[_TI_REST_ROWS] = sums[_TI_SUM_REST]
 
-
-def _probe_system(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and exact Jacobian of {12 trace equations, 4 type II,
-    16 type I} at each row of y, an (n, 10) array of the coordinates
-    COORD_KEYS[1:] at trace t.
-
-    Returns the (n, 32) raw residuals, ordered as trace_equation_residuals,
-    typeII_residuals and typeI_residuals list them, and their (n, 32, 10)
-    derivatives. Every equation has degree <= 3 and the s-coordinates are
-    affine in y, so the type I derivatives are the cofactors of the 3x3
-    Gram minors mapped back onto the pair columns; each distinct cofactor
-    is computed once (see _minor_table). The Newton loop takes the same
-    entries as one [J | -f] array from _ProbeSystem.
-    """
-    aug = _ProbeSystem(t)(y)
-    return -aug[:, :, 10], aug[:, :, :10]

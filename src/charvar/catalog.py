@@ -359,6 +359,13 @@ def _n6(a, b, c, d, e, f):
             / max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
 
 
+def _row_relations(v: TraceVector, w: TraceVector,
+                   *keys: str) -> dict[str, complex]:
+    """The relations v.k - w.k, normalized, of the coordinates k that the
+    row constructor image w fixes."""
+    return {k: _n2(getattr(v, k), -getattr(w, k)) for k in keys}
+
+
 def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
     """Residuals of one component's defining equations at v.
 
@@ -411,23 +418,17 @@ def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
                 "tri_2b": _n2(v.t234, -v.t134)}
     if cid == "X3":
         u = v.t12
-        d = t * t - 2
-        e = t * u - t
-        return {"t23": _n2(v.t23, -u), "t34": _n2(v.t34, -u),
-                "t14": _n2(v.t14, -u), "t13": _n2(v.t13, -d),
-                "t24": _n2(v.t24, -d), "t123": _n2(v.t123, -e),
-                "t124": _n2(v.t124, -e), "t134": _n2(v.t134, -e),
-                "t234": _n2(v.t234, -e),
+        return {**_row_relations(v, _x3_vector(t, u), "t23", "t34", "t14",
+                                 "t13", "t24", "t123", "t124", "t134",
+                                 "t234"),
                 "q_u": _n3(u * u, -(t * t + 1) * u, 2 * t * t - 1)}
     if cid == "X4":
         u = v.t12
         eta = v.t123
-        d = 2 * u + 2 - t * t
         t4 = t ** 4
-        return {"t23": _n2(v.t23, -u), "t34": _n2(v.t34, -u),
-                "t14": _n2(v.t14, -u), "t13": _n2(v.t13, -d),
-                "t24": _n2(v.t24, -d), "t124": _n2(v.t124, -eta),
-                "t134": _n2(v.t134, -eta), "t234": _n2(v.t234, -eta),
+        return {**_row_relations(v, _x4_vector(t, u, eta), "t23", "t34",
+                                 "t14", "t13", "t24", "t124", "t134",
+                                 "t234"),
                 "lin": _n5(t * eta, -u * u, -u, t * t, -one),
                 "q_eta": _n6(eta * eta, t * (t * t + 4 - 2 * u) * eta,
                              -5 * t * t * u, t4, 4 * t * t, -6 * one)}

@@ -21,10 +21,6 @@ class TraceMismatch(CharVarError):
     """Quadruple members do not share a common trace."""
 
 
-class InconsistentS0(CharVarError):
-    """s0 entry disagrees with t^2/2 - 2 for the supplied t."""
-
-
 class ConstraintViolated(CharVarError):
     """Input data violates a defining polynomial constraint."""
 

@@ -71,10 +71,6 @@ class Mat2:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def to_json(self):
-        return [[[self.a.real, self.a.imag], [self.b.real, self.b.imag]],
-                [[self.c.real, self.c.imag], [self.d.real, self.d.imag]]]
-
 
 IDENTITY = Mat2(1, 0, 0, 1)
 
@@ -105,11 +101,6 @@ def dist(x: Mat2, y: Mat2) -> float:
 def rel_dist(x: Mat2, y: Mat2) -> float:
     """Entrywise distance relative to the larger operand (floored at 1)."""
     return dist(x, y) / max(1.0, x.norm(), y.norm())
-
-
-def in_gt(m: Mat2, t: complex) -> bool:
-    """Membership in G(t) = {x in SL(2,C) : tr(x) = t}."""
-    return abs(m.det() - 1) <= 1e-10 and abs(m.trace() - t) <= 1e-10
 
 
 # The identity residuals below compute in local entries and build one Mat2.

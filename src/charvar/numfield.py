@@ -37,10 +37,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def monic(self) -> "Poly":
-        lead = self.coeffs[0]
-        return Poly([c / lead for c in self.coeffs])
-
     def __call__(self, z: complex) -> complex:
         acc = 0j
         for c in self.coeffs:

@@ -67,11 +67,6 @@ class Quadruple:
         gi = g.inverse()
         return Quadruple(*(g @ m @ gi for m in self.matrices()), t=self.t)
 
-    def to_json(self):
-        return {"t": [self.t.real, self.t.imag],
-                **{f"x{i}": m.to_json()
-                   for i, m in enumerate(self.matrices(), start=1)}}
-
 
 def factor_symmetric(S: np.ndarray) -> np.ndarray:
     """Return the 3 x n M with M^T M = S for complex symmetric S of rank at

@@ -1,5 +1,5 @@
 """Trace coordinates for quadruples in G(t)^4: the 11-coordinate embedding,
-s-coordinates of traceless parts, Gram matrices, the 20 definitive relations
+s-coordinates of traceless parts, the 20 definitive relations
 of the rank-4 free group, and the knot-specific trace-equation battery.
 
 Each residual is a sum of monomials, added left to right starting from 0
@@ -26,11 +26,6 @@ tuples and the only statement of the coordinate layout: catalog's batched
 Newton probe reads the same tables as numpy index arrays. The kernels are
 plain arithmetic on the values they select, so they work unchanged on any
 number type with field arithmetic, sympy symbols included.
-
-``SCoords.triple`` is alternating: an odd permutation of an ascending
-triple returns -s_ijk, matching tr(u_i u_j u_k) of the traceless parts.
-``TraceVector.triple`` accepts only cyclic rotations of an ascending
-triple, the orders whose trace is one of the 11 coordinates.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
-from .errors import InconsistentS0, TraceMismatch
-from .mat2 import Mat2
+from .errors import TraceMismatch
+from .mat2 import Mat2, _nanmax
 
 PAIR_KEYS = ("t12", "t23", "t34", "t14", "t13", "t24")
 TRIPLE_KEYS = ("t123", "t124", "t134", "t234")
@@ -59,20 +54,18 @@ def _shift(i: int, p: int) -> int:
 
 
 def _slot_tables():
-    """Slots in COORD_KEYS by index tuple: each pair (i, j) in either order,
-    each cyclic order of an ascending triple, and, for the alternating
-    s-triples only, each odd order."""
+    """Slots in COORD_KEYS by index tuple: each pair (i, j) in either order
+    and each cyclic order of an ascending triple."""
     pair = {}
     for k, (i, j) in enumerate(PAIRS, start=1):
         pair[i, j] = pair[j, i] = k
-    even, odd = {}, {}
+    cyclic = {}
     for k, (a, b, c) in enumerate(TRIPLES, start=7):
-        even.update(dict.fromkeys(((a, b, c), (b, c, a), (c, a, b)), k))
-        odd.update(dict.fromkeys(((b, a, c), (a, c, b), (c, b, a)), k))
-    return pair, even, odd
+        cyclic.update(dict.fromkeys(((a, b, c), (b, c, a), (c, a, b)), k))
+    return pair, cyclic
 
 
-_PAIR_SLOT, _TRIPLE_SLOT, _ODD_SLOT = _slot_tables()
+_PAIR_SLOT, _TRIPLE_SLOT = _slot_tables()
 
 #: slot of (t12, t13, t14, t23, t24, t123, t124) after the subscript
 #: rotation by p, one row per p = 0..3
@@ -108,19 +101,10 @@ def _positions(rows, cols) -> tuple:
 _TYPEI_SLOTS = tuple(_positions(_TRIPLE_ROWS[a], _TRIPLE_ROWS[b])
                      for a in range(4) for b in range(4))
 
-#: name lookups of TraceVector.pair/triple and SCoords.pair/triple
-_T_PAIR = {q: COORD_KEYS[k] for q, k in _PAIR_SLOT.items()}
-_T_TRIPLE = {q: COORD_KEYS[k] for q, k in _TRIPLE_SLOT.items()}
-_S_PAIR = {**{q: _S_KEYS[k] for q, k in _PAIR_SLOT.items()},
-           **{(i, i): "s0" for i in (1, 2, 3, 4)}}
-_S_TRIPLE = {**{q: (_S_KEYS[k], False) for q, k in _TRIPLE_SLOT.items()},
-             **{q: (_S_KEYS[k], True) for q, k in _ODD_SLOT.items()}}
-
-#: the six pair / four triple values of a TraceVector or SCoords, in PAIRS /
-#: TRIPLES order
+#: the six pair / four triple values of a TraceVector, and the four triple
+#: values of an SCoords, in PAIRS / TRIPLES order
 _t_pairs = attrgetter(*PAIR_KEYS)
 _t_triples = attrgetter(*TRIPLE_KEYS)
-_s_pairs = attrgetter(*_S_KEYS[1:7])
 _s_triples = attrgetter(*_S_KEYS[7:])
 #: all 11 values of a TraceVector, in COORD_KEYS order
 _t_coords = attrgetter(*COORD_KEYS)
@@ -147,18 +131,6 @@ class TraceVector:
     t134: complex
     t234: complex
 
-    def pair(self, i: int, j: int) -> complex:
-        return getattr(self, _T_PAIR[i, j])
-
-    def triple(self, i: int, j: int, k: int) -> complex:
-        """tr(x_i x_j x_k) for a cyclic rotation of an ascending triple;
-        other orders are not among the coordinates and raise ValueError."""
-        try:
-            return getattr(self, _T_TRIPLE[i, j, k])
-        except KeyError:
-            raise ValueError(
-                f"tr(x{i} x{j} x{k}) is not a trace coordinate") from None
-
     def coords(self) -> dict[str, complex]:
         return {k: getattr(self, k) for k in COORD_KEYS}
 
@@ -167,20 +139,13 @@ class TraceVector:
         return TraceVector(*_rotated(self))
 
     def max_dev(self, other: "TraceVector") -> float:
-        return max(abs(getattr(self, k) - getattr(other, k))
-                   for k in COORD_KEYS)
+        """Largest coordinate distance; NaN if one is NaN."""
+        return _nanmax(*(abs(a - b)
+                         for a, b in zip(_t_coords(self), _t_coords(other))))
 
     def to_json(self):
         return {k: [getattr(self, k).real, getattr(self, k).imag]
                 for k in COORD_KEYS}
-
-    @classmethod
-    def from_json(cls, obj) -> "TraceVector":
-        return cls(**{k: complex(*obj[k]) for k in COORD_KEYS})
-
-
-def rotate(v: TraceVector) -> TraceVector:
-    return v.rotate()
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,15 +164,6 @@ class SCoords:
     s134: complex
     s234: complex
 
-    def pair(self, i: int, j: int) -> complex:
-        return getattr(self, _S_PAIR[i, j])
-
-    def triple(self, i: int, j: int, k: int) -> complex:
-        """tr(u_i u_j u_k): alternating in (i, j, k)."""
-        name, odd = _S_TRIPLE[i, j, k]
-        val = getattr(self, name)
-        return -val if odd else val
-
 
 def s_from_t(v: TraceVector) -> SCoords:
     """s0 = t^2/2 - 2, s_ij = t_ij - t^2/2, and the triple-trace shift."""
@@ -218,42 +174,6 @@ def s_from_t(v: TraceVector) -> SCoords:
     return SCoords(h - 2, *[x - h for x in tp],
                    *[x - half * (tp[a] + tp[b] + tp[c]) + cube
                      for x, (a, b, c) in zip(_t_triples(v), _SHIFT_PAIRS)])
-
-
-def t_from_s(s: SCoords, t: complex) -> TraceVector:
-    """Invert s_from_t for a given t; s0 must match t^2/2 - 2."""
-    h = t * t / 2
-    if abs(s.s0 - (h - 2)) > 1e-9 * max(1.0, abs(h)):
-        raise InconsistentS0(f"s0 = {s.s0}, expected {h - 2}")
-    half, cube = t / 2, t ** 3 / 2
-    tp = [x + h for x in _s_pairs(s)]
-    return TraceVector(t, *tp,
-                       *[x + half * (tp[a] + tp[b] + tp[c]) - cube
-                         for x, (a, b, c) in zip(_s_triples(s),
-                                                 _SHIFT_PAIRS)])
-
-
-@dataclass(frozen=True)
-class GramData:
-    """3x3 Gram matrices per ascending triple plus the full 4x4 matrix,
-    as nested tuples of complex."""
-
-    S123: tuple
-    S124: tuple
-    S134: tuple
-    S234: tuple
-    Sdiamond: tuple
-
-
-def _block(g: tuple, slots) -> tuple:
-    """Rows and columns `slots` of the flat Gram tuple, as nested tuples."""
-    return tuple(tuple(g[4 * i + j] for j in slots) for i in slots)
-
-
-def gram_matrices(s: SCoords) -> GramData:
-    g = _gram(s)
-    return GramData(*(_block(g, rows) for rows in _TRIPLE_ROWS),
-                    Sdiamond=_block(g, range(4)))
 
 
 #: type I relation 4a + b: (a, b, getter of its minor)

@@ -56,7 +56,7 @@ def solve_poly(p: Poly) -> list[complex]:
     1e-13 or after 500 sweeps; each returned root must then satisfy
     |p(z)| <= 1e-9 * (1 + max|coeff|).
     """
-    q = p.monic()
+    q = Poly([c / p.coeffs[0] for c in p.coeffs])
     n = q.degree
     if n == 1:
         return [-q.coeffs[1]]

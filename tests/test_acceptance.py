@@ -19,7 +19,7 @@ from charvar.mat2 import (dist, has_common_eigenvector, is_irreducible_pair,
                           lemma25_apply, random_gt, random_sl2, rel_dist)
 from charvar.numfield import Poly
 from charvar.reconstruct import Quadruple, realize_character
-from charvar.tracealg import (det_Sdiamond, eq19_residuals, rotate, s_from_t,
+from charvar.tracealg import (det_Sdiamond, eq19_residuals, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
 from charvar.wirtinger import (factors_through_fig8, is_representation,
@@ -157,10 +157,10 @@ def test_criterion_7_rotation_symmetry():
             t = admissible_t(rng, ids=(cid,))
             for smp in sample_component(cid, t):
                 worst = max(worst,
-                            mres(ROTATION_PAIR[cid], rotate(smp.vector)))
+                            mres(ROTATION_PAIR[cid], smp.vector.rotate()))
                 w = smp.vector
                 for _ in range(4):
-                    w = rotate(w)
+                    w = w.rotate()
                 order4_ok = order4_ok and w.max_dev(smp.vector) == 0
     report("criterion-7 rotation symmetry",
            worst <= 1e-10 and order4_ok,

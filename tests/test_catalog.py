@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import admissible_t, match_multisets, solve_poly
 from charvar import _probe_kernel, catalog
-from charvar._probe_kernel import _probe_system
 from charvar.catalog import (_PROBE_BLOCK, CLUSTER_TOL, COMPONENTS,
                              EXCLUDED_T, ROTATION_PAIR, SAMPLER_MARGIN,
                              ComponentSample, _augmented_steps, _dedup,
@@ -26,12 +25,18 @@ from charvar.errors import (CharVarError, ConstraintViolated,
                             ExcludedParameter, UnknownComponent)
 from charvar.numfield import Poly
 from charvar.reconstruct import realize_character
-from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector, rotate,
+from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector,
                               s_from_t, typeI_residuals, typeII_residuals)
 from charvar.wirtinger import (is_representation,
                                necessary_conditions_residual)
 
 SQRT3 = cmath.sqrt(3)
+
+
+def probe_f_jac(t, y):
+    """The raw residuals f and the Jacobian J at each row of y."""
+    aug = _probe_kernel._ProbeSystem(t)(y)
+    return -aug[:, :, 10], aug[:, :, :10]
 
 
 def worst(cid, v):
@@ -111,7 +116,7 @@ def test_rotation_symmetry(rng):
         t = admissible_t(rng)
         for cid in COMPONENTS:
             for smp in sample_component(cid, t):
-                assert worst(ROTATION_PAIR[cid], rotate(smp.vector)) <= 1e-10
+                assert worst(ROTATION_PAIR[cid], smp.vector.rotate()) <= 1e-10
 
 
 def test_reducible_intersection_point_remark():
@@ -389,7 +394,7 @@ def test_classify_exact_samples(rng):
     for cid in ("X3", "X21", "X62"):
         smp = sample_component(cid, t)[0]
         y = np.array(list(smp.vector.coords().values())[1:])
-        f, _ = _probe_system(t, y[None])
+        f, _ = probe_f_jac(t, y[None])
         assert np.abs(f).max() <= 1e-8
         assert classify_point(smp.vector) == cid
 
@@ -416,7 +421,7 @@ def test_probe_system_matches_public_functions(rng):
         s = s_from_t(v)
         ref = np.array(trace_equation_residuals(v) + typeII_residuals(s)
                        + typeI_residuals(s))
-        got, _ = _probe_system(v.t, coords[None, 1:])
+        got, _ = probe_f_jac(v.t, coords[None, 1:])
         assert np.abs(got[0] - ref).max() <= 1e-10 * max(
             1.0, np.abs(ref).max())
 
@@ -426,17 +431,17 @@ def test_probe_jacobian_matches_finite_differences(rng):
     for _ in range(10):
         t = complex(*rng.standard_normal(2))
         y = rng.standard_normal((1, 10)) + 1j * rng.standard_normal((1, 10))
-        _, jac = _probe_system(t, y)
+        _, jac = probe_f_jac(t, y)
         shifts = h * np.eye(10)
-        hi, _ = _probe_system(t, y + shifts)   # row k: y shifted along k
-        lo, _ = _probe_system(t, y - shifts)
+        hi, _ = probe_f_jac(t, y + shifts)   # row k: y shifted along k
+        lo, _ = probe_f_jac(t, y - shifts)
         fd = ((hi - lo) / (2 * h)).T
         assert np.abs(fd - jac[0]).max() <= 1e-6 * max(
             1.0, np.abs(jac[0]).max())
 
 
 def _typeI_by_cofactors(t, y):
-    """The type I rows of _probe_system from all 144 cofactors of the 16
+    """The type I rows of the probe system from all 144 cofactors of the 16
     Gram minors, each Jacobian entry the sum of the cofactors of the Gram
     entries that hold its pair, in row-major order."""
     n, nxt, aft, tt = len(y), [1, 2, 0], [2, 0, 1], t * t
@@ -468,7 +473,7 @@ def test_minor_table_matches_cofactors_bitwise(rng):
         for n in (1, 7, 32, 100):
             shape = (n, 10)
             y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            f, jac = _probe_system(t, y)
+            f, jac = probe_f_jac(t, y)
             ref_f, ref_jac = _typeI_by_cofactors(t, y)
             assert f[:, 16:].tobytes() == ref_f.tobytes()
             assert jac[:, 16:].tobytes() == ref_jac.tobytes()
@@ -622,7 +627,7 @@ def test_settle_rule_gives_up_a_settled_start(monkeypatch):
         best, ok = catalog._newton_starts(t, _explore_start(t, 7, 5))
         iterations.append(count["calls"])
         assert not ok[0]
-        f, _ = _probe_system(t, best)
+        f, _ = probe_f_jac(t, best)
         assert np.abs(f).max() > catalog._WANDER_RES
     # the iteration-50 rule evaluates the system once more, after step 50
     assert iterations[1] == catalog._WANDER_ITER + 1
@@ -641,7 +646,7 @@ def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
         smp = sample_component(cid, t)[branch]
         root = np.array([list(smp.vector.coords().values())[1:]])
         y = root + 1e-3 * np.exp(2j * np.pi * rng.random((1, 10)))
-        f, _ = _probe_system(t, y)
+        f, _ = probe_f_jac(t, y)
         assert np.abs(f).max() <= catalog._WANDER_RES, cid
         best, ok = catalog._newton_starts(t, y)
         assert ok[0], cid
@@ -658,10 +663,10 @@ def test_probe_rows_bitwise_independent_of_block(rng):
         for row, cid in zip((1, _PROBE_BLOCK // 2, -2), ("X51", "X61", "X3")):
             smp = sample_component(cid, t)[0]
             y[row] = list(smp.vector.coords().values())[1:]
-        f, jac = _probe_system(t, y)
+        f, jac = probe_f_jac(t, y)
         steps = _augmented_steps(np.dstack([jac, -f]))
         for k in range(len(y)):
-            fk, jk = _probe_system(t, y[k:k + 1])
+            fk, jk = probe_f_jac(t, y[k:k + 1])
             assert fk.tobytes() == f[k:k + 1].tobytes(), (t, k)
             assert jk.tobytes() == jac[k:k + 1].tobytes(), (t, k)
             assert _augmented_steps(np.dstack([jk, -fk])).tobytes() == \

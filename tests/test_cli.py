@@ -1,8 +1,28 @@
 import json
+import types
 
 import pytest
 
+import charvar
 from charvar.cli import main, parse_complex
+
+#: the package's public names: adding or removing one is an API change
+PUBLIC_NAMES = {
+    "COMPONENTS", "CensusReport", "ComponentSample", "Mat2", "Poly",
+    "Quadruple", "ROTATION_PAIR", "SCoords", "TraceVector", "det_Sdiamond",
+    "enumerate_parabolic", "excellent_quartic", "explore_solve",
+    "factors_through_fig8", "has_common_eigenvector", "is_irreducible_pair",
+    "is_representation", "lemma31_check", "membership_residual",
+    "realize_character", "relators", "s_from_t", "sample_component",
+    "solve_quadratic", "special_points", "trace_equation_residuals",
+    "trace_vector_of", "typeII_residuals", "typeI_residuals"}
+
+
+def test_public_names_are_pinned():
+    # submodules and dunders aside, dir(charvar) is exactly PUBLIC_NAMES
+    names = {n for n in dir(charvar) if not n.startswith("__")
+             and not isinstance(getattr(charvar, n), types.ModuleType)}
+    assert names == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("text,value", [

@@ -10,8 +10,8 @@ from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_sl2,
                           scalar)
 from charvar.reconstruct import (_N_INV, Quadruple, _realized_matrices,
                                  factor_symmetric, realize_character)
-from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TraceVector, _gram,
-                              _s_triples, gram_matrices, s_from_t,
+from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TRIPLES,
+                              TraceVector, _gram, _s_triples, s_from_t,
                               trace_vector_of)
 from charvar.wirtinger import is_irreducible, is_representation
 
@@ -122,12 +122,10 @@ def test_realize_character_later_roles(rng):
             t, xs = random_quadruple(rng)
             xs = copy(xs)
             v = trace_vector_of(*xs)
-            s = s_from_t(v)
-            if abs(s.triple(*role)) < 1e-3 or has_common_eigenvector(xs):
+            st = dict(zip(TRIPLES, _s_triples(s_from_t(v))))
+            if abs(st[role]) < 1e-3 or has_common_eigenvector(xs):
                 continue
-            assert max(abs(s.triple(*r)) for r in
-                       ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-                       if r < role) <= 1e-7
+            assert max(abs(st[r]) for r in TRIPLES if r < role) <= 1e-7
             q = realize_character(v)
             assert q.trace_vector().max_dev(v) <= 1e-8 * max(
                 1.0, max(abs(c) for c in v.coords().values()))
@@ -177,9 +175,7 @@ def test_degenerate_character_unmatched():
     # rank 2, and it realizes as an irreducible representation
     from charvar.catalog import _x6_vector
     v = _x6_vector(0.0)
-    s = s_from_t(v)
-    assert max(abs(s.triple(i, j, k)) for (i, j, k) in
-               ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))) <= 1e-12
+    assert max(map(abs, _s_triples(s_from_t(v)))) <= 1e-12
     q = realize_character(v)
     assert q.trace_vector().max_dev(v) <= 1e-9
     ok, spread = is_representation(q)
@@ -220,7 +216,7 @@ def test_realized_quadruple_is_balanced(t):
     for cid in COMPONENTS:
         for smp in sample_component(cid, t):
             q = realize_character(smp.vector)
-            S = np.array(gram_matrices(s_from_t(smp.vector)).Sdiamond)
+            S = np.array(_gram(s_from_t(smp.vector))).reshape(4, 4)
             nuclear = np.linalg.svd(S, compute_uv=False).sum()
             total = sum(abs(e) ** 2 for x in q.matrices()
                         for e in x.traceless_part().entries())

@@ -1,15 +1,16 @@
 import cmath
 import itertools
+import math
 
 import pytest
 
 from conftest import random_quadruple, random_t
-from charvar.errors import InconsistentS0, TraceMismatch
+from charvar.errors import TraceMismatch
 from charvar.catalog import sample_component
 from charvar.mat2 import random_gt
-from charvar.tracealg import (SCoords, TraceVector, det_Sdiamond,
-                              eq19_residuals, gram_matrices, rotate, s_from_t,
-                              t_from_s, trace_equation_residuals,
+from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
+                              _gram, _s_triples, det_Sdiamond, eq19_residuals,
+                              s_from_t, trace_equation_residuals,
                               trace_vector_of, typeI_residuals,
                               typeII_residuals)
 
@@ -41,28 +42,13 @@ def test_s_matches_traceless_matrix_oracle(rng):
         s = s_from_t(v)
         us = [x.traceless_part() for x in xs]
         sc = max(1.0, max(x.norm() for x in xs) ** 3)
-        for (i, j, k) in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+        for (i, j, k), value in zip(TRIPLES, _s_triples(s)):
             oracle = (us[i - 1] @ us[j - 1] @ us[k - 1]).trace()
-            assert abs(s.triple(i, j, k) - oracle) <= 1e-10 * sc
-        for (i, j) in ((1, 2), (1, 3), (2, 4)):
+            assert abs(value - oracle) <= 1e-10 * sc
+        g = _gram(s)
+        for i, j in itertools.product((1, 2, 3, 4), repeat=2):
             oracle = (us[i - 1] @ us[j - 1]).trace()
-            assert abs(s.pair(i, j) - oracle) <= 1e-10 * sc
-
-
-def test_t_from_s_round_trip(rng):
-    for _ in range(20):
-        t, xs = random_quadruple(rng)
-        v = trace_vector_of(*xs)
-        s = s_from_t(v)
-        assert t_from_s(s, t).max_dev(v) <= 1e-12 * max(1.0, v.t12.real ** 0)
-        back = s_from_t(t_from_s(s, t))
-        assert abs(back.s123 - s.s123) <= 1e-12
-
-
-def test_t_from_s_inconsistent():
-    s = s_from_t(uniform_vec(2.0, 1.0, 0.0))
-    with pytest.raises(InconsistentS0):
-        t_from_s(s, 3.0)
+            assert abs(g[4 * (i - 1) + j - 1] - oracle) <= 1e-10 * sc
 
 
 def test_universal_identities(rng):
@@ -77,12 +63,11 @@ def test_universal_identities(rng):
 def test_gram_diagonal(rng):
     t, xs = random_quadruple(rng)
     s = s_from_t(trace_vector_of(*xs))
-    g = gram_matrices(s)
-    for block in (g.S123, g.S124, g.S134, g.S234):
-        for i in range(3):
-            assert block[i][i] == s.s0
-            for j in range(3):
-                assert block[i][j] == block[j][i]
+    g = _gram(s)
+    for i in range(4):
+        assert g[5 * i] == s.s0
+        for j in range(4):
+            assert g[4 * i + j] == g[4 * j + i]
 
 
 def test_typeI_exotic_component_alpha1():
@@ -190,13 +175,13 @@ def test_rotate_x61_to_x62_form():
     q = 4 * t * t - 2 - t ** 4
     p = 3 * t - t ** 3
     v = make_vec(t, (1, 1, 1, 1), 1, q, (0, p, 0, p))
-    w = rotate(v)
+    w = v.rotate()
     assert w.max_dev(make_vec(t, (1, 1, 1, 1), q, 1, (p, 0, p, 0))) == 0
 
 
 def test_rotate_fixes_symmetric_vector():
     v = uniform_vec(0.6 + 0.2j, 1.4 - 1j, 0.8)
-    assert rotate(v).max_dev(v) == 0
+    assert v.rotate().max_dev(v) == 0
 
 
 def test_rotate_order_four(rng):
@@ -205,7 +190,7 @@ def test_rotate_order_four(rng):
         v = TraceVector(*coords)
         w = v
         for _ in range(4):
-            w = rotate(w)
+            w = w.rotate()
         assert w.max_dev(v) == 0
 
 
@@ -215,7 +200,7 @@ def test_rotate_matches_matrix_shift(rng):
         t, xs = random_quadruple(rng)
         v = trace_vector_of(*xs)
         w = trace_vector_of(xs[1], xs[2], xs[3], xs[0])
-        assert rotate(v).max_dev(w) <= 1e-12 * max(1.0, max(
+        assert v.rotate().max_dev(w) <= 1e-12 * max(1.0, max(
             abs(c) for c in v.coords().values()))
 
 
@@ -224,7 +209,7 @@ def test_rotate_permutes_residual_battery(rng):
         coords = rng.standard_normal(11) + 1j * rng.standard_normal(11)
         v = TraceVector(*coords)
         a = trace_equation_residuals(v)
-        b = trace_equation_residuals(rotate(v))
+        b = trace_equation_residuals(v.rotate())
         rolled = a[3:] + a[:3]
         assert max(abs(x - y) for x, y in zip(b, rolled)) <= 1e-12
 
@@ -258,48 +243,51 @@ def test_trace_vector_of_mismatch(rng):
 def test_json_round_trip(rng):
     t, xs = random_quadruple(rng)
     v = trace_vector_of(*xs)
-    assert TraceVector.from_json(v.to_json()).max_dev(v) == 0
+    back = TraceVector(**{k: complex(*xy) for k, xy in v.to_json().items()})
+    assert back.max_dev(v) == 0
 
 
 def test_triples_in_every_order_match_matrix_oracle(rng):
-    # SCoords.triple is alternating like tr(u_i u_j u_k); TraceVector.triple
-    # takes the three cyclic orders of an ascending triple, whose traces are
-    # the coordinate, and refuses the three others
+    # tr(u_i u_j u_k) of the traceless parts is alternating in (i, j, k),
+    # so every order of an ascending triple gives +-s_ijk; the three cyclic
+    # orders of x_i x_j x_k all have the coordinate t_ijk as their trace
     for _ in range(20):
         t, xs = random_quadruple(rng)
         v = trace_vector_of(*xs)
         s = s_from_t(v)
         us = [x.traceless_part() for x in xs]
         sc = max(1.0, max(x.norm() for x in xs) ** 3)
-        for asc in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+        for asc, key, st in zip(TRIPLES, COORD_KEYS[7:], _s_triples(s)):
             cyclic = {asc[n:] + asc[:n] for n in range(3)}
             for i, j, k in itertools.permutations(asc):
                 oracle = (us[i - 1] @ us[j - 1] @ us[k - 1]).trace()
-                assert abs(s.triple(i, j, k) - oracle) <= 1e-10 * sc
+                sign = 1 if (i, j, k) in cyclic else -1
+                assert abs(sign * st - oracle) <= 1e-10 * sc
                 if (i, j, k) in cyclic:
                     oracle = (xs[i - 1] @ xs[j - 1] @ xs[k - 1]).trace()
-                    assert abs(v.triple(i, j, k) - oracle) <= 1e-10 * sc
-                else:
-                    with pytest.raises(ValueError):
-                        v.triple(i, j, k)
-
-
-def test_trace_vector_triple_rejects_odd_order():
-    v = uniform_vec(1.0, 0.5, 0.25)
-    assert v.triple(2, 3, 1) == v.t123
-    with pytest.raises(ValueError):
-        v.triple(2, 1, 3)
+                    assert abs(getattr(v, key) - oracle) <= 1e-10 * sc
 
 
 def test_pair_lookup_is_symmetric(rng):
+    # Gram entry (i, j) of an SCoords is s_ij in either order, and s0 on
+    # the diagonal
     coords = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    v = TraceVector(*coords)
     s = SCoords(*coords)
+    g = _gram(s)
     for i, j in itertools.permutations((1, 2, 3, 4), 2):
         key = "".join(map(str, sorted((i, j))))
-        assert v.pair(i, j) == getattr(v, "t" + key)
-        assert s.pair(i, j) == getattr(s, "s" + key)
-    assert all(s.pair(i, i) == s.s0 for i in (1, 2, 3, 4))
+        assert g[4 * (i - 1) + j - 1] == getattr(s, "s" + key)
+    assert all(g[5 * i] == s.s0 for i in range(4))
+
+
+@pytest.mark.parametrize("key", COORD_KEYS[1:])
+def test_max_dev_propagates_nan(key):
+    # a NaN in any coordinate makes the distance NaN, wherever it stands,
+    # so that max_dev(...) <= tol fails on it
+    v = uniform_vec(1.3 + 0.4j, 0.5, 0.25)
+    w = TraceVector(**{**v.coords(), key: complex(math.nan)})
+    assert math.isnan(v.max_dev(w)) and math.isnan(w.max_dev(v))
+    assert v.max_dev(v) == 0
 
 
 def test_rotation_tables_match_rotated_vector(rng):
@@ -316,7 +304,7 @@ def test_rotation_tables_match_rotated_vector(rng):
                 assert teq[3 * p:3 * p + 3] == \
                     trace_equation_residuals(w, normalized)[:3]
                 assert e19[p] == eq19_residuals(w, normalized)[0]
-                w = rotate(w)
+                w = w.rotate()
 
 
 def test_kernels_are_generic_over_sympy_symbols():
