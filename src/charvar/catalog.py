@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
+from .mat2 import _nanmax
 from .numfield import Poly, solve_quadratic
 from .tracealg import (COORD_KEYS, TraceVector, _t_pairs, definitive_excess,
                        s_from_t)
@@ -36,8 +37,11 @@ ROTATION_PAIR = {"X11": "X12", "X12": "X11", "X21": "X22", "X22": "X21",
 #: image of its base (rotate has order 4, and rotate^2 fixes each component)
 _BASE = {p: b for b, p in ROTATION_PAIR.items() if b < p}
 
+#: check_admissible refuses a t this close to an EXCLUDED_T value, and that
+#: alone keeps the samplers off their degenerate fibres: outside it, alpha is
+#: >= 8.3e-4 from 2 +- 2sqrt2 (X1's and X2's special pairs), and X4's root
+#: nearest 1 (a double root over t^2 = 3) is >= 7e-4 from 1
 SAMPLER_MARGIN = 1e-3
-GUARD_MARGIN = 1e-6
 #: largest normalized membership residual of a sample or special point: the
 #: exact ones sit at rounding level (at most 1.2e-14 at 2000 t, |t| <= 2.5)
 SAMPLE_TOL = 1e-10
@@ -230,8 +234,6 @@ def _x4_samples(t: complex) -> list[ComponentSample]:
         det = j11 * j22 - j12 * j21
         u -= (f1 * j22 - f2 * j12) / det
         eta -= (f2 * j11 - f1 * j21) / det
-        if abs(u - 1) <= GUARD_MARGIN:  # the quartic at u = 1 is (t^2 - 3)^2
-            raise ExcludedParameter("X4: u = 1 branch")
         out.append((u, eta))
     out.sort(key=lambda p: [round(x, 10) for z in p for x in (z.real, z.imag)])
     return [ComponentSample("X4", k, {"t": t, "u": u, "eta": eta},
@@ -283,11 +285,6 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
     if base == "X11":
         k = 0
         for mu in solve_quadratic(1, al * al - 4 * al, 4 * al * al - al ** 3):
-            for bad_al, bad_mu in ((2 + 2 * _SQRT2, 2 * _SQRT2),
-                                   (2 - 2 * _SQRT2, -2 * _SQRT2)):
-                if abs(al - bad_al) < GUARD_MARGIN and \
-                        abs(mu - bad_mu) < GUARD_MARGIN:
-                    raise ExcludedParameter(f"{cid}: (alpha, mu) special pair")
             for x in solve_quadratic(1, -mu, 2 * mu / al + al - 4):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "mu": mu, "x": x},
@@ -296,11 +293,6 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
     elif base == "X21":
         k = 0
         for z in solve_quadratic(1, -al, al):
-            for bad_al, bad_z in ((2 + 2 * _SQRT2, _SQRT2),
-                                  (2 - 2 * _SQRT2, -_SQRT2)):
-                if abs(al - bad_al) < GUARD_MARGIN and \
-                        abs(z - bad_z) < GUARD_MARGIN:
-                    raise ExcludedParameter(f"{cid}: (alpha, z) special pair")
             for g in solve_quadratic(1, (al - 2) * z * z - 2 * z, z * z):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "z": z, "gamma": g},
@@ -455,10 +447,8 @@ def best_membership(v: TraceVector) -> tuple[str, float]:
     with a NaN residual never wins ("", inf when none is finite)."""
     best, best_val = "", float("inf")
     for cid in COMPONENTS:
-        res = [abs(x) for x in membership_residual(cid, v).values()]
-        worst = max(res)
-        # `not (x <= worst)` holds for a NaN, which max() drops unless first
-        if all(x <= worst for x in res) and worst < best_val:
+        worst = _nanmax(*[abs(x) for x in membership_residual(cid, v).values()])
+        if worst < best_val:  # False for a NaN
             best, best_val = cid, worst
     return best, best_val
 
@@ -793,8 +783,6 @@ def explore_solve(t: complex, seed: int,
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
     t = _as_t(t, "explore")
-    for cid in COMPONENTS:
-        check_admissible(cid, t)
     exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
     targets = np.array([[smp.vector.coords()[k] for k in COORD_KEYS[1:]]
                         for smp in exact])

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import io
 import json
-import math
 import sys
 import time
 
@@ -21,7 +21,9 @@ import numpy as np
 
 from . import catalog, wirtinger
 from .errors import CharVarError, ExcludedParameter
-from .mat2 import has_common_eigenvector, is_irreducible_pair, random_gt
+from .mat2 import (anticommutator_residual, ch_residual,
+                   has_common_eigenvector, is_irreducible_pair, random_gt,
+                   xyx_expand)
 from .reconstruct import realize_character
 from .tracealg import (det_Sdiamond, s_from_t, trace_vector_of,
                        typeI_residuals, typeII_residuals)
@@ -47,18 +49,6 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")
     return n
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite number > 0."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (tol > 0 and math.isfinite(tol)):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number > 0, got {text!r}")
-    return tol
 
 
 def _fmt_complex(z: complex) -> str:
@@ -107,14 +97,14 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _verify_at(t: complex, ids, tol: float):
+def _verify_at(t: complex, ids):
     items = []
     ok = True
     for cid in ids:
         for smp in catalog.sample_component(cid, t):
             try:
                 q = realize_character(smp.vector)
-                rep, rel_res = wirtinger.is_representation(q, tol)
+                rep, rel_res = wirtinger.is_representation(q)
                 teq = wirtinger.necessary_conditions_residual(q)
                 passed = rep and teq <= 1e-8
                 item = {"id": cid, "branch": smp.branch,
@@ -136,7 +126,7 @@ def cmd_verify(args) -> int:
         ts = [args.t]
     else:
         ts = []
-        while len(ts) < args.samples:
+        while len(ts) < (3 if args.samples is None else args.samples):
             t = complex(*(rng.uniform(-2.5, 2.5, 2)))
             try:
                 for cid in ids:
@@ -147,7 +137,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     blocks = []
     for t in ts:
-        ok, items = _verify_at(t, ids, args.tol)
+        ok, items = _verify_at(t, ids)
         all_ok = all_ok and ok
         blocks.append({"t": _fmt_complex(t), "pass": ok, "items": items})
     payload = {"command": "verify", "seed": args.seed, "pass": all_ok,
@@ -178,7 +168,6 @@ def _identity_battery(seed: int, n: int, inject_fault: bool):
     worst = {"typeI": 0.0, "typeII": 0.0, "det_Sdiamond": 0.0,
              "cayley_hamilton": 0.0, "xyx": 0.0, "anticommutator": 0.0}
     agreement = 0
-    from .mat2 import anticommutator_residual, ch_residual, xyx_expand
     for k in range(n):
         t = complex(*rng.uniform(-3, 3, 2))
         while abs(t) > 3:
@@ -187,8 +176,7 @@ def _identity_battery(seed: int, n: int, inject_fault: bool):
         v = trace_vector_of(*xs)
         s = s_from_t(v)
         if inject_fault and k == 0:
-            s = type(s)(**{**{f: getattr(s, f) for f in s.__dataclass_fields__},
-                           "s12": s.s12 + 1e-3})
+            s = dataclasses.replace(s, s12=s.s12 + 1e-3)
         worst["typeI"] = max(worst["typeI"], max(
             abs(r) for r in typeI_residuals(s, normalized=True)))
         worst["typeII"] = max(worst["typeII"], max(
@@ -264,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("verify", help="sample -> realize -> relator pipeline")
-    p.add_argument("--t", type=parse_complex, default=None)
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--t", type=parse_complex, default=None)
+    # None, not 3: argparse sees no conflict in a value that is its default
+    at.add_argument("--samples", type=_count, default=None,
+                    help="number of random t values (default 3)")
     p.add_argument("--component", choices=catalog.COMPONENTS)
-    p.add_argument("--samples", type=_count, default=3,
-                   help="number of random t values when --t is absent")
-    p.add_argument("--tol", type=_tolerance, default=wirtinger.RELATOR_TOL,
-                   help="relator-residual tolerance")
     p.add_argument("--seed", type=int, default=0)
     _add_output(p)
     p.set_defaults(fn=cmd_verify)

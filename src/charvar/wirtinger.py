@@ -54,10 +54,9 @@ def relators(q: Quadruple) -> RelatorSet:
     return RelatorSet(*rs)
 
 
-def is_representation(q: Quadruple,
-                      tol: float = RELATOR_TOL) -> tuple[bool, float]:
+def is_representation(q: Quadruple) -> tuple[bool, float]:
     res = relators(q).spread()
-    return res <= tol, res
+    return res <= RELATOR_TOL, res
 
 
 def is_irreducible(q: Quadruple) -> bool:

@@ -295,8 +295,8 @@ def test_x4_samples_across_t():
 
 
 def test_sampler_guards_sit_over_excluded_t():
-    # a guard inside a sampler must fire only over an excluded t, which
-    # check_admissible has refused already; exact in sympy
+    # each degenerate fibre of a sampler lies over an excluded t, which
+    # check_admissible refuses; exact in sympy
     sp = pytest.importorskip("sympy")
     t, u, eta = sp.symbols("t u eta")
     quartic = sp.resultant(*catalog._x4_system(t, u, eta), eta)
@@ -305,10 +305,10 @@ def test_sampler_guards_sit_over_excluded_t():
         want = [complex(c.subs(t, tv))
                 for c in sp.Poly(quartic, u).all_coeffs()]
         assert np.abs(np.array(got) - want).max() <= 1e-12
-    # X4's u = 1 guard lies over t = +-sqrt3
+    # X4's u = 1 double root lies over t = +-sqrt3
     assert sp.expand(quartic.subs(u, 1) - (t ** 2 - 3) ** 2) == 0
-    # the X1/X2 (alpha, mu) and (alpha, z) guards lie over alpha = 2 +- 2sqrt2,
-    # that is over t = +-(1 + sqrt2) and t = +-(sqrt2 - 1)
+    # the X1/X2 (alpha, mu) and (alpha, z) special pairs lie over
+    # alpha = 2 +- 2sqrt2, that is over t = +-(1 + sqrt2) and t = +-(sqrt2 - 1)
     s2 = sp.sqrt(2)
     for bad_al, r in ((2 + 2 * s2, 1 + s2), (2 - 2 * s2, s2 - 1)):
         assert sp.expand(catalog._alpha(t) - bad_al - (t - r) * (t + r)) == 0
@@ -320,9 +320,29 @@ def test_sampler_guards_sit_over_excluded_t():
                     <= 1e-15, (cid, z)
 
 
-#: t over the X1/X2 (alpha, mu) and (alpha, z) guard pairs: alpha = 2 +- 2sqrt2
-_GUARD_T = (1 + math.sqrt(2), -1 - math.sqrt(2),
-            math.sqrt(2) - 1, 1 - math.sqrt(2))
+def test_sampler_margin_keeps_samplers_off_degenerate_fibres():
+    # on a circle just outside SAMPLER_MARGIN around each t over a special
+    # pair or X4's u = 1, every sampler succeeds and its parameters keep
+    # their distance from the degenerate values (least seen: 3.7e-3 for
+    # (alpha, mu), 1.0e-3 for (alpha, z), 7.3e-4 for |u - 1|)
+    s2 = math.sqrt(2)
+    circle = [1.0001 * SAMPLER_MARGIN * cmath.exp(2j * math.pi * k / 180)
+              for k in range(180)]
+    special = {"mu": ((2 + 2 * s2, 2 * s2), (2 - 2 * s2, -2 * s2)),
+               "z": ((2 + 2 * s2, s2), (2 - 2 * s2, -s2))}
+    for cid, key in (("X11", "mu"), ("X12", "mu"), ("X21", "z"),
+                     ("X22", "z")):
+        for r in (1 + s2, -1 - s2, s2 - 1, 1 - s2):
+            for dt in circle:
+                for smp in sample_component(cid, r + dt):
+                    p = smp.params
+                    for bad_al, bad in special[key]:
+                        assert max(abs(p["alpha"] - bad_al),
+                                   abs(p[key] - bad)) >= 1e-4, (cid, r, dt)
+    for r in (SQRT3.real, -SQRT3.real):
+        for dt in circle:
+            for smp in sample_component("X4", r + dt):
+                assert abs(smp.params["u"] - 1) >= 1e-4, (r, dt)
 
 
 @pytest.mark.parametrize("partner", ["X12", "X22", "X52", "X62"])
@@ -330,17 +350,12 @@ def test_partner_raises_where_its_base_raises(partner):
     # a partner samples its base and rotates: it must refuse the same t
     # with the same exception type, and name itself, not its base
     base = ROTATION_PAIR[partner]
-    cases = [(sample_component, t) for t in EXCLUDED_T[base]]
-    if partner in ("X12", "X22"):
-        # the guard pairs themselves, which check_admissible keeps
-        # sample_component from reaching
-        cases += [(catalog._branch_samples, t) for t in _GUARD_T]
-    for call, t in cases:
+    for t in EXCLUDED_T[base]:
         with pytest.raises(CharVarError) as want:
-            call(base, t)
+            sample_component(base, t)
         with pytest.raises(type(want.value)) as got:
-            call(partner, t)
-        assert type(got.value) is type(want.value), (call, t)
+            sample_component(partner, t)
+        assert type(got.value) is type(want.value), t
         assert str(got.value) == str(want.value).replace(base, partner)
 
 

@@ -4,6 +4,7 @@ import types
 import pytest
 
 import charvar
+from charvar.catalog import check_admissible
 from charvar.cli import main, parse_complex
 
 #: the package's public names: adding or removing one is an API change
@@ -179,8 +180,9 @@ def test_usage_error_exits_2(capsys):
         capsys.readouterr()
         assert main(args) == 2
         assert "error: argument --" in capsys.readouterr().err
-    # --seed and --tol exist only where a report reads them
+    # --seed exists only where a report reads it; the relator gate is fixed
     for args in (["catalog", "--t", "3", "--tol", "1"],
+                 ["verify", "--t", "3", "--tol", "1e-7"],
                  ["parabolic", "--seed", "1"],
                  ["identities", "--n", "5", "--inject-fault", "--tol", "1"],
                  ["explore", "--t", "2+1i", "--tol", "1"]):
@@ -189,11 +191,33 @@ def test_usage_error_exits_2(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1e-7", "inf"])
-def test_bad_tol_exits_2(tol, capsys):
-    assert main(["verify", "--t", "3+0i", "--component", "X3",
-                 f"--tol={tol}"]) == 2
-    assert "error: argument --tol" in capsys.readouterr().err
+@pytest.mark.parametrize("args", [
+    ["--t", "3", "--samples", "2"],
+    ["--t", "3", "--samples", "3"],  # 3 is the default count
+    ["--samples", "3", "--t", "3"],
+    ["--t", "-0.7+1.9i", "--samples", "1"],
+])
+def test_verify_t_and_samples_exclude_each_other(args, capsys):
+    # a fixed t draws no random t, so a count beside it would be ignored
+    assert main(["verify", *args]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_verify_draws_admissible_random_t(tmp_path):
+    # without --t, verify draws --samples admissible t (3 by default) from
+    # --seed in the square |Re t|, |Im t| <= 2.5
+    args = ["verify", "--seed", "100", "--component", "X4"]
+    code1, out1 = run(args + ["--samples", "3"], tmp_path, "a.json")
+    code2, out2 = run(args + ["--samples", "3"], tmp_path, "b.json")
+    code3, out3 = run(args, tmp_path, "c.json")
+    assert code1 == code2 == code3 == 0
+    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+    blocks = json.loads(out1.read_text())["blocks"]
+    assert len(blocks) == 3 and all(blk["pass"] for blk in blocks)
+    for blk in blocks:
+        t = parse_complex(blk["t"])
+        check_admissible("X4", t)
+        assert abs(t.real) <= 2.5 and abs(t.imag) <= 2.5
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
