@@ -539,17 +539,17 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 #: the Newton loop's working set: at most this many starts are advanced
 #: together as one array, and a start that stops hands its row to the next
 #: unstarted one (each start's iterates do not depend on it). A row's
-#: system [J | -f] takes 5632 bytes, and an iteration about 12 KB a row at
-#: its peak (the system and the R of every row, then np.linalg.qr's copies
-#: of _SOLVE_BLOCK systems and of their R). Each iteration also pays about
-#: 100 C-level calls whatever its width (numpy and builtins, as counted by
-#: sys.setprofile); 128 rows spread them over more starts (46 iterations
-#: for the 200 starts of a call at a probe benchmark panel t, 112 at width
-#: 32: the mean of the three panel t at seed 7) while the probe
-#: benchmark's peak RSS stays within 2% of width 32's (160 and 200 rows ran
-#: a few % faster at +3% and +4% RSS). One explore_solve(1.7421+0.3885j, 7,
-#: 200) peaks at 1.59 MB of traced memory (numpy 2.4, Python 3.11);
-#: test_probe_working_memory_is_bounded holds it under 2.2 MB, 38% above.
+#: system [J | -f] takes 5632 bytes, and an iteration about 13.5 KB a row
+#: at its peak (the system, np.linalg.qr's copy of it and the R of every
+#: row). Each iteration also pays about 100 C-level calls whatever its
+#: width (numpy and builtins, as counted by sys.setprofile); 128 rows
+#: spread them over more starts (46 iterations for the 200 starts of a
+#: call at a probe benchmark panel t, 112 at width 32: the mean of the
+#: three panel t at seed 7), and the probe benchmark ran 1.25-1.36x faster
+#: than at width 32 with 3% more peak RSS (2-vCPU Xeon VM). One
+#: explore_solve(1.7421+0.3885j, 7, 200) peaks at 1.97 MB of traced memory
+#: (numpy 2.4, Python 3.11); test_probe_working_memory_is_bounded holds it
+#: under 2.2 MB, 12% above.
 _PROBE_BLOCK = 128
 
 # Newton stop rules (see _newton_starts), on the max raw residual of a start
@@ -587,22 +587,16 @@ _DIVERGED = 1e8
 #: kappa_2 <= kappa_F, so every singular value of such a system is far
 #: above lstsq's cutoff and its step is unique (see _augmented_steps)
 _QR_COND_MAX = 1e8
-#: systems factored per np.linalg.qr call: it copies its whole input and
-#: then R, so this bounds those copies at a wide working set (_PROBE_BLOCK).
-#: The back substitution that follows takes every row at once, with 3.4 KB
-#: a row (its R and [R^-1 | step]) and no copy of the system
-_SOLVE_BLOCK = 64
 
 
 def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions of jac[k] x = rhs[k], as
-    np.linalg.lstsq(rcond=None) finds them one system at a time: singular
-    values at most eps * max(jac shape) times the largest count as zero."""
-    u, sv, vh = np.linalg.svd(jac, full_matrices=False)
-    cut = np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cut)
-    coef = np.einsum("nki,nk->ni", u.conj(), rhs) * inv
-    return np.einsum("nik,ni->nk", vh.conj(), coef)
+    """Minimum-norm least-squares solutions of jac[k] x = rhs[k], by
+    np.linalg.lstsq(rcond=None) one system at a time: singular values at
+    most eps * max(jac shape) times the largest count as zero."""
+    steps = np.empty(jac.shape[::2], dtype=np.result_type(jac, rhs))
+    for k, (j, r) in enumerate(zip(jac, rhs)):
+        steps[k] = np.linalg.lstsq(j, r, rcond=None)[0]
+    return steps
 
 
 def _augmented_steps(aug: np.ndarray) -> np.ndarray:
@@ -610,10 +604,10 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
     _svd_steps computes, for the (n, m, k + 1) stack of augmented systems
     aug[i] = [jac[i] | rhs[i]] with m >= k, in any memory layout.
 
-    A batched R-only QR of [jac | rhs], _SOLVE_BLOCK systems per call, gives
-    R and Q^H rhs. Every system whose R has a nonzero diagonal is then
-    solved at once by back substitution, R [X | x] = [I | Q^H rhs], from
-    the last row up: X = R^-1 and x = R^-1 Q^H rhs. A system with
+    One batched R-only QR of [jac | rhs] gives R and Q^H rhs for the whole
+    stack. Every system whose R has a nonzero diagonal is then solved at
+    once by back substitution, R [X | x] = [I | Q^H rhs], from the last row
+    up: X = R^-1 and x = R^-1 Q^H rhs. A system with
     ||R||_F^2 ||X||_F^2 <= _QR_COND_MAX^2, a Frobenius condition number at
     most _QR_COND_MAX, has full column rank, lstsq drops none of its
     singular values, and its unique solution is x (Golub & Van Loan, Matrix
@@ -621,15 +615,13 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
     Accuracy and Stability of Numerical Algorithms, ch. 8), so the two
     agree to about kappa * eps. Every other system (rank-deficient,
     ill-conditioned, or with an X that overflows to inf or nan) is solved
-    by _svd_steps. For finite input no LinAlgError is raised. Each row's
-    step is the same bytes whatever rows share its stack.
+    by _svd_steps, numpy's lstsq one system at a time. For finite input no
+    LinAlgError is raised. Each row's step is the same bytes whatever rows
+    share its stack.
     """
-    n, m, k = aug.shape
+    n, _, k = aug.shape
     k -= 1
-    r = np.empty((n, min(m, k + 1), k + 1), dtype=aug.dtype)
-    for lo in range(0, n, _SOLVE_BLOCK):
-        r[lo:lo + _SOLVE_BLOCK] = np.linalg.qr(aug[lo:lo + _SOLVE_BLOCK],
-                                               mode="r")
+    r = np.linalg.qr(aug, mode="r")
     rows = np.flatnonzero(
         (np.diagonal(r[:, :k, :k], axis1=1, axis2=2) != 0).all(axis=1))
     tri = r[rows, :k, :k]
@@ -658,23 +650,22 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
 def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undamped Gauss-Newton from every start row of y (overwritten): each
     step is the minimum-norm least-squares solution of J dy = -f, solved by
-    QR, or by SVD for the rare ill-conditioned J (see _augmented_steps).
+    QR, or by numpy's lstsq for the rare ill-conditioned J (see
+    _augmented_steps).
 
     At most _PROBE_BLOCK starts are live at a time, in start order; when a
     start stops or fails, or has taken _NEWTON_ITERS steps, the next
     unstarted one takes its row. An iteration builds one (n, 32, 11) array
     [J | -f] of its n live rows (_ProbeSystem, whose per-t tables are made
-    once per call), applies the stop rules, moves each row that goes on
-    into the place of a stopped one before it, so that they fill the front
-    of the array, and solves them there (_augmented_steps); it then checks
-    each step. A start stops when its max residual reaches _ROOT_TOL,
-    stalls at or below _STALL_TOL (less than a _STALL_RATIO decrease), or
-    is still above _WANDER_RES after _WANDER_ITER of its iterations. It
-    also stops once its residual is above _WANDER_RES and its step at most
-    _SETTLE_STEP times max(1, max|y|): settled at a stationary point of
-    |f|^2 that is not a root, it would be given up at _WANDER_ITER anyway.
-    It fails when a coordinate turns non-finite or exceeds _DIVERGED in
-    modulus. Every rule reads only the start's own residual, step and y.
+    once per call), applies the stop rules, keeps the rows that go on, in
+    order, and solves them (_augmented_steps); it then checks each step. A
+    start stops when its max residual reaches _ROOT_TOL, stalls at or below
+    _STALL_TOL (less than a _STALL_RATIO decrease), or is still above
+    _WANDER_RES after _WANDER_ITER of its iterations. It also stops once
+    its residual is above _WANDER_RES and its step at most _SETTLE_STEP
+    times max(1, max|y|): settled at a stationary point of |f|^2 that is
+    not a root, it would be given up at _WANDER_ITER anyway. It fails when
+    a coordinate turns non-finite or exceeds _DIVERGED in modulus. Every rule reads only the start's own residual, step and y.
     Returns each start's lowest-residual point and whether that residual is
     at most _STALL_TOL without failure.
     """
@@ -702,14 +693,7 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     # wandering; basin unlikely
                     | ((iters[live] >= _WANDER_ITER) & (fmax > _WANDER_RES)))
             prev[live] = fmax
-            if stop.any():
-                # a stopped row before the cut takes a later row that goes on
-                cut = live.size - np.count_nonzero(stop)
-                holes = np.flatnonzero(stop[:cut])
-                movers = cut + np.flatnonzero(~stop[cut:])
-                aug[holes] = aug[movers]
-                live[holes] = live[movers]
-                live, aug = live[:cut], aug[:cut]
+            live, aug = live[~stop], aug[~stop]
             steps = _augmented_steps(aug)
             del aug                           # before the next one is built
             # settled above the root floor: stationary, but not at a root
@@ -761,15 +745,16 @@ def explore_solve(t: complex, seed: int,
 
     Start k draws its real and then its imaginary parts from
     default_rng([seed, k]), scaled by 1.5, and takes undamped least-squares
-    steps with the exact Jacobian, solved by QR, or by SVD for the rare
-    ill-conditioned Jacobian (see _newton_starts and _augmented_steps). A
-    start whose steps have shrunk to nothing while its residual is still
-    above _WANDER_RES has settled off every root and is given up at once.
-    Up to _PROBE_BLOCK starts run together as one array, and a finished
-    start's row is refilled with the next unstarted one; each start's
-    iterates are bitwise the same whatever starts share its array. Snapping
-    compares at most _PROBE_BLOCK converged points at a time with the
-    samples, so its temporaries stay below the Newton loop's.
+    steps with the exact Jacobian, solved by QR, or by numpy's lstsq for
+    the rare ill-conditioned Jacobian (see _newton_starts and
+    _augmented_steps). A start whose steps have shrunk to nothing while its
+    residual is still above _WANDER_RES has settled off every root and is
+    given up at once. Up to _PROBE_BLOCK starts run together as one array,
+    and a finished start's row is refilled with the next unstarted one;
+    each start's iterates are bitwise the same whatever starts share its
+    array. Snapping compares at most _PROBE_BLOCK converged points at a
+    time with the samples, so its temporaries stay below the Newton
+    loop's.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any

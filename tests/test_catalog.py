@@ -527,10 +527,26 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
         assert sorted(svd_rows) == fallback
         for k, step in zip(pick, got):
             ref = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
-            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+            if k in fallback:
+                assert step.tobytes() == ref.tobytes(), k
+            else:
+                assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
     svd_rows.clear()
     got = _augmented_steps(np.empty((0, 32, 11), dtype=complex))
     assert got.shape == (0, 10) and svd_rows == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_lstsq_steps_at_subnormal_scale(rng):
+    # every singular value of J is near 1e-310, below the 5.6e-309 at which
+    # 1 / sv overflows; the fallback still finds the exact solution x of
+    # the consistent system J y = J x
+    jac = rng.standard_normal((1, 32, 10)) \
+        + 1j * rng.standard_normal((1, 32, 10))
+    x = rng.standard_normal((1, 10)) + 1j * rng.standard_normal((1, 10))
+    jac *= 1e-310
+    got = _augmented_steps(np.dstack([jac, np.einsum("nij,nj->ni", jac, x)]))
+    assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("t,seed,attempts", [(2 + 1j, 3, 40),
@@ -560,6 +576,22 @@ def test_explore_classifies(rng):
     assert len(found) == 29
     assert Counter(lbl for _, lbl in found) == {
         "X11": 1, "X12": 5, "X21": 1, "X22": 1, "X3": 18, "X4": 3}
+
+
+def test_explore_at_parabolic_slice(monkeypatch):
+    # at t = 2 the fallback is heaviest: 1,313 of this call's Newton rows
+    # go to _svd_steps
+    svd_rows, svd_steps = [0], catalog._svd_steps
+
+    def spy(j, r):
+        svd_rows[0] += len(j)
+        return svd_steps(j, r)
+
+    monkeypatch.setattr(catalog, "_svd_steps", spy)
+    found = explore_solve(2, seed=0, attempts=100)
+    assert svd_rows[0] > 1000
+    assert Counter(lbl for _, lbl in found) == {
+        "reducible": 79, "X4": 20, "X61": 1}
 
 
 def test_explore_starts_independent_of_blocking(monkeypatch):
@@ -671,7 +703,7 @@ def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
 def test_probe_rows_bitwise_independent_of_block(rng):
     # each row's residuals, Jacobian and step are the same bytes in a block
     # of the default width as alone; the catalog rows include a rank-9 X51
-    # Jacobian, so the block also takes the SVD fallback
+    # Jacobian, so the block also takes the lstsq fallback
     for t in (2 + 0j, 1e-3 + 2e-3j, 1.1 + 0.7j, -2.3 - 0.4j):
         y = rng.standard_normal((_PROBE_BLOCK, 10)) \
             + 1j * rng.standard_normal((_PROBE_BLOCK, 10))

@@ -18,7 +18,7 @@ outcome, and on a rejection the same exception type and message.
 The Newton step solve, a back substitution for R^-1 and the step, is held
 against the np.linalg.inv form it replaced. That cannot be bit for bit, as
 the two round differently: the steps agree to about kappa * eps, the same
-systems go to the SVD fallback, and every probe point snapped to a catalog
+systems go to the lstsq fallback, and every probe point snapped to a catalog
 sample is the same.
 """
 
@@ -645,13 +645,9 @@ def test_raw_kernels_on_symbols_expand_to_oracle():
 
 def augmented_steps_oracle(aug):
     """The Newton step solve as it was before back substitution: R^-1 from
-    np.linalg.inv of the triangular R, then R^-1 Q^H rhs by einsum,
-    _SOLVE_BLOCK systems at a time, and the same _QR_COND_MAX gate on
+    np.linalg.inv of the triangular R, then R^-1 Q^H rhs by einsum, the
+    whole stack in one QR call, and the same _QR_COND_MAX gate on
     ||R||_F ||R^-1||_F."""
-    if len(aug) > catalog._SOLVE_BLOCK:
-        return np.concatenate([
-            augmented_steps_oracle(aug[lo:lo + catalog._SOLVE_BLOCK])
-            for lo in range(0, len(aug), catalog._SOLVE_BLOCK)])
     n, _, k = aug.shape
     k -= 1
     r = np.linalg.qr(aug, mode="r")
@@ -674,16 +670,16 @@ def augmented_steps_oracle(aug):
 
 
 def test_augmented_steps_match_inverse_oracle(monkeypatch):
-    # 2 * _SOLVE_BLOCK + 7 systems with condition numbers up to about 1e6,
-    # and three planted ones that the gate sends to _svd_steps
+    # 135 systems with condition numbers up to about 1e6, and three planted
+    # ones that the gate sends to _svd_steps
     rng = np.random.default_rng(19)
-    n = 2 * catalog._SOLVE_BLOCK + 7
+    n = 135
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     jac, rhs = cplx(n, 32, 10), cplx(n, 32)
     jac *= np.logspace(0, -1, 10) ** rng.uniform(0, 6, (n, 1, 1))
-    planted = [3, catalog._SOLVE_BLOCK + 1, n - 2]
+    planted = [3, 65, n - 2]
     jac[3, :, 9] = jac[3, :, 0]                  # rank 9
     jac[planted[1]] *= np.logspace(0, -10, 10)   # kappa about 1e10
     jac[n - 2] = 0
@@ -698,8 +694,7 @@ def test_augmented_steps_match_inverse_oracle(monkeypatch):
     aug = np.dstack([jac, rhs])
     got = catalog._augmented_steps(aug)
     want = augmented_steps_oracle(aug)
-    assert svd_rows[0] == planted
-    assert sum(svd_rows[1:], []) == planted    # the oracle, block by block
+    assert svd_rows == [planted, planted]      # one call each
     eps = np.finfo(float).eps
     for k in range(n):
         if k in planted:
