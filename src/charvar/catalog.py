@@ -256,9 +256,7 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     try:
         samples = _branch_samples(cid, t)
         for smp in samples:
-            # `not (value <= tol)` and no max over all values: a NaN fails
-            over = [abs(r) for r in smp.residuals().values()
-                    if not abs(r) <= SAMPLE_TOL]
+            over = _misses(cid, smp.vector)
             if over:
                 # complex * overflows to inf or NaN without raising, in the
                 # sample or in its residuals; only a sample that misses its
@@ -275,6 +273,13 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
         raise ExcludedParameter(
             f"{cid}: arithmetic overflows at t = {t}") from None
     return samples
+
+
+def _misses(cid: str, v: TraceVector) -> list[float]:
+    """The magnitudes of cid's membership residuals at v above SAMPLE_TOL.
+    `not (value <= tol)` and no max over all values: a NaN misses."""
+    return [r for r in map(abs, membership_residual(cid, v).values())
+            if not r <= SAMPLE_TOL]
 
 
 def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
@@ -351,95 +356,88 @@ def _n6(a, b, c, d, e, f):
             / max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
 
 
-def _row_relations(v: TraceVector, w: TraceVector,
-                   *keys: str) -> dict[str, complex]:
-    """The relations v.k - w.k, normalized, of the coordinates k that the
-    row constructor image w fixes."""
-    return {k: _n2(getattr(v, k), -getattr(w, k)) for k in keys}
-
-
-def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
-    """Residuals of one component's defining equations at v.
-
-    Parameters are recovered linearly from the vector; denominators in alpha
-    and gamma are cleared, so the residuals are polynomial and meaningful on
-    component closures (exclusion guards are deliberately not part of the
-    test). All residuals small means v lies on the closure. A partner's
-    residuals (X12, X22, X52, X62) are its base's at v.rotate(): the same
-    dict, with the base's key names.
-
-    Each residual is normalized as tracealg's kernels are: its terms, passed
-    to `_n1` .. `_n6` by count, are summed left to right from 0 and divided
-    by max(1, largest term magnitude). The powers are taken first, so an
-    overflowing power raises before an abs() that overflows can.
-    """
+def membership_terms(cid: str, v: TraceVector) -> dict[str, tuple]:
+    """The terms of each of one component's defining equations at v, by
+    name: the equation is their sum. Plain field arithmetic, with no abs,
+    division or complex(), so sympy symbols work too. Parameters are read
+    linearly off v and denominators cleared: each equation is polynomial and
+    holds on the component's closure, excluded t included. A partner's
+    terms are its base's at v.rotate(), under the base's names."""
     if cid in _BASE:
         cid, v = _BASE[cid], v.rotate()
     t = v.t
     al = _alpha(t)
-    one = complex(1)
+    one = t ** 0 + 0j   # (1+0j) for any Python number t, NaN too; 1 in sympy
     if cid == "X11":
         al3, al4 = al ** 3, al ** 4
         x = v.t12 - 1
         mu = v.t12 + v.t23 - 2
-        return {"t14": _n2(v.t14, -v.t12), "t34": _n2(v.t34, -v.t23),
-                "t13": _n2(v.t13, -one),
-                "tau": _n3(al * v.t24, -(al3 - 3 * al * al + 4) * mu,
-                           al4 - 4 * al3 + 7 * al),
-                "tri_a": _n2(al * v.t123, -t * mu),
-                "tri_b": _n2(al * v.t134, -t * mu),
-                "sig_p": _n5(al * v.t124, -t * (1 + al) * mu, t * mu * mu,
-                             2 * t * al, -t * mu * x),
-                "sig_m": _n4(al * v.t234, -t * (1 + al) * mu, 2 * t * al,
-                             t * mu * x),
-                "q_mu": _n3(mu * mu, (al * al - 4 * al) * mu,
-                            4 * al * al - al3),
-                "q_x": _n4(al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al)}
+        return {"t14": (v.t14, -v.t12), "t34": (v.t34, -v.t23),
+                "t13": (v.t13, -one),
+                "tau": (al * v.t24, -(al3 - 3 * al * al + 4) * mu,
+                        al4 - 4 * al3 + 7 * al),
+                "tri_a": (al * v.t123, -t * mu),
+                "tri_b": (al * v.t134, -t * mu),
+                "sig_p": (al * v.t124, -t * (1 + al) * mu, t * mu * mu,
+                          2 * t * al, -t * mu * x),
+                "sig_m": (al * v.t234, -t * (1 + al) * mu, 2 * t * al,
+                          t * mu * x),
+                "q_mu": (mu * mu, (al * al - 4 * al) * mu, 4 * al * al - al3),
+                "q_x": (al * x * x, -al * mu * x, 2 * mu, al * al - 4 * al)}
     if cid == "X21":
         z = v.t23 - 1
         g = v.t12 - al + 1
-        z3 = z ** 3
-        return {"t14": _n2(v.t14, -v.t23),
-                "t34g": _n3(g * v.t34, -z * z, -(al - 1) * g),
-                "t13": _n2(v.t13, -one), "t24": _n2(v.t24, -one),
-                "q_z": _n3(z * z, -al * z, al),
-                "q_g": _n3(g * g, ((al - 2) * z * z - 2 * z) * g, z * z),
-                "tri_1": _n3(al * v.t123, -al * t, -t * z * g),
-                "tri_1b": _n2(v.t124, -v.t123),
-                "tri_2": _n3(al * g * v.t134, -al * g * t, -t * z3),
-                "tri_2b": _n2(v.t234, -v.t134)}
+        return {"t14": (v.t14, -v.t23),
+                "t34g": (g * v.t34, -z * z, -(al - 1) * g),
+                "t13": (v.t13, -one), "t24": (v.t24, -one),
+                "q_z": (z * z, -al * z, al),
+                "q_g": (g * g, ((al - 2) * z * z - 2 * z) * g, z * z),
+                "tri_1": (al * v.t123, -al * t, -t * z * g),
+                "tri_1b": (v.t124, -v.t123),
+                "tri_2": (al * g * v.t134, -al * g * t, -t * z ** 3),
+                "tri_2b": (v.t234, -v.t134)}
     if cid == "X3":
         u = v.t12
-        return {**_row_relations(v, _x3_vector(t, u), "t23", "t34", "t14",
-                                 "t13", "t24", "t123", "t124", "t134",
-                                 "t234"),
-                "q_u": _n3(u * u, -(t * t + 1) * u, 2 * t * t - 1)}
+        w = _x3_vector(t, u)   # v.k - w.k for each k that w does not read
+        return {**{k: (getattr(v, k), -getattr(w, k)) for k in COORD_KEYS[2:]},
+                "q_u": (u * u, -(t * t + 1) * u, 2 * t * t - 1)}
     if cid == "X4":
-        u = v.t12
-        eta = v.t123
-        t4 = t ** 4
-        return {**_row_relations(v, _x4_vector(t, u, eta), "t23", "t34",
-                                 "t14", "t13", "t24", "t124", "t134",
-                                 "t234"),
-                "lin": _n5(t * eta, -u * u, -u, t * t, -one),
-                "q_eta": _n6(eta * eta, t * (t * t + 4 - 2 * u) * eta,
-                             -5 * t * t * u, t4, 4 * t * t, -6 * one)}
+        u, eta = v.t12, v.t123
+        w = _x4_vector(t, u, eta)
+        return {**{k: (getattr(v, k), -getattr(w, k)) for k in COORD_KEYS[2:]
+                   if k != "t123"},
+                "lin": (t * eta, -u * u, -u, t * t, -one),
+                "q_eta": (eta * eta, t * (t * t + 4 - 2 * u) * eta,
+                          -5 * t * t * u, t ** 4, 4 * t * t, -6 * one)}
     if cid == "X51":
         d = t * t - 2
-        return {"t12": _n1(v.t12 - 1), "t34": _n1(v.t34 - 1),
-                "t23": _n1(v.t23 - d), "t14": _n1(v.t14 - d),
-                "t13": _n2(v.t13, -one), "t24": _n2(v.t24, -one),
-                "t123": _n1(v.t123), "t124": _n1(v.t124),
-                "t134": _n1(v.t134), "t234": _n1(v.t234)}
+        return {"t12": (v.t12 - 1,), "t34": (v.t34 - 1,),
+                "t23": (v.t23 - d,), "t14": (v.t14 - d,),
+                "t13": (v.t13, -one), "t24": (v.t24, -one),
+                "t123": (v.t123,), "t124": (v.t124,),
+                "t134": (v.t134,), "t234": (v.t234,)}
     if cid == "X61":
         q = 4 * t * t - 2 - t ** 4
         p = 3 * t - t ** 3
-        return {"t12": _n2(v.t12, -one), "t23": _n2(v.t23, -one),
-                "t34": _n2(v.t34, -one), "t14": _n2(v.t14, -one),
-                "t13": _n2(v.t13, -one), "t24": _n2(v.t24, -q),
-                "t123": _n1(v.t123), "t134": _n1(v.t134),
-                "t124": _n2(v.t124, -p), "t234": _n2(v.t234, -p)}
+        return {"t12": (v.t12, -one), "t23": (v.t23, -one),
+                "t34": (v.t34, -one), "t14": (v.t14, -one),
+                "t13": (v.t13, -one), "t24": (v.t24, -q),
+                "t123": (v.t123,), "t134": (v.t134,),
+                "t124": (v.t124, -p), "t234": (v.t234, -p)}
     raise UnknownComponent(f"unknown component id {cid!r}")
+
+
+_NORMALIZE = (None, _n1, _n2, _n3, _n4, _n5, _n6)   # by number of terms
+
+
+def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
+    """membership_terms(cid, v), each equation normalized as tracealg's
+    kernels are: summed left to right from 0 and divided by max(1, largest
+    term magnitude). All small means v lies on the component's closure.
+    Every term is computed first, so an overflowing power raises before an
+    abs() that overflows can."""
+    return {k: _NORMALIZE[len(terms)](*terms)
+            for k, terms in membership_terms(cid, v).items()}
 
 
 def best_membership(v: TraceVector) -> tuple[str, float]:
@@ -525,8 +523,7 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
     out = []
     for label, p in pts:
         vec = _x4_vector(p["t"], p["u"], p["eta"])
-        over = [abs(x) for x in membership_residual("X4", vec).values()
-                if not abs(x) <= SAMPLE_TOL]
+        over = _misses("X4", vec)
         if over:
             raise ConstraintViolated(f"{label}: X4 residual {max(over):.3e}")
         out.append((label, p, vec))

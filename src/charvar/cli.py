@@ -106,7 +106,7 @@ def _verify_at(t: complex, ids):
                 q = realize_character(smp.vector)
                 rep, rel_res = wirtinger.is_representation(q)
                 teq = wirtinger.necessary_conditions_residual(q)
-                passed = rep and teq <= 1e-8
+                passed = rep and teq <= wirtinger.TRACE_EQ_TOL
                 item = {"id": cid, "branch": smp.branch,
                         "relator_residual": rel_res,
                         "trace_equation_residual": teq, "pass": passed}

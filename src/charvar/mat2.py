@@ -241,15 +241,11 @@ def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:
     return "equal" if eps == 1 else "inverse"
 
 
-def _check_spread(spread: float) -> None:
-    # a zero, NaN or infinite spread never passes the rejection tests below
-    if not (math.isfinite(spread) and spread > 0):
-        raise ValueError(f"spread must be finite and > 0, got {spread!r}")
-
-
 def random_sl2(rng, spread: float = 1.0) -> Mat2:
     """Random SL(2,C) element with entries O(spread)."""
-    _check_spread(spread)
+    # a zero, NaN or infinite spread never passes the rejection test below
+    if not (math.isfinite(spread) and spread > 0):
+        raise ValueError(f"spread must be finite and > 0, got {spread!r}")
     while True:
         a, b, c, d = (complex(x, y) * spread for x, y in
                       rng.standard_normal((4, 2)))
@@ -259,13 +255,12 @@ def random_sl2(rng, spread: float = 1.0) -> Mat2:
             return Mat2(a * r, b * r, c * r, d * r)
 
 
-def random_gt(rng, t: complex, spread: float = 1.0) -> Mat2:
+def random_gt(rng, t: complex) -> Mat2:
     """Random element of G(t): trace t, determinant 1. One draw of four
     normals per try, the same stream as two draws of two."""
-    _check_spread(spread)
     while True:
         ar, ai, br, bi = rng.standard_normal(4).tolist()
-        a = complex(ar, ai) * spread
-        b = complex(br, bi) * spread
-        if abs(b) > 0.1 * spread:
+        a = complex(ar, ai)
+        b = complex(br, bi)
+        if abs(b) > 0.1:
             return Mat2(a, b, (a * (t - a) - 1) / b, t - a)

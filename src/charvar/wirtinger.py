@@ -19,6 +19,9 @@ from .tracealg import trace_equation_residuals, trace_vector_of
 
 #: relator spread below which a quadruple counts as a representation
 RELATOR_TOL = 1e-7
+#: verify's gate on necessary_conditions_residual: realized catalog samples
+#: reach at most 5.4e-11 (median 6.5e-15) at 300 t in the verify square
+TRACE_EQ_TOL = 1e-8
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +119,8 @@ def factors_through_fig8(q: Quadruple, tol: float = 1e-8) -> bool:
 
 
 def necessary_conditions_residual(q: Quadruple) -> float:
-    """Max normalized trace-equation residual of the quadruple's character;
-    vanishes for every representation."""
+    """Max normalized trace-equation residual of the quadruple's character,
+    NaN if one is NaN; vanishes for every representation."""
     v = trace_vector_of(*q.matrices())
-    return max(abs(r) for r in trace_equation_residuals(v, normalized=True))
+    return _nanmax(*[abs(r) for r in
+                     trace_equation_residuals(v, normalized=True)])

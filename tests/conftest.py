@@ -122,10 +122,10 @@ E2 = Mat2(0, 1, 1, 0)
 E3 = Mat2(0, 1, -1, 0)
 
 
-def random_quadruple(rng, t=None, spread=1.0):
+def random_quadruple(rng, t=None):
     if t is None:
         t = random_t(rng)
-    return t, [random_gt(rng, t, spread) for _ in range(4)]
+    return t, [random_gt(rng, t) for _ in range(4)]
 
 
 def reducible_pair(rng, t=None):

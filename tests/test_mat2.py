@@ -197,9 +197,8 @@ class _NoDraws:
 @pytest.mark.parametrize("spread", [0, 0.0, -1.0, float("nan"), float("inf"),
                                     float("-inf")])
 def test_samplers_reject_bad_spread(spread):
-    # a zero, NaN or infinite spread never passes the rejection test, and a
-    # negative one has no meaning: ValueError before the first draw
-    with pytest.raises(ValueError, match="spread"):
-        random_gt(_NoDraws(), 1.0, spread)
+    # a zero, NaN or infinite spread never passes random_sl2's rejection
+    # test, and a negative one has no meaning: ValueError before the first
+    # draw (random_gt takes no spread)
     with pytest.raises(ValueError, match="spread"):
         random_sl2(_NoDraws(), spread)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import E1, E2, E3, random_quadruple
 from charvar.catalog import COMPONENTS, sample_component
-from charvar.errors import ConstraintViolated
+from charvar.errors import ConstraintViolated, FactorizationFailure
 from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_sl2,
                           scalar)
 from charvar.reconstruct import (_N_INV, Quadruple, _realized_matrices,
@@ -48,6 +48,14 @@ def test_factor_symmetric_zero_diagonal():
     M = factor_symmetric(S)
     assert np.abs(M.T @ M - S).max() <= 1e-9
     _assert_balanced(M, S)
+
+
+def test_factor_symmetric_refuses_rank_4():
+    # no 3 x 4 factor has rank 4: the best one misses S by its smallest
+    # singular value, 1
+    with pytest.raises(FactorizationFailure,
+                       match=r"M\^T M misses S by 1\.000e\+00"):
+        factor_symmetric(np.diag([1, 2, 3, 4]))
 
 
 @pytest.mark.parametrize("t", [-2.2951323803190267 - 2.4173618223573543j,

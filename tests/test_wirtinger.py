@@ -7,11 +7,11 @@ from charvar.catalog import sample_component
 from charvar.errors import PreconditionViolated
 from charvar.mat2 import IDENTITY, Mat2, dist, random_gt
 from charvar.reconstruct import Quadruple, realize_character
-from charvar.tracealg import trace_equation_residuals
-from charvar.wirtinger import (RelatorSet, factors_through_fig8,
-                               fig8_relator_residual, is_representation,
-                               lemma31_check, necessary_conditions_residual,
-                               relators)
+from charvar.tracealg import trace_equation_residuals, trace_vector_of
+from charvar.wirtinger import (TRACE_EQ_TOL, RelatorSet,
+                               factors_through_fig8, fig8_relator_residual,
+                               is_representation, lemma31_check,
+                               necessary_conditions_residual, relators)
 
 
 def test_relators_all_equal(rng):
@@ -36,6 +36,22 @@ def test_nan_entry_is_not_a_representation():
     assert math.isnan(rs.spread())
 
 
+def test_nan_trace_equation_is_not_hidden():
+    # conjugating a representation by diag(1e154, 1e-154) puts 1e308-sized
+    # entries in its matrices, and 6 of its 12 trace equations come out NaN
+    # (the first of them not first): the worst residual must be NaN, never
+    # the 4.3e-15 of the finite ones, which passes verify's gate
+    t = 1.3 + 0.4j
+    q = realize_character(sample_component("X4", t)[2].vector)
+    d, d_inv = Mat2(1e154, 0, 0, 1e-154), Mat2(1e-154, 0, 0, 1e154)
+    c = Quadruple(*(d @ x @ d_inv for x in q.matrices()), t=t)
+    res = trace_equation_residuals(trace_vector_of(*c.matrices()),
+                                   normalized=True)
+    assert sum(math.isnan(abs(r)) for r in res) == 6
+    assert not math.isnan(abs(res[0]))
+    assert math.isnan(necessary_conditions_residual(c))
+
+
 def test_relators_random_quadruple_fails(rng):
     for _ in range(10):
         t, xs = random_quadruple(rng)
@@ -50,7 +66,7 @@ def test_component_samples_are_representations(rng):
             q = realize_character(smp.vector)
             ok, res = is_representation(q)
             assert ok, (cid, smp.branch, res)
-            assert necessary_conditions_residual(q) <= 1e-8
+            assert necessary_conditions_residual(q) <= TRACE_EQ_TOL
 
 
 def test_perturbed_representation_fails(rng):
