@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
 from .mat2 import _nanmax
 from .numfield import Poly, solve_quadratic
-from .tracealg import (COORD_KEYS, TraceVector, _t_pairs, definitive_excess,
-                       s_from_t)
+from .tracealg import (_NORMALIZE, COORD_KEYS, TraceVector, _t_pairs,
+                       definitive_excess, s_from_t)
 # no catalog code calls these; perfbench/tests/test_perfbench.py's tracer
 # test is their only reader here (it checks catalog.typeI_residuals)
 from .tracealg import typeI_residuals, typeII_residuals  # noqa: F401
@@ -125,13 +125,15 @@ def _alpha(t):
     return t * t - 1
 
 
-def _x1_vector(t, mu, x) -> TraceVector:
+def _x1_vector(t, mu, x, xp) -> TraceVector:
+    """xp is the other root of x's quadratic, mu - x: t23 = t34 = xp + 1,
+    where mu + 1 - x would cancel on the branch where x is near mu."""
     al = _alpha(t)
     tau = (al * al - 3 * al + 4 / al) * mu - al ** 3 + 4 * al * al - 7
     sig_p = (1 / al + 1) * mu - mu * mu / al - 2 + (mu / al) * x
     sig_m = (1 / al + 1) * mu - 2 - (mu / al) * x
     tm = t * mu / al
-    return TraceVector(t=t, t12=x + 1, t23=mu + 1 - x, t34=mu + 1 - x,
+    return TraceVector(t=t, t12=x + 1, t23=xp + 1, t34=xp + 1,
                        t14=x + 1, t13=1, t24=tau,
                        t123=tm, t124=t * sig_p, t134=tm, t234=t * sig_m)
 
@@ -259,11 +261,9 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
             over = _misses(cid, smp.vector)
             if over:
                 # complex * overflows to inf or NaN without raising, in the
-                # sample or in its residuals; only a sample that misses its
-                # residuals pays for this scan
-                if not (all(map(math.isfinite, over))
-                        and all(map(cmath.isfinite,
-                                    smp.vector.coords().values()))):
+                # sample or in its residuals; every coordinate is a term of
+                # some equation, and a non-finite sum's residual is NaN
+                if not all(map(math.isfinite, over)):
                     raise OverflowError  # reported as ExcludedParameter
                 raise ConstraintViolated(
                     f"{cid} branch {smp.branch}: residual {max(over):.3e}")
@@ -277,7 +277,9 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
 
 def _misses(cid: str, v: TraceVector) -> list[float]:
     """The magnitudes of cid's membership residuals at v above SAMPLE_TOL.
-    `not (value <= tol)` and no max over all values: a NaN misses."""
+    `not (value <= tol)` and no max over all values: a NaN misses. (With
+    errno left at ERANGE, abs() of a NaN raises OverflowError instead;
+    sample_component reports either as ExcludedParameter.)"""
     return [r for r in map(abs, membership_residual(cid, v).values())
             if not r <= SAMPLE_TOL]
 
@@ -290,10 +292,11 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
     if base == "X11":
         k = 0
         for mu in solve_quadratic(1, al * al - 4 * al, 4 * al * al - al ** 3):
-            for x in solve_quadratic(1, -mu, 2 * mu / al + al - 4):
+            roots = solve_quadratic(1, -mu, 2 * mu / al + al - 4)
+            for x, xp in (roots, roots[::-1]):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "mu": mu, "x": x},
-                    _x1_vector(t, mu, x)))
+                    _x1_vector(t, mu, x, xp)))
                 k += 1
     elif base == "X21":
         k = 0
@@ -315,9 +318,7 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
         samples = [ComponentSample(cid, 0, {"t": t}, _x6_vector(t))]
     if base != cid:
         # rotate^3 = rotate^-1: each partner sample rotates onto its base
-        # sample, so its self-check is the base's, bit for bit (one rotate()
-        # gives X12 the x = mu - x of another branch, read off mu + 1 - x,
-        # which cancels: it failed the check at t = 20)
+        # sample, so its self-check is the base's, bit for bit
         samples = [ComponentSample(cid, smp.branch, smp.params,
                                    smp.vector.rotate().rotate().rotate())
                    for smp in samples]
@@ -326,35 +327,6 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
 
 # ---------------------------------------------------------------------------
 # membership
-
-# one helper per arity: a variadic _n(*terms) gave the same bits but made
-# membership_residual 65% slower per call (17.5 against 10.6 us) and
-# perfbench verify about 3% slower (8 of 8 alternating pairs)
-def _n1(a):
-    return (0 + a) / max(1.0, abs(a))
-
-
-def _n2(a, b):
-    return (0 + a + b) / max(1.0, abs(a), abs(b))
-
-
-def _n3(a, b, c):
-    return (0 + a + b + c) / max(1.0, abs(a), abs(b), abs(c))
-
-
-def _n4(a, b, c, d):
-    return (0 + a + b + c + d) / max(1.0, abs(a), abs(b), abs(c), abs(d))
-
-
-def _n5(a, b, c, d, e):
-    return ((0 + a + b + c + d + e)
-            / max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e)))
-
-
-def _n6(a, b, c, d, e, f):
-    return ((0 + a + b + c + d + e + f)
-            / max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
-
 
 def membership_terms(cid: str, v: TraceVector) -> dict[str, tuple]:
     """The terms of each of one component's defining equations at v, by
@@ -427,15 +399,10 @@ def membership_terms(cid: str, v: TraceVector) -> dict[str, tuple]:
     raise UnknownComponent(f"unknown component id {cid!r}")
 
 
-_NORMALIZE = (None, _n1, _n2, _n3, _n4, _n5, _n6)   # by number of terms
-
-
 def membership_residual(cid: str, v: TraceVector) -> dict[str, complex]:
-    """membership_terms(cid, v), each equation normalized as tracealg's
-    kernels are: summed left to right from 0 and divided by max(1, largest
-    term magnitude). All small means v lies on the component's closure.
-    Every term is computed first, so an overflowing power raises before an
-    abs() that overflows can."""
+    """membership_terms(cid, v), each equation normalized by tracealg's
+    helpers. All small means v lies on the component's closure. Every term
+    is computed first, so an overflowing power raises before an abs() can."""
     return {k: _NORMALIZE[len(terms)](*terms)
             for k, terms in membership_terms(cid, v).items()}
 
@@ -445,7 +412,8 @@ def best_membership(v: TraceVector) -> tuple[str, float]:
     with a NaN residual never wins ("", inf when none is finite)."""
     best, best_val = "", float("inf")
     for cid in COMPONENTS:
-        worst = _nanmax(*[abs(x) for x in membership_residual(cid, v).values()])
+        worst = _nanmax(*[abs(z) if z == z else math.nan
+                          for z in membership_residual(cid, v).values()])
         if worst < best_val:  # False for a NaN
             best, best_val = cid, worst
     return best, best_val

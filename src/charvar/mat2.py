@@ -32,13 +32,17 @@ class Mat2:
         return Mat2(*_inverse_entries(self))
 
     def norm(self) -> float:
-        """Max entry magnitude; NaN if an entry is NaN."""
-        return _nanmax(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        """Max entry magnitude; NaN if an entry is NaN, found before any
+        abs() of it (see _mag)."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if a == a and b == b and c == c and d == d:
+            return max(abs(a), abs(b), abs(c), abs(d))
+        return math.nan
 
     def is_scalar(self) -> bool:
         bound = SCALAR_TOL * max(1.0, self.norm())
-        return (abs(self.b) <= bound and abs(self.c) <= bound
-                and abs(self.a - self.d) <= bound)
+        return (_mag(self.b) <= bound and _mag(self.c) <= bound
+                and _mag(self.a - self.d) <= bound)
 
     def traceless_part(self) -> "Mat2":
         h = self.trace() / 2
@@ -88,6 +92,22 @@ def _nanmax(*vals: float) -> float:
     keeps a NaN only when it comes first."""
     total = sum(vals)
     return max(vals) if total == total else total
+
+
+def _mag(z) -> float:
+    """abs(z), whatever errno holds: CPython's abs() of a complex NaN raises
+    OverflowError when an earlier call left errno at ERANGE (say, an abs()
+    that overflowed), where it would return NaN. That ERANGE is cleared
+    too, so that it reaches no later abs(). Where a call costs too much, or
+    the value is a normalized residual (finite, or tracealg's one NaN), the
+    code tests z == z before abs() instead."""
+    try:
+        return abs(z)
+    except OverflowError:
+        if z == z:   # a finite z whose modulus overflows
+            raise
+        abs(0j)   # a finite abs() sets errno to 0
+        return math.nan
 
 
 def scalar(z) -> Mat2:
@@ -206,8 +226,8 @@ def has_common_eigenvector(ms) -> bool:
 def is_irreducible_pair(x: Mat2, y: Mat2, t: complex) -> bool:
     """Trace criterion for a pair in G(t): tr(xy) outside {2, t^2 - 2}."""
     txy = (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
-    s = max(1.0, abs(txy), abs(t) ** 2)
-    return abs(txy - 2) > 1e-9 * s and abs(txy - (t * t - 2)) > 1e-9 * s
+    s = max(1.0, _mag(txy), _mag(t) ** 2)
+    return _mag(txy - 2) > 1e-9 * s and _mag(txy - (t * t - 2)) > 1e-9 * s
 
 
 def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:

@@ -56,11 +56,14 @@ class Quadruple:
     def validate(self) -> None:
         for m in self.matrices():
             # the bound is at least 1e-9: test that first, as tracealg's
-            # gates test a raw residual, and take the norm only on a miss
-            e = abs(m.det() - 1)
-            if not (e <= 1e-9 or e <= 1e-9 * max(1.0, m.norm() ** 2)):
+            # gates test a raw residual, and take the norm only on a miss;
+            # a NaN fails before an abs() of it (see mat2._mag)
+            d = m.det() - 1
+            if not (d == d and (abs(d) <= 1e-9
+                                or abs(d) <= 1e-9 * max(1.0, m.norm() ** 2))):
                 raise ConstraintViolated(f"det = {m.det()}")
-            if not abs(m.trace() - self.t) <= 1e-9 * max(1.0, abs(self.t)):
+            d = m.trace() - self.t
+            if not (d == d and abs(d) <= 1e-9 * max(1.0, abs(self.t))):
                 raise TraceMismatch(f"trace {m.trace()} vs t = {self.t}")
 
     def conjugated(self, g: Mat2) -> "Quadruple":

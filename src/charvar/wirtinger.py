@@ -8,6 +8,7 @@ exactly when the four relator matrices r_i = x_i x_{i+1} x_i^{-1} x_{i-1} x_i
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,8 +39,10 @@ class RelatorSet:
         """Largest pairwise entry distance, relative to max(1, ||r1||); NaN
         if an entry is NaN."""
         e = [r.entries() for r in self.matrices()]
-        return _nanmax(*[abs(p - q) for x, y in combinations(e, 2)
-                         for p, q in zip(x, y)]) / max(1.0, self.r1.norm())
+        gaps = [p - q for x, y in combinations(e, 2) for p, q in zip(x, y)]
+        # no abs() of a NaN (see mat2._mag)
+        return (_nanmax(*[abs(z) if z == z else math.nan for z in gaps])
+                / max(1.0, self.r1.norm()))
 
 
 def relators(q: Quadruple) -> RelatorSet:
@@ -122,5 +125,5 @@ def necessary_conditions_residual(q: Quadruple) -> float:
     """Max normalized trace-equation residual of the quadruple's character,
     NaN if one is NaN; vanishes for every representation."""
     v = trace_vector_of(*q.matrices())
-    return _nanmax(*[abs(r) for r in
-                     trace_equation_residuals(v, normalized=True)])
+    return _nanmax(*[abs(r) if r == r else math.nan
+                     for r in trace_equation_residuals(v, normalized=True)])

@@ -25,7 +25,9 @@ T = sp.Symbol("t")
 #: base id -> (row constructor, its parameters in tower order, named as in
 #: the samples' params, and the names of its defining equations)
 BASES = {
-    "X11": (catalog._x1_vector, ("mu", "x"), ("q_mu", "q_x")),
+    # the sampler passes x's partner root, mu - x by Vieta
+    "X11": (lambda t, mu, x: catalog._x1_vector(t, mu, x, mu - x), ("mu", "x"),
+            ("q_mu", "q_x")),
     "X21": (catalog._x2_vector, ("z", "gamma"), ("q_z", "q_g")),
     "X3": (catalog._x3_vector, ("u",), ("q_u",)),
     "X4": (catalog._x4_vector, ("u", "eta"), ("lin", "q_eta")),

@@ -831,3 +831,37 @@ def test_samples_near_edges_realize_or_raise_typed(t):
             assert ok, (cid, smp.branch, spread)
             teq = necessary_conditions_residual(q)
             assert teq <= TRACE_EQ_TOL, (cid, smp.branch, teq)
+
+
+@pytest.mark.parametrize("t", [20, 30, 100, 1000])
+def test_x11_pair_traces_read_off_the_partner_root(t):
+    # t23 = t34 = x' + 1, with x' = mu - x the other root of x's quadratic;
+    # mu + 1 - x cancels where x is near mu, and missed by 1.8e-12 relative
+    # at t = 20 and 1.0e-6 at t = 1000. Against each sample's own branch
+    # solved to 50 digits, both are right to rounding (9.8e-17 at most)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        al = mp.mpf(t) ** 2 - 1
+
+        def root_near(b, c, z):
+            d = mp.sqrt(b * b - 4 * c)
+            return min(((-b + d) / 2, (-b - d) / 2),
+                       key=lambda r: abs(r - mp.mpc(z)))
+
+        for smp in sample_component("X11", t):
+            mu = root_near(al * al - 4 * al, 4 * al * al - al ** 3,
+                           smp.params["mu"])
+            x = root_near(-mu, 2 * mu / al + al - 4, smp.params["x"])
+            want = mu + 1 - x
+            for got in (smp.vector.t23, smp.vector.t34):
+                assert abs(mp.mpc(got) - want) <= 1e-15 * abs(want), smp
+
+
+@pytest.mark.parametrize("t", [20, 30, 100])
+def test_rotated_x11_samples_meet_x12_equations(t):
+    # one rotate() of an X11 sample lies on X12, whose equations read mu
+    # off the rotated t12 + t34, the sample's t23 + t14: with t23 read off
+    # mu + 1 - x they missed SAMPLE_TOL by 3.7e-10, 2.2e-8 and 1.7e-5
+    for smp in sample_component("X11", t):
+        res = membership_residual("X12", smp.vector.rotate())
+        assert max(map(abs, res.values())) <= catalog.SAMPLE_TOL, smp

@@ -35,7 +35,8 @@ from charvar import catalog, cli, mat2
 from charvar.catalog import (COMPONENTS, ROTATION_PAIR, _alpha,
                              _is_reducible_like, best_membership,
                              classify_point, explore_solve,
-                             membership_residual, sample_component)
+                             membership_residual, membership_terms,
+                             sample_component)
 from charvar.errors import (CharVarError, ConstraintViolated,
                             DegenerateCharacter, TraceMismatch)
 from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual,
@@ -43,9 +44,10 @@ from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual,
                           scalar, xyx_expand)
 from charvar.reconstruct import (Quadruple, _realized_matrices,
                                  realize_character)
-from charvar.tracealg import (_DET4, _EQ_IDX, _TRIPLE_ROWS, _TYPEI,
-                              COORD_KEYS, SCoords, TraceVector, _S_KEYS,
-                              _gram, _s_triples, definitive_excess,
+from charvar.tracealg import (_DET4, _EQ_IDX, _NORMALIZE, _TRIPLE_ROWS,
+                              _TYPEI, COORD_KEYS, SCoords, TraceVector,
+                              _S_KEYS, _gram, _n, _s_triples,
+                              definitive_excess,
                               det_Sdiamond, eq19_residuals, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
@@ -510,6 +512,49 @@ def test_residual_kernels_match_list_oracles_bitwise(vectors, normalized):
                 == repr(trace_equation_oracle(v, normalized)))
         assert (repr(eq19_residuals(v, normalized))
                 == repr(eq19_oracle(v, normalized)))
+
+
+def _normalized(fn, *args):
+    try:
+        return repr(fn(*args))
+    except OverflowError:   # a finite term whose modulus overflows
+        return OverflowError
+
+
+def test_per_arity_normalizers_match_the_loop_form(vectors):
+    # _n1 .. _n7 and _n state one rule: the same bits on the terms of every
+    # membership equation and definitive relation of the oracle vectors, and
+    # on tuples of ints, signed zeros, NaN, inf and 1e300; _finish agrees
+    # wherever the sum is finite, and a sum that is not gives nan+nanj
+    tuples = []
+    for v in vectors:
+        tuples += [t for cid in COMPONENTS
+                   for t in membership_terms(cid, v).values()]
+        s = s_from_t(v)
+        g, st = _gram(s), _s_triples(s)
+        tuples += [(2 * st[a] * st[b], *_det3_terms(*minor(g)))
+                   for a, b, minor in _TYPEI]
+        tuples += [(r1 * st[3], -r2 * st[2], r3 * st[1], -r4 * st[0])
+                   for r1, r2, r3, r4 in (g[r:r + 4] for r in range(0, 16, 4))]
+    pool = [1, 0, -1, 2, 0.0, -0.0, 0j, -0j, complex(-0.0, 0.0),
+            complex(0.0, -0.0), NAN, complex(NAN, -0.0), complex(1, NAN),
+            float("inf"), complex(-0.0, float("-inf")), 1e300,
+            complex(1e300, -1e300), 1e308, 0.5 + 0.25j]
+    rng = np.random.default_rng(27)
+    for _ in range(5000):
+        tuples.append(tuple(pool[k] for k in
+                            rng.integers(len(pool), size=rng.integers(1, 8))))
+    arities = set()
+    for terms in tuples:
+        got = _normalized(_NORMALIZE[len(terms)], *terms)
+        assert got == _normalized(_n, terms), terms
+        total = _finish(terms, normalized=False)
+        if cmath.isfinite(total):
+            assert got == _normalized(_finish, terms, True), terms
+        else:
+            assert got == "(nan+nanj)", terms
+        arities.add(len(terms))
+    assert arities == set(range(1, 8))
 
 
 #: the rotate() image of each base component in ROTATION_PAIR

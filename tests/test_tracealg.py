@@ -1,18 +1,23 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
 import pytest
 
 from conftest import random_quadruple, random_t
-from charvar.errors import TraceMismatch
-from charvar.catalog import sample_component
-from charvar.mat2 import random_gt
+from charvar.errors import ConstraintViolated, TraceMismatch
+from charvar.catalog import (COMPONENTS, membership_residual,
+                             sample_component)
+from charvar.mat2 import (IDENTITY, Mat2, is_irreducible_pair, random_gt,
+                          rel_dist)
+from charvar.reconstruct import Quadruple
 from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
-                              _gram, _s_triples, det_Sdiamond, eq19_residuals,
-                              s_from_t, trace_equation_residuals,
-                              trace_vector_of, typeI_residuals,
-                              typeII_residuals)
+                              _gram, _s_triples, definitive_excess,
+                              det_Sdiamond, eq19_residuals, s_from_t,
+                              trace_equation_residuals, trace_vector_of,
+                              typeI_residuals, typeII_residuals)
+from charvar.wirtinger import RelatorSet
 
 
 def make_vec(t, pairs, t13, t24, triples):
@@ -288,6 +293,53 @@ def test_max_dev_propagates_nan(key):
     w = TraceVector(**{**v.coords(), key: complex(math.nan)})
     assert math.isnan(v.max_dev(w)) and math.isnan(w.max_dev(v))
     assert v.max_dev(v) == 0
+
+
+def _leave_errno_at_erange():
+    """Fail one abs() by overflow, which leaves errno at ERANGE."""
+    with pytest.raises(OverflowError):
+        abs(complex(1.7e308, 1.7e308))
+
+
+def test_nan_results_do_not_depend_on_errno():
+    # CPython's abs() of a complex NaN raises OverflowError when an earlier
+    # call left errno at ERANGE, and returns NaN otherwise. After such a
+    # call, each residual and magnitude gate must give what it gives on a
+    # clean errno: NaN, False, or its typed error
+    v = dataclasses.replace(sample_component("X3", 1.3 + 0.4j)[0].vector,
+                            t23=complex(1, math.nan))
+    s = s_from_t(v)
+    for kernel, arg in ((typeI_residuals, s), (typeII_residuals, s),
+                        (det_Sdiamond, s), (trace_equation_residuals, v),
+                        (eq19_residuals, v)):
+        _leave_errno_at_erange()
+        out = kernel(arg, normalized=True)
+        out = out if isinstance(out, list) else [out]
+        nans = [r for r in out if cmath.isnan(r)]
+        assert nans and {repr(r) for r in nans} == {"(nan+nanj)"}, kernel
+    _leave_errno_at_erange()
+    assert any(map(math.isnan, definitive_excess(s, 1e-7)))
+    for cid in COMPONENTS:
+        _leave_errno_at_erange()
+        assert any(map(cmath.isnan, membership_residual(cid, v).values()))
+    w = dataclasses.replace(v, t=complex(1, math.nan))   # NaN comes first
+    _leave_errno_at_erange()
+    assert math.isnan(w.max_dev(v))
+    m = Mat2(complex(1, math.nan), 0, 0, 1)
+    for gate in (m.norm, lambda: rel_dist(m, IDENTITY),
+                 RelatorSet(m, IDENTITY, IDENTITY, IDENTITY).spread):
+        _leave_errno_at_erange()
+        assert math.isnan(gate())
+    for gate in (lambda: is_irreducible_pair(m, IDENTITY, 2 + 0j),
+                 Mat2(1, complex(0, math.nan), 0, 1).is_scalar):
+        _leave_errno_at_erange()
+        assert gate() is False
+    _leave_errno_at_erange()
+    with pytest.raises(TraceMismatch):
+        trace_vector_of(m, IDENTITY, IDENTITY, IDENTITY)
+    _leave_errno_at_erange()
+    with pytest.raises(ConstraintViolated):
+        Quadruple(m, IDENTITY, IDENTITY, IDENTITY, t=2 + 0j).validate()
 
 
 def test_rotation_tables_match_rotated_vector(rng):
