@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
-from .mat2 import _nanmax
+from .mat2 import _worst
 from .numfield import Poly, solve_quadratic
 from .tracealg import (_NORMALIZE, COORD_KEYS, TraceVector, _t_pairs,
                        definitive_excess, s_from_t)
@@ -258,30 +258,21 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     try:
         samples = _branch_samples(cid, t)
         for smp in samples:
-            over = _misses(cid, smp.vector)
-            if over:
-                # complex * overflows to inf or NaN without raising, in the
-                # sample or in its residuals; every coordinate is a term of
-                # some equation, and a non-finite sum's residual is NaN
-                if not all(map(math.isfinite, over)):
-                    raise OverflowError  # reported as ExcludedParameter
+            worst = _worst(membership_residual(cid, smp.vector).values())
+            # complex * overflows to inf or NaN without raising, in the
+            # sample or in its residuals; every coordinate is a term of some
+            # equation, and a non-finite sum's residual is NaN
+            if not math.isfinite(worst):
+                raise OverflowError  # reported as ExcludedParameter
+            if worst > SAMPLE_TOL:
                 raise ConstraintViolated(
-                    f"{cid} branch {smp.branch}: residual {max(over):.3e}")
+                    f"{cid} branch {smp.branch}: residual {worst:.3e}")
     except (OverflowError, ValueError):
         # at a very large t, complex ** overflows, numpy's eig refuses an
         # inf or NaN matrix, and * leaves non-finite coordinates
         raise ExcludedParameter(
             f"{cid}: arithmetic overflows at t = {t}") from None
     return samples
-
-
-def _misses(cid: str, v: TraceVector) -> list[float]:
-    """The magnitudes of cid's membership residuals at v above SAMPLE_TOL.
-    `not (value <= tol)` and no max over all values: a NaN misses. (With
-    errno left at ERANGE, abs() of a NaN raises OverflowError instead;
-    sample_component reports either as ExcludedParameter.)"""
-    return [r for r in map(abs, membership_residual(cid, v).values())
-            if not r <= SAMPLE_TOL]
 
 
 def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
@@ -412,8 +403,7 @@ def best_membership(v: TraceVector) -> tuple[str, float]:
     with a NaN residual never wins ("", inf when none is finite)."""
     best, best_val = "", float("inf")
     for cid in COMPONENTS:
-        worst = _nanmax(*[abs(z) if z == z else math.nan
-                          for z in membership_residual(cid, v).values()])
+        worst = _worst(membership_residual(cid, v).values())
         if worst < best_val:  # False for a NaN
             best, best_val = cid, worst
     return best, best_val
@@ -491,9 +481,9 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
     out = []
     for label, p in pts:
         vec = _x4_vector(p["t"], p["u"], p["eta"])
-        over = _misses("X4", vec)
-        if over:
-            raise ConstraintViolated(f"{label}: X4 residual {max(over):.3e}")
+        worst = _worst(membership_residual("X4", vec).values())
+        if not worst <= SAMPLE_TOL:
+            raise ConstraintViolated(f"{label}: X4 residual {worst:.3e}")
         out.append((label, p, vec))
     return out
 
@@ -570,45 +560,41 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
     aug[i] = [jac[i] | rhs[i]] with m >= k, in any memory layout.
 
     One batched R-only QR of [jac | rhs] gives R and Q^H rhs for the whole
-    stack. Every system whose R has a nonzero diagonal is then solved at
-    once by back substitution, R [X | x] = [I | Q^H rhs], from the last row
-    up: X = R^-1 and x = R^-1 Q^H rhs. A system with
+    stack. Every system is then solved at once by back substitution,
+    R [X | x] = [I | Q^H rhs], from the last row up: X = R^-1 and
+    x = R^-1 Q^H rhs. A system with
     ||R||_F^2 ||X||_F^2 <= _QR_COND_MAX^2, a Frobenius condition number at
     most _QR_COND_MAX, has full column rank, lstsq drops none of its
     singular values, and its unique solution is x (Golub & Van Loan, Matrix
     Computations, 5.3); back substitution is backward stable (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 8), so the two
-    agree to about kappa * eps. Every other system (rank-deficient,
-    ill-conditioned, or with an X that overflows to inf or nan) is solved
-    by _svd_steps, numpy's lstsq one system at a time. For finite input no
-    LinAlgError is raised. Each row's step is the same bytes whatever rows
-    share its stack.
+    agree to about kappa * eps. Every other system (rank-deficient, where a
+    zero diagonal of R makes X inf or nan, ill-conditioned, or with an X
+    that overflows) is solved by _svd_steps, numpy's lstsq one system at a
+    time. For finite input no LinAlgError is raised. Each row's step is the
+    same bytes whatever rows share its stack.
     """
     n, _, k = aug.shape
     k -= 1
     r = np.linalg.qr(aug, mode="r")
-    rows = np.flatnonzero(
-        (np.diagonal(r[:, :k, :k], axis1=1, axis2=2) != 0).all(axis=1))
-    tri = r[rows, :k, :k]
-    z = np.empty((rows.size, k, k + 1), dtype=aug.dtype)   # [X | x]
+    # contiguous: .view(float) refuses a strided view, and matmul on one
+    # need not give the same bytes
+    tri = r[:, :k, :k].copy()
+    z = np.empty((n, k, k + 1), dtype=aug.dtype)   # [X | x]
     z[:, :, :k] = np.eye(k)
-    z[:, :, k] = r[rows, :k, k]
+    z[:, :, k] = r[:, :k, k]
     del r
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(k - 1, -1, -1):
             z[:, i] -= np.matmul(tri[:, i:i + 1, i + 1:], z[:, i + 1:])[:, 0]
             z[:, i] /= tri[:, i, i:i + 1]     # * (1 / r_ii) rounds otherwise
         tf, xf = tri.view(float), z[:, :, :k].view(float)
-        good = (np.einsum("nij,nij->n", tf, tf)
+        bad = ~(np.einsum("nij,nij->n", tf, tf)
                 * np.einsum("nij,nij->n", xf, xf)
-                <= _QR_COND_MAX ** 2)         # false for inf and nan
-    done = rows[good]
-    steps = np.empty((n, k), dtype=aug.dtype)
-    steps[done] = z[good, :, k]
-    rest = np.ones(n, dtype=bool)
-    rest[done] = False
-    if rest.any():
-        steps[rest] = _svd_steps(aug[rest, :, :k], aug[rest, :, k])
+                <= _QR_COND_MAX ** 2)         # true for inf and nan
+    steps = z[:, :, k].copy()
+    if bad.any():
+        steps[bad] = _svd_steps(aug[bad, :, :k], aug[bad, :, k])
     return steps
 
 

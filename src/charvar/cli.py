@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog, wirtinger
 from .errors import CharVarError, ExcludedParameter
-from .mat2 import (anticommutator_residual, ch_residual,
+from .mat2 import (_worst, anticommutator_residual, ch_residual,
                    has_common_eigenvector, is_irreducible_pair, random_gt,
                    xyx_expand)
 from .reconstruct import realize_character
@@ -78,7 +78,7 @@ def _emit(payload, args, csv_rows=None) -> None:
 def _sample_rows(samples):
     rows = [["id", "branch", "param", "value_re", "value_im", "max_residual"]]
     for smp in samples:
-        worst = max(abs(r) for r in smp.residuals().values())
+        worst = _worst(smp.residuals().values())
         for name, z in smp.params.items():
             rows.append([smp.id, smp.branch, name, repr(z.real), repr(z.imag),
                          repr(worst)])
@@ -177,22 +177,18 @@ def _identity_battery(seed: int, n: int, inject_fault: bool):
         s = s_from_t(v)
         if inject_fault and k == 0:
             s = dataclasses.replace(s, s12=s.s12 + 1e-3)
-        worst["typeI"] = max(worst["typeI"], max(
-            abs(r) for r in typeI_residuals(s, normalized=True)))
-        worst["typeII"] = max(worst["typeII"], max(
-            abs(r) for r in typeII_residuals(s, normalized=True)))
-        worst["det_Sdiamond"] = max(worst["det_Sdiamond"],
-                                    abs(det_Sdiamond(s, normalized=True)))
         sc = max(1.0, max(x.norm() for x in xs) ** 2)
-        worst["cayley_hamilton"] = max(
-            worst["cayley_hamilton"], ch_residual(xs[0], t).norm() / sc)
-        worst["xyx"] = max(worst["xyx"],
-                           xyx_expand(xs[0], xs[1], t).norm() / sc ** 2)
         u0 = xs[0].traceless_part()
         u1 = xs[1].traceless_part()
-        worst["anticommutator"] = max(
-            worst["anticommutator"],
-            anticommutator_residual(u0, u1).norm() / sc)
+        for name, value in (
+                ("typeI", _worst(typeI_residuals(s, normalized=True))),
+                ("typeII", _worst(typeII_residuals(s, normalized=True))),
+                ("det_Sdiamond", _worst((det_Sdiamond(s, normalized=True),))),
+                ("cayley_hamilton", ch_residual(xs[0], t).norm() / sc),
+                ("xyx", xyx_expand(xs[0], xs[1], t).norm() / sc ** 2),
+                ("anticommutator",
+                 anticommutator_residual(u0, u1).norm() / sc)):
+            worst[name] = _worst((worst[name], value))
         crit = is_irreducible_pair(xs[0], xs[1], t)
         oracle = not has_common_eigenvector([xs[0], xs[1]])
         agreement += int(crit == oracle)

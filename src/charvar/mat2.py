@@ -87,20 +87,20 @@ def _inverse_entries(m: Mat2) -> tuple:
     return m.d / dt, -m.b / dt, -m.c / dt, m.a / dt
 
 
-def _nanmax(*vals: float) -> float:
-    """max(vals) of nonnegative floats, or NaN if one is NaN: max() alone
-    keeps a NaN only when it comes first."""
-    total = sum(vals)
-    return max(vals) if total == total else total
+def _worst(values) -> float:
+    """The largest |z| of values, or NaN if one is NaN: max() alone keeps a
+    NaN only when it comes first. No abs() of a NaN (see _mag)."""
+    mags = [abs(z) if z == z else math.nan for z in values]
+    total = sum(mags)
+    return max(mags) if total == total else total
 
 
 def _mag(z) -> float:
     """abs(z), whatever errno holds: CPython's abs() of a complex NaN raises
     OverflowError when an earlier call left errno at ERANGE (say, an abs()
     that overflowed), where it would return NaN. That ERANGE is cleared
-    too, so that it reaches no later abs(). Where a call costs too much, or
-    the value is a normalized residual (finite, or tracealg's one NaN), the
-    code tests z == z before abs() instead."""
+    too, so that it reaches no later abs(). A largest magnitude is _worst's,
+    and where a call costs too much the code tests z == z before abs()."""
     try:
         return abs(z)
     except OverflowError:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateCharacter,
                      FactorizationFailure, TraceMismatch)
-from .mat2 import Mat2
+from .mat2 import Mat2, _worst
 from .tracealg import (_TRIPLE_ROWS, COORD_KEYS, TraceVector, _gram,
                        _s_triples, _t_coords, definitive_excess, s_from_t,
                        trace_vector_of)
@@ -137,7 +137,7 @@ def realize_character(v: TraceVector) -> Quadruple:
     over = definitive_excess(s, 1e-7)
     if over:
         raise ConstraintViolated(
-            f"definitive-relation residual {max(over):.3e} exceeds 1.0e-07")
+            f"definitive-relation residual {_worst(over):.3e} exceeds 1.0e-07")
     st = _s_triples(s)
     k = max(range(4), key=lambda i: abs(st[i]))
     S = np.array(_gram(s), dtype=complex).reshape(4, 4)

@@ -35,7 +35,7 @@ from functools import reduce
 from operator import add, attrgetter, itemgetter
 
 from .errors import TraceMismatch
-from .mat2 import Mat2, _mag, _nanmax
+from .mat2 import Mat2, _worst
 
 PAIR_KEYS = ("t12", "t23", "t34", "t14", "t13", "t24")
 TRIPLE_KEYS = ("t123", "t124", "t134", "t234")
@@ -141,8 +141,7 @@ class TraceVector:
 
     def max_dev(self, other: "TraceVector") -> float:
         """Largest coordinate distance; NaN if one is NaN."""
-        return _nanmax(*(_mag(a - b)
-                         for a, b in zip(_t_coords(self), _t_coords(other))))
+        return _worst(a - b for a, b in zip(_t_coords(self), _t_coords(other)))
 
     def to_json(self):
         return {k: [getattr(self, k).real, getattr(self, k).imag]

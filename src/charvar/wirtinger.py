@@ -8,12 +8,11 @@ exactly when the four relator matrices r_i = x_i x_{i+1} x_i^{-1} x_{i-1} x_i
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import PreconditionViolated
-from .mat2 import (Mat2, _inverse_entries, _nanmax, dist,
+from .mat2 import (Mat2, _inverse_entries, _worst, dist,
                    has_common_eigenvector, rel_dist)
 from .reconstruct import Quadruple
 from .tracealg import trace_equation_residuals, trace_vector_of
@@ -40,9 +39,7 @@ class RelatorSet:
         if an entry is NaN."""
         e = [r.entries() for r in self.matrices()]
         gaps = [p - q for x, y in combinations(e, 2) for p, q in zip(x, y)]
-        # no abs() of a NaN (see mat2._mag)
-        return (_nanmax(*[abs(z) if z == z else math.nan for z in gaps])
-                / max(1.0, self.r1.norm()))
+        return _worst(gaps) / max(1.0, self.r1.norm())
 
 
 def relators(q: Quadruple) -> RelatorSet:
@@ -125,5 +122,4 @@ def necessary_conditions_residual(q: Quadruple) -> float:
     """Max normalized trace-equation residual of the quadruple's character,
     NaN if one is NaN; vanishes for every representation."""
     v = trace_vector_of(*q.matrices())
-    return _nanmax(*[abs(r) if r == r else math.nan
-                     for r in trace_equation_residuals(v, normalized=True)])
+    return _worst(trace_equation_residuals(v, normalized=True))

@@ -1,11 +1,16 @@
+import cmath
 import json
+import math
 import types
 
+import numpy as np
 import pytest
 
 import charvar
+from charvar import catalog, cli
 from charvar.catalog import check_admissible
 from charvar.cli import main, parse_complex
+from charvar.errors import ExcludedParameter
 
 #: the package's public names: adding or removing one is an API change
 PUBLIC_NAMES = {
@@ -189,6 +194,65 @@ def test_usage_error_exits_2(capsys):
         capsys.readouterr()
         assert main(args) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _nan_in_third_type_i(monkeypatch):
+    """The third quadruple's type I residuals get a NaN, not in front."""
+    kernel, calls = cli.typeI_residuals, []
+
+    def patched(s, normalized=False):
+        out = kernel(s, normalized)
+        calls.append(s)
+        if len(calls) == 3:
+            out[5] = complex(math.nan, math.nan)
+        return out
+
+    monkeypatch.setattr(cli, "typeI_residuals", patched)
+
+
+def test_identities_report_a_nan_residual(monkeypatch, tmp_path):
+    # max() keeps a NaN only when it comes first, which would leave typeI
+    # at the other quadruples' 1e-15 and the check passing
+    _nan_in_third_type_i(monkeypatch)
+    worst, agreement = cli._identity_battery(0, 5, False)
+    assert math.isnan(worst["typeI"]) and agreement == 5
+    assert all(v <= 1e-8 for k, v in worst.items() if k != "typeI")
+    _nan_in_third_type_i(monkeypatch)
+    code, out = run(["identities", "--n", "5"], tmp_path)
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is False
+    check = payload["checks"]["typeI"]
+    assert math.isnan(check["max_residual"]) and check["pass"] is False
+
+
+#: the radius out to which verify's checks are tested to pass on every
+#: component. Its thinnest margin, the trace-equation gate's, is 10x at
+#: |t| = 4 and 1.4x at |t| = 5; at 5.5 the gate fails (ROADMAP item 1)
+CHECKED_RADIUS = 4
+
+
+def circle_t(rng, radius, n):
+    """n admissible t on the circle |t| = radius, at uniform angles."""
+    ts = []
+    while len(ts) < n:
+        t = radius * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+        try:
+            for cid in catalog.COMPONENTS:
+                check_admissible(cid, t)
+        except ExcludedParameter:
+            continue
+        ts.append(t)
+    return ts
+
+
+@pytest.mark.parametrize("radius", [3, CHECKED_RADIUS])
+def test_verify_passes_out_to_the_checked_radius(radius):
+    rng = np.random.default_rng(11)
+    for t in circle_t(rng, radius, 40):
+        ok, items = cli._verify_at(t, catalog.COMPONENTS)
+        assert ok and len(items) == 26, (t, [it for it in items
+                                             if not it["pass"]])
 
 
 @pytest.mark.parametrize("args", [

@@ -15,6 +15,9 @@ The gates that test a raw residual before normalizing it are held against
 copies of the plain gates, which normalize every residual: the same
 outcome, and on a rejection the same exception type and message.
 
+`mat2._worst`, the one largest-magnitude rule, is held against the
+`_nanmax` expression the gates used before it, by `repr`.
+
 The Newton step solve, a back substitution for R^-1 and the step, is held
 against the np.linalg.inv form it replaced. That cannot be bit for bit, as
 the two round differently: the steps agree to about kappa * eps, the same
@@ -416,9 +419,14 @@ IDENTITY_ORACLES = (ch_oracle, xyx_oracle, anticommutator_oracle,
 
 def _identity_outcomes(fns, x, y, t):
     """Each identity residual's repr and the pair criterion, or the type of
-    the exception each raised."""
+    the exception each raised. Each oracle call starts from errno 0: a bare
+    abs() of a NaN raises OverflowError when an earlier case left errno at
+    ERANGE. That the kernels do not depend on errno is
+    test_nan_results_do_not_depend_on_errno's check."""
     out = []
     for fn, args in zip(fns, ((x, t), (x, y, t), (x, y), (x, y, t))):
+        if fns is IDENTITY_ORACLES:
+            abs(0j)   # a finite abs() sets errno to 0
         try:
             out.append(repr(fn(*args)))
         except ArithmeticError as exc:
@@ -555,6 +563,46 @@ def test_per_arity_normalizers_match_the_loop_form(vectors):
             assert got == "(nan+nanj)", terms
         arities.add(len(terms))
     assert arities == set(range(1, 8))
+
+
+def _nanmax(*vals):
+    total = sum(vals)
+    return max(vals) if total == total else total
+
+
+def worst_oracle(values):
+    """The largest magnitude as the gates took it before mat2._worst."""
+    return _nanmax(*[abs(z) if z == z else NAN for z in values])
+
+
+def test_worst_matches_nanmax_of_guarded_magnitudes(vectors):
+    # the coordinates, their differences and the normalized trace-equation
+    # residuals of the oracle vectors, and tuples of ints, signed zeros,
+    # NaN, inf and 1e308, whose modulus overflows
+    seqs = []
+    for v, w in zip(vectors, vectors[1:] + vectors[:1]):
+        a, b = list(v.coords().values()), list(w.coords().values())
+        seqs += [a, [p - q for p, q in zip(a, b)],
+                 trace_equation_residuals(v, normalized=True)]
+    pool = [1, 0, -1, 0.0, -0.0, -0j, NAN, complex(NAN, -0.0),
+            complex(1, NAN), float("inf"), complex(float("inf"), NAN),
+            complex(-0.0, float("-inf")), 1e300, complex(1e308, 1e308),
+            0.5 + 0.25j]
+    rng = np.random.default_rng(28)
+    for _ in range(3000):
+        seqs.append([pool[k] for k in
+                     rng.integers(len(pool), size=rng.integers(1, 8))])
+    for seq in seqs:
+        assert (_normalized(mat2._worst, seq)
+                == _normalized(worst_oracle, seq)), seq
+    # a NaN gives NaN wherever it stands, and an inf without one gives inf
+    base = [1, -2.5, 0.5 + 0.25j, complex(3, -4)]
+    assert mat2._worst(base) == 5.0
+    for k in range(len(base) + 1):
+        for bad in (NAN, complex(NAN, 1), complex(float("inf"), NAN)):
+            assert cmath.isnan(mat2._worst(base[:k] + [bad] + base[k:]))
+        inf = complex(0, float("-inf"))
+        assert mat2._worst(base[:k] + [inf] + base[k:]) == float("inf")
 
 
 #: the rotate() image of each base component in ROTATION_PAIR
