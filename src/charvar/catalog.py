@@ -110,6 +110,7 @@ def check_admissible(cid: str, t: complex,
                      margin: float = SAMPLER_MARGIN) -> None:
     if cid not in EXCLUDED_T:
         raise UnknownComponent(f"unknown component id {cid!r}")
+    t = _as_t(t, cid)
     # a NaN is near no excluded value: abs(nan - bad) < margin is False
     if not cmath.isfinite(t):
         raise ExcludedParameter(f"{cid}: t = {t} is not finite")
@@ -203,16 +204,13 @@ def _x4_system(t, u, eta):
             - 5 * t * t * u + t ** 4 + 4 * t * t - 6)
 
 
-def _x4_samples(t: complex) -> list[ComponentSample]:
-    """The four X4 points (u, eta) over t, read off one 4x4 matrix.
+def _x4_matrices(t):
+    """X4's multiplication matrices (m_u, m_eta) over t.
 
     Under weights (2, 3) on (u, eta) the X4 equations lead with the coprime
     u^2 and eta^2: a Groebner basis for every t. Row i of m_u (m_eta) is u
     (eta) times element i of the quotient basis (1, u, eta, u*eta), and no
-    entry divides by t. m_u + c*m_eta has eigenvectors (1, u, eta, u*eta),
-    scaled; points i, j share an eigenvalue when c*(u_i + u_j + 1) = -t. So
-    c = 1 fails at t = -1, c = -1 at t = 1, both only where points coincide:
-    keep the shift with the larger least gap, then take one Newton step.
+    entry divides by t.
     """
     t2 = t * t
     t4 = t2 * t2
@@ -222,6 +220,19 @@ def _x4_samples(t: complex) -> list[ComponentSample]:
              (-t4 - 4 * t2 + 6, 5 * t2, -t * (t2 + 4), 2 * t),
              (-t2 * (2 * t4 + 3 * t2 - 7), 9 * t4 - 9 * t2 + 6,
               -t * (2 * t4 + t2 + 2), t * (3 * t2 - 6)))
+    return m_u, m_eta
+
+
+def _x4_samples(t: complex) -> list[ComponentSample]:
+    """The four X4 points (u, eta) over t, read off one 4x4 matrix.
+
+    m_u + c*m_eta (`_x4_matrices`) has eigenvectors (1, u, eta, u*eta),
+    scaled; points i, j share an eigenvalue when c*(u_i + u_j + 1) = -t. So
+    c = 1 fails at t = -1, c = -1 at t = 1, both only where points coincide:
+    keep the shift with the larger least gap, then take one Newton step.
+    """
+    t2 = t * t
+    m_u, m_eta = _x4_matrices(t)
     # summed in Python: an overflow reaches eig as inf or NaN, a ValueError
     w, v = np.linalg.eig(np.array(
         [[[a + c * b for a, b in zip(ru, re)] for ru, re in zip(m_u, m_eta)]
@@ -372,21 +383,9 @@ def membership_terms(cid: str, v: TraceVector) -> dict[str, tuple]:
                 "lin": (t * eta, -u * u, -u, t * t, -one),
                 "q_eta": (eta * eta, t * (t * t + 4 - 2 * u) * eta,
                           -5 * t * t * u, t ** 4, 4 * t * t, -6 * one)}
-    if cid == "X51":
-        d = t * t - 2
-        return {"t12": (v.t12 - 1,), "t34": (v.t34 - 1,),
-                "t23": (v.t23 - d,), "t14": (v.t14 - d,),
-                "t13": (v.t13, -one), "t24": (v.t24, -one),
-                "t123": (v.t123,), "t124": (v.t124,),
-                "t134": (v.t134,), "t234": (v.t234,)}
-    if cid == "X61":
-        q = 4 * t * t - 2 - t ** 4
-        p = 3 * t - t ** 3
-        return {"t12": (v.t12, -one), "t23": (v.t23, -one),
-                "t34": (v.t34, -one), "t14": (v.t14, -one),
-                "t13": (v.t13, -one), "t24": (v.t24, -q),
-                "t123": (v.t123,), "t134": (v.t134,),
-                "t124": (v.t124, -p), "t234": (v.t234, -p)}
+    if cid in ("X51", "X61"):
+        w = _x5_vector(t) if cid == "X51" else _x6_vector(t)
+        return {k: (getattr(v, k), -getattr(w, k)) for k in COORD_KEYS[1:]}
     raise UnknownComponent(f"unknown component id {cid!r}")
 
 

@@ -8,9 +8,12 @@ symbolic parameters every other raw equation vanishes identically, so the
 defining ones alone cut the component out. Their reduced lex Groebner basis
 over QQ(t) is the component's tower: one polynomial per parameter, monic in
 it and free of the parameters after it. X51 and X61 have no parameter and an
-empty tower. Exact proofs about a component reduce against this tower, so
-they prove the library's formulas, not a hand copy of them.
+empty tower. Exact proofs about a component reduce against this tower,
+through `remainder`, so they prove the library's formulas, not a hand copy
+of them.
 """
+
+from functools import cache
 
 import sympy as sp
 from sympy import QQ
@@ -49,6 +52,7 @@ def raw_equations(cid, v):
             for k, terms in catalog.membership_terms(cid, v).items()}
 
 
+@cache
 def tower(cid):
     """Base component cid's tower: the reduced lex Groebner basis over QQ(t)
     of its defining raw equations at its row image, in tower order.
@@ -64,3 +68,11 @@ def tower(cid):
     eqs = raw_equations(cid, row_image(cid))
     return tuple(sorted(groebner([r.from_expr(eqs[k]) for k in names], r),
                         key=lambda p: p.LM))
+
+
+def remainder(cid, expr):
+    """expr, a polynomial over QQ(t) in base component cid's parameters
+    (sympy symbols named as in BASES), reduced modulo cid's tower: 0 exactly
+    when expr vanishes on the component. cid must have a parameter."""
+    polys = tower(cid)
+    return polys[0].ring.from_expr(expr).rem(list(polys))

@@ -237,6 +237,8 @@ def test_t_beyond_double_range_is_typed(t):
     calls = [excellent_quartic, lambda t: explore_solve(t, 0, 1)]
     calls += [lambda t, cid=cid: sample_component(cid, t)
               for cid in COMPONENTS]
+    calls += [lambda t, cid=cid: check_admissible(cid, t)
+              for cid in COMPONENTS]
     for call in calls:
         with pytest.raises(ExcludedParameter, match="overflows"):
             call(t)
@@ -377,6 +379,29 @@ def test_partner_self_check_matches_its_base_at_large_t(t):
         else:
             got = sample_component(partner, t)
             assert [smp.vector.rotate() for smp in got] == want, partner
+
+
+def test_one_ulp_moves_leave_row_residuals_at_rounding_level():
+    # each coordinate equation of X3, X4, X5 and X6 is the coordinate minus
+    # its row value, divided by max(1, largest term): a one-ulp move of any
+    # coordinate of a sample stays at rounding level at |t| = 1000, where
+    # the row values reach 1e6 (X6's 1e12)
+    for k in range(12):
+        t = 1000 * cmath.exp(2j * math.pi * (k + 0.5) / 12)
+        for cid in ("X3", "X4", "X51", "X52", "X61", "X62"):
+            for smp in sample_component(cid, t):
+                for key in COORD_KEYS[1:]:
+                    z = complex(getattr(smp.vector, key))
+                    h = math.ulp(abs(z))
+                    for step in (h, -h, 1j * h, -1j * h):
+                        v = dataclasses.replace(smp.vector, **{key: z + step})
+                        assert worst(cid, v) <= 1e-13, (cid, t, key, step)
+
+
+def test_row_residual_keys_follow_coord_keys():
+    for cid in ("X51", "X52", "X61", "X62"):
+        v = sample_component(cid, 3.0)[0].vector
+        assert tuple(membership_residual(cid, v)) == COORD_KEYS[1:], cid
 
 
 def test_special_points_quartic_roots_match_oracle():

@@ -196,31 +196,16 @@ def membership_oracle(cid, v):
               ("lin", [t * eta, -u * u, -u, t * t, -one]),
               ("q_eta", [eta * eta, t * (t * t + 4 - 2 * u) * eta,
                          -5 * t * t * u, t ** 4, 4 * t * t, -6 * one])]
-    elif cid in ("X51", "X52"):
-        d = t * t - 2
-        if cid == "X51":
-            names = (("t12", v.t12 - 1), ("t34", v.t34 - 1),
-                     ("t23", v.t23 - d), ("t14", v.t14 - d))
-        else:
-            names = (("t23", v.t23 - 1), ("t14", v.t14 - 1),
-                     ("t12", v.t12 - d), ("t34", v.t34 - d))
-        r += [(n, [val]) for n, val in names]
-        r += [("t13", [v.t13, -one]), ("t24", [v.t24, -one]),
-              ("t123", [v.t123]), ("t124", [v.t124]),
-              ("t134", [v.t134]), ("t234", [v.t234])]
     else:
+        # X5 and X6 are rows in t: each coordinate minus its row value
+        d = t * t - 2
         q = 4 * t * t - 2 - t ** 4
         p = 3 * t - t ** 3
-        r += [("t12", [v.t12, -one]), ("t23", [v.t23, -one]),
-              ("t34", [v.t34, -one]), ("t14", [v.t14, -one])]
-        if cid == "X61":
-            r += [("t13", [v.t13, -one]), ("t24", [v.t24, -q]),
-                  ("t123", [v.t123]), ("t134", [v.t134]),
-                  ("t124", [v.t124, -p]), ("t234", [v.t234, -p])]
-        else:
-            r += [("t24", [v.t24, -one]), ("t13", [v.t13, -q]),
-                  ("t124", [v.t124]), ("t234", [v.t234]),
-                  ("t123", [v.t123, -p]), ("t134", [v.t134, -p])]
+        row = {"X51": (1, d, 1, d, 1, 1, 0, 0, 0, 0),
+               "X52": (d, 1, d, 1, 1, 1, 0, 0, 0, 0),
+               "X61": (1, 1, 1, 1, 1, q, 0, p, 0, p),
+               "X62": (1, 1, 1, 1, q, 1, p, 0, p, 0)}[cid]
+        r += [(k, [getattr(v, k), -w]) for k, w in zip(COORD_KEYS[1:], row)]
     return {name: _finish(terms, normalized=True) for name, terms in r}
 
 

@@ -9,7 +9,8 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from exact import BASES, T, raw_equations, row_image, tower  # noqa: E402
+from exact import (BASES, T, raw_equations, remainder,  # noqa: E402
+                   row_image, tower)
 from charvar import catalog  # noqa: E402
 from charvar.catalog import (COMPONENTS, ROTATION_PAIR,  # noqa: E402
                              membership_terms, sample_component)
@@ -58,6 +59,27 @@ def test_x4_polish_system_is_the_raw_x4_equations():
         assert sp.expand(got - eqs[name]) == 0
 
 
+def _x4_matrix_misses(m_u, m_eta):
+    """x * b_i - sum_j m_x[i][j] * b_j modulo X4's tower, for x = u and
+    x = eta and each b_i of the quotient basis (1, u, eta, u*eta)."""
+    u, eta = sp.symbols("u eta")
+    basis = (1, u, eta, u * eta)
+    return [remainder("X4", sp.expand(x * b - sum(
+                m_ij * b_j for m_ij, b_j in zip(row, basis))))
+            for x, m in ((u, m_u), (eta, m_eta)) for b, row in zip(basis, m)]
+
+
+def test_x4_sampler_matrices_multiply_by_u_and_eta():
+    # the X4 sampler's eigenvectors are (1, u, eta, u*eta) only if its
+    # matrices are multiplication by u and eta modulo the raw X4 equations
+    m_u, m_eta = catalog._x4_matrices(T)
+    assert all(rem == 0 for rem in _x4_matrix_misses(m_u, m_eta))
+    # negative control: one entry changed is caught
+    bad = [list(row) for row in m_u]
+    bad[3][1] += 1
+    assert any(rem != 0 for rem in _x4_matrix_misses(bad, m_eta))
+
+
 def test_towers_are_triangular_and_carry_the_samples():
     # one element per parameter, monic in it and free of the later ones;
     # the leading degrees multiply to the sampler's branch count, the
@@ -75,10 +97,9 @@ def test_towers_are_triangular_and_carry_the_samples():
         assert count == len(samples), cid
         if not polys:
             continue
-        r = polys[0].ring
         eqs = raw_equations(cid, row_image(cid))
         for name in names:
-            assert r.from_expr(eqs[name]).rem(list(polys)) == 0, (cid, name)
+            assert remainder(cid, eqs[name]) == 0, (cid, name)
         for smp in samples:
             at = {T: t, **{sp.Symbol(k): smp.params[k] for k in params}}
             for p in polys:
