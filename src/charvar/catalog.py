@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
-from .mat2 import _worst
+from .mat2 import _rel, _worst
 from .numfield import Poly, solve_quadratic
 from .tracealg import (_NORMALIZE, COORD_KEYS, TraceVector, _t_pairs,
                        definitive_excess, s_from_t)
@@ -204,6 +204,13 @@ def _x4_system(t, u, eta):
             - 5 * t * t * u + t ** 4 + 4 * t * t - 6)
 
 
+def _x4_jacobian(t, u, eta):
+    """The Jacobian of _x4_system in (u, eta), row by row."""
+    t2 = t * t
+    return ((-2 * u - 1, t),
+            (-2 * t * eta - 5 * t2, 2 * eta + t * (t2 + 4 - 2 * u)))
+
+
 def _x4_matrices(t):
     """X4's multiplication matrices (m_u, m_eta) over t.
 
@@ -231,7 +238,6 @@ def _x4_samples(t: complex) -> list[ComponentSample]:
     c = 1 fails at t = -1, c = -1 at t = 1, both only where points coincide:
     keep the shift with the larger least gap, then take one Newton step.
     """
-    t2 = t * t
     m_u, m_eta = _x4_matrices(t)
     # summed in Python: an overflow reaches eig as inf or NaN, a ValueError
     w, v = np.linalg.eig(np.array(
@@ -242,8 +248,7 @@ def _x4_samples(t: complex) -> list[ComponentSample]:
     for vec in v[gaps.min(axis=(1, 2)).argmax()].T.tolist():
         u, eta = vec[1] / vec[0], vec[2] / vec[0]
         f1, f2 = _x4_system(t, u, eta)
-        j11, j12 = -2 * u - 1, t
-        j21, j22 = -2 * t * eta - 5 * t2, 2 * eta + t * (t2 + 4 - 2 * u)
+        (j11, j12), (j21, j22) = _x4_jacobian(t, u, eta)
         det = j11 * j22 - j12 * j21
         u -= (f1 * j22 - f2 * j12) / det
         eta -= (f2 * j11 - f1 * j21) / det
@@ -672,9 +677,8 @@ def _is_reducible_like(v: TraceVector) -> bool:
     The tolerance is loose because the locus is singular for the probe
     system, so Newton stalls with coordinate error around sqrt(residual).
     """
-    targets = (2.0, v.t * v.t - 2)
-    sc = max(1.0, abs(v.t) ** 2)
-    return all(min(abs(x - w) for w in targets) <= 1e-4 * sc
+    tt = v.t * v.t
+    return all(any(_rel(x - w, tt) <= 1e-4 for w in (2.0, tt - 2))
                for x in _t_pairs(v))
 
 

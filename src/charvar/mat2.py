@@ -33,16 +33,16 @@ class Mat2:
 
     def norm(self) -> float:
         """Max entry magnitude; NaN if an entry is NaN, found before any
-        abs() of it (see _mag)."""
+        abs() of it (see _worst)."""
         a, b, c, d = self.a, self.b, self.c, self.d
         if a == a and b == b and c == c and d == d:
             return max(abs(a), abs(b), abs(c), abs(d))
         return math.nan
 
     def is_scalar(self) -> bool:
-        bound = SCALAR_TOL * max(1.0, self.norm())
-        return (_mag(self.b) <= bound and _mag(self.c) <= bound
-                and _mag(self.a - self.d) <= bound)
+        n = self.norm()
+        return (_rel(self.b, n) <= SCALAR_TOL and _rel(self.c, n) <= SCALAR_TOL
+                and _rel(self.a - self.d, n) <= SCALAR_TOL)
 
     def traceless_part(self) -> "Mat2":
         h = self.trace() / 2
@@ -89,25 +89,28 @@ def _inverse_entries(m: Mat2) -> tuple:
 
 def _worst(values) -> float:
     """The largest |z| of values, or NaN if one is NaN: max() alone keeps a
-    NaN only when it comes first. No abs() of a NaN (see _mag)."""
+    NaN only when it comes first. No abs() of a NaN, which CPython makes
+    raise OverflowError when an earlier call left errno at ERANGE."""
     mags = [abs(z) if z == z else math.nan for z in values]
     total = sum(mags)
     return max(mags) if total == total else total
 
 
-def _mag(z) -> float:
-    """abs(z), whatever errno holds: CPython's abs() of a complex NaN raises
-    OverflowError when an earlier call left errno at ERANGE (say, an abs()
-    that overflowed), where it would return NaN. That ERANGE is cleared
-    too, so that it reaches no later abs(). A largest magnitude is _worst's,
-    and where a call costs too much the code tests z == z before abs()."""
-    try:
-        return abs(z)
-    except OverflowError:
-        if z == z:   # a finite z whose modulus overflows
-            raise
-        abs(0j)   # a finite abs() sets errno to 0
+def _rel(z, *scales) -> float:
+    """|z| / max(1, |s| for each scale s): the one form of every gate
+    "|z| <= tol * max(1, scale)". NaN when z or a scale is not finite, so
+    that such a gate fails both `<= tol` and `> tol`. x - x is 0 for a
+    finite x and NaN for inf or NaN, tested before any abs() (see _worst)."""
+    if z - z:
         return math.nan
+    m = 1.0
+    for s in scales:
+        if s - s:
+            return math.nan
+        a = abs(s)
+        if a > m:
+            m = a
+    return abs(z) / m
 
 
 def scalar(z) -> Mat2:
@@ -179,7 +182,7 @@ def triple_trace(u: Mat2, v: Mat2, w: Mat2) -> complex:
 def _eigenvectors(m: Mat2) -> list[tuple[complex, complex]]:
     """Eigenvectors of a non-scalar 2x2 matrix (one per distinct eigenvalue)."""
     l1, l2 = solve_quadratic(1.0, -m.trace(), m.det())
-    lams = [l1] if abs(l1 - l2) <= 1e-8 * max(1.0, abs(l1), abs(l2)) else [l1, l2]
+    lams = [l1] if _rel(l1 - l2, l1, l2) <= 1e-8 else [l1, l2]
     out = []
     for lam in lams:
         v1 = (m.b, lam - m.a)
@@ -226,8 +229,9 @@ def has_common_eigenvector(ms) -> bool:
 def is_irreducible_pair(x: Mat2, y: Mat2, t: complex) -> bool:
     """Trace criterion for a pair in G(t): tr(xy) outside {2, t^2 - 2}."""
     txy = (x.a * y.a + x.b * y.c) + (x.c * y.b + x.d * y.d)
-    s = max(1.0, _mag(txy), _mag(t) ** 2)
-    return _mag(txy - 2) > 1e-9 * s and _mag(txy - (t * t - 2)) > 1e-9 * s
+    tt = t * t
+    return (_rel(txy - 2, txy, tt) > 1e-9
+            and _rel(txy - (tt - 2), txy, tt) > 1e-9)
 
 
 def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:
@@ -239,24 +243,24 @@ def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:
     """
     u1, u2, u3 = (x.traceless_part() for x in (x1, x2, x3))
     s0 = t * t / 2 - 2
-    sc = max(1.0, x1.norm(), x2.norm(), x3.norm())
+    n = _worst((x1.norm(), x2.norm(), x3.norm()))
     if has_common_eigenvector([x1, x2, x3]):
         raise PreconditionViolated("triple is reducible")
-    if abs(triple_trace(u1, u2, u3)) > 1e-9 * sc ** 3:
+    if not _rel(triple_trace(u1, u2, u3), n * n * n) <= 1e-9:
         raise PreconditionViolated("s123 does not vanish")
     s13 = (u1 @ u3).trace()
-    if abs(s13 - s0) <= 1e-9 * max(1.0, abs(s0)):
+    if _rel(s13 - s0, s0) <= 1e-9:
         eps = 1
-    elif abs(s13 + s0) <= 1e-9 * max(1.0, abs(s0)):
+    elif _rel(s13 + s0, s0) <= 1e-9:
         eps = -1
     else:
         raise PreconditionViolated("s13 is not +-s0")
-    if rel_dist(x1 @ x3, x3 @ x1) > 1e-9:
+    if not rel_dist(x1 @ x3, x3 @ x1) <= 1e-9:
         raise PreconditionViolated("conclusion failed: x1, x3 do not commute")
     if min(abs(t - 2), abs(t + 2)) <= 1e-6:
         return "commuting"
     target = x1 if eps == 1 else x1.inverse()
-    if rel_dist(x3, target) > 1e-9:
+    if not rel_dist(x3, target) <= 1e-9:
         raise PreconditionViolated("conclusion failed: x3 != x1^eps")
     return "equal" if eps == 1 else "inverse"
 

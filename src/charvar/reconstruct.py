@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateCharacter,
                      FactorizationFailure, TraceMismatch)
-from .mat2 import Mat2, _worst
+from .mat2 import Mat2, _rel, _worst
 from .tracealg import (_TRIPLE_ROWS, COORD_KEYS, TraceVector, _gram,
                        _s_triples, _t_coords, definitive_excess, s_from_t,
                        trace_vector_of)
@@ -55,15 +55,11 @@ class Quadruple:
 
     def validate(self) -> None:
         for m in self.matrices():
-            # the bound is at least 1e-9: test that first, as tracealg's
-            # gates test a raw residual, and take the norm only on a miss;
-            # a NaN fails before an abs() of it (see mat2._mag)
-            d = m.det() - 1
-            if not (d == d and (abs(d) <= 1e-9
-                                or abs(d) <= 1e-9 * max(1.0, m.norm() ** 2))):
+            # n * n overflows to inf, which _rel refuses, where n ** 2 raises
+            n = m.norm()
+            if not _rel(m.det() - 1, n * n) <= 1e-9:
                 raise ConstraintViolated(f"det = {m.det()}")
-            d = m.trace() - self.t
-            if not (d == d and abs(d) <= 1e-9 * max(1.0, abs(self.t))):
+            if not _rel(m.trace() - self.t, self.t) <= 1e-9:
                 raise TraceMismatch(f"trace {m.trace()} vs t = {self.t}")
 
     def conjugated(self, g: Mat2) -> "Quadruple":
@@ -145,8 +141,7 @@ def realize_character(v: TraceVector) -> Quadruple:
                                       complex(v.t / 2)), t=v.t)
     q.validate()
     for key, x, w in zip(COORD_KEYS, _t_coords(q.trace_vector()), want):
-        e = abs(x - w)  # raw first, as in validate
-        if not (e <= 1e-8 or e <= 1e-8 * max(1.0, abs(w))):
+        if not _rel(x - w, w) <= 1e-8:
             raise DegenerateCharacter(
                 f"realization misses target at {key}: {x} vs {w}")
     return q

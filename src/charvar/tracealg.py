@@ -12,11 +12,11 @@ A sum that is not finite normalizes to the one constant nan+nanj, decided
 before any abs() of a term: CPython's abs() of a complex NaN raises
 OverflowError when an earlier call left errno at ERANGE.
 
-A gate whose normalized value is not reported tests the raw residual
-first: the divisor is at least 1, so a normalized magnitude is at most its
-raw one, and a raw value within tolerance passes. Only a miss is
-normalized and tested again. NaN and inf never pass the raw test, so they
-always take the normalized path.
+``definitive_excess`` tests the raw type I and II residuals first: the
+divisor is at least 1, so a normalized magnitude is at most its raw one,
+and when the largest raw magnitude (``mat2._worst``) is within tolerance
+all 20 pass. Only on a miss does it run the normalized kernels. NaN and
+inf never pass the raw test, so they always take the normalized path.
 
 Every kernel reads fixed slots: index tables built once at import from
 COORD_KEYS, PAIRS, TRIPLES and the subscript rotation say which coordinate
@@ -35,7 +35,7 @@ from functools import reduce
 from operator import add, attrgetter, itemgetter
 
 from .errors import TraceMismatch
-from .mat2 import Mat2, _worst
+from .mat2 import Mat2, _rel, _worst
 
 PAIR_KEYS = ("t12", "t23", "t34", "t14", "t13", "t24")
 TRIPLE_KEYS = ("t123", "t124", "t134", "t234")
@@ -272,13 +272,9 @@ def definitive_excess(s: SCoords, tol: float) -> list[float]:
     """Normalized magnitudes of the type I, then type II, residuals that do
     not lie within tol (NaN included), in relation order; empty when all 20
     do. The raw residuals are tested first (see the module docstring)."""
-    for r in (*typeI_residuals(s), *typeII_residuals(s)):
-        if not (r == r and abs(r) <= tol):   # no abs() of a NaN
-            break
-    else:
+    if _worst((*typeI_residuals(s), *typeII_residuals(s))) <= tol:
         return []
-    mags = [abs(r) if r == r else math.nan   # see mat2._mag
-            for r in (*typeI_residuals(s, True), *typeII_residuals(s, True))]
+    mags = map(_rel, (*typeI_residuals(s, True), *typeII_residuals(s, True)))
     return [m for m in mags if not m <= tol]
 
 
@@ -364,8 +360,7 @@ def trace_vector_of(x1: Mat2, x2: Mat2, x3: Mat2, x4: Mat2) -> TraceVector:
     """
     t = x1.trace()
     for m in (x2, x3, x4):
-        d = m.trace() - t   # a NaN fails before an abs() of it (mat2._mag)
-        if not (d == d and abs(d) <= 1e-9 * max(1.0, abs(t))):
+        if not _rel(m.trace() - t, t) <= 1e-9:
             raise TraceMismatch(f"traces {t} vs {m.trace()}")
     a1, b1, c1, d1 = x1.entries()
     a2, b2, c2, d2 = x2.entries()

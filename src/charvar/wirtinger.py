@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import PreconditionViolated
-from .mat2 import (Mat2, _inverse_entries, _worst, dist,
+from .mat2 import (Mat2, _inverse_entries, _rel, _worst,
                    has_common_eigenvector, rel_dist)
 from .reconstruct import Quadruple
 from .tracealg import trace_equation_residuals, trace_vector_of
@@ -90,12 +90,12 @@ def lemma31_check(q: Quadruple, i: int) -> Lemma31Report:
     x = q.matrices()
     xi, xn = x[i - 1], x[i % 4]            # x_i, x_{i+1}
     xp, xq_ = x[(i - 2) % 4], x[(i + 1) % 4]  # x_{i-1}, x_{i+2}
-    if rel_dist(xi @ xn, xn @ xi) > 1e-9:
+    if not rel_dist(xi @ xn, xn @ xi) <= 1e-9:
         return Lemma31Report(False, float("nan"), float("nan"), float("nan"))
     d1 = rel_dist(xi, xn)
     d2 = rel_dist(xp, xq_)
     ct = (xi @ xp).trace()
-    if d1 > 1e-8 or d2 > 1e-8 or abs(ct - 1) > 1e-8:
+    if not (d1 <= 1e-8 and d2 <= 1e-8 and _rel(ct - 1) <= 1e-8):
         raise PreconditionViolated(
             f"conclusion failed: {d1:.2e}, {d2:.2e}, tr = {ct}")
     return Lemma31Report(True, d1, d2, ct)
@@ -103,17 +103,16 @@ def lemma31_check(q: Quadruple, i: int) -> Lemma31Report:
 
 def fig8_relator_residual(s1: Mat2, s2: Mat2) -> float:
     """Entry distance between the two sides of the figure-eight relation
-    s1 s2 s1^-1 s2 s1 = s2 s1 s2^-1 s1 s2, relative to scale."""
-    lhs = s1 @ s2 @ s1.inverse() @ s2 @ s1
-    rhs = s2 @ s1 @ s2.inverse() @ s1 @ s2
-    return dist(lhs, rhs) / max(1.0, lhs.norm(), rhs.norm())
+    s1 s2 s1^-1 s2 s1 = s2 s1 s2^-1 s1 s2, relative to the larger side."""
+    return rel_dist(s1 @ s2 @ s1.inverse() @ s2 @ s1,
+                    s2 @ s1 @ s2.inverse() @ s1 @ s2)
 
 
 def factors_through_fig8(q: Quadruple, tol: float = 1e-8) -> bool:
     """True when x1 = x3, x2 = x4 and the figure-eight relation holds, i.e.
     the representation comes from the two-bridge quotient."""
     x1, x2, x3, x4 = q.matrices()
-    if rel_dist(x1, x3) > tol or rel_dist(x2, x4) > tol:
+    if not (rel_dist(x1, x3) <= tol and rel_dist(x2, x4) <= tol):
         return False
     return fig8_relator_residual(x1, x2) <= tol
 

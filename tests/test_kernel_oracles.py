@@ -11,9 +11,12 @@ monomial). Both must take the same operations in the same order, so `repr`
 must agree exactly, the sign of a zero included. `random_gt` draws its
 four normals at once; its oracle draws two pairs, the same stream.
 
-The gates that test a raw residual before normalizing it are held against
-copies of the plain gates, which normalize every residual: the same
-outcome, and on a rejection the same exception type and message.
+`definitive_excess`, which tests the raw residuals before normalizing
+them, and the gates that read `mat2._rel` are held against copies of the
+plain gates, which normalize every residual and multiply the tolerance by
+the scale: the same outcome, and on a rejection the same exception type
+and message. Where a scale or a distance is not finite, or overflows, the
+copies refuse, as `mat2._rel`'s NaN does.
 
 `mat2._worst`, the one largest-magnitude rule, is held against the
 `_nanmax` expression the gates used before it, by `repr`.
@@ -215,10 +218,14 @@ def definitive_oracle(s, tol):
 
 
 def validate_oracle(q):
+    # a scale that is not finite, or overflows, refuses (mat2._rel's NaN)
     for m in q.matrices():
-        if not abs(m.det() - 1) <= 1e-9 * max(1.0, m.norm() ** 2):
+        scale = m.norm() * m.norm()
+        if not (cmath.isfinite(scale)
+                and abs(m.det() - 1) <= 1e-9 * max(1.0, scale)):
             raise ConstraintViolated(f"det = {m.det()}")
-        if not abs(m.trace() - q.t) <= 1e-9 * max(1.0, abs(q.t)):
+        if not (cmath.isfinite(q.t)
+                and abs(m.trace() - q.t) <= 1e-9 * max(1.0, abs(q.t))):
             raise TraceMismatch(f"trace {m.trace()} vs t = {q.t}")
 
 
@@ -324,6 +331,10 @@ def anticommutator_oracle(u, v):
 
 def pair_oracle(x, y, t):
     txy = (x @ y).trace()
+    # a scale or a distance that is not finite, or overflows, decides
+    # False (mat2._rel's NaN)
+    if not all(map(cmath.isfinite, (txy, t * t, txy - 2, txy - (t * t - 2)))):
+        return False
     s = max(1.0, abs(txy), abs(t) ** 2)
     return abs(txy - 2) > 1e-9 * s and abs(txy - (t * t - 2)) > 1e-9 * s
 
@@ -699,8 +710,13 @@ def test_validate_matches_plain_gate(quadruples):
                      r * x.d / big)
             q = Quadruple(m, x, x, x, t=x.trace())
             assert outcome(q.validate) == outcome(validate_oracle, q)
-    q = Quadruple(Mat2(NAN, 0, 0, 1), x, x, x, t=x.trace())
-    assert outcome(q.validate) == outcome(validate_oracle, q)
+    # a NaN entry, an infinite one (det -inf, norm inf) and a finite one
+    # whose squared norm overflows
+    inf = float("inf")
+    for m in (Mat2(NAN, 0, 0, 1), Mat2(1, inf, inf, 1),
+              Mat2(1e200, 0, 0, 2e-200)):
+        q = Quadruple(m, x, x, x, t=x.trace())
+        assert outcome(q.validate) == outcome(validate_oracle, q)
 
 
 def test_raw_kernels_on_symbols_expand_to_oracle():

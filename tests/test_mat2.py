@@ -5,8 +5,8 @@ import pytest
 
 from conftest import E1, E2, E3, random_t, reducible_pair
 from charvar.errors import PreconditionViolated, SingularMatrix
-from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual, ch_residual,
-                          dist, has_common_eigenvector,
+from charvar.mat2 import (IDENTITY, Mat2, _rel, anticommutator_residual,
+                          ch_residual, dist, has_common_eigenvector,
                           is_irreducible_pair, lemma25_apply, random_gt,
                           random_sl2, rel_dist, scalar, triple_trace,
                           xyx_expand)
@@ -185,6 +185,25 @@ def test_norm_and_distances_propagate_nan():
     m = Mat2(1 + 2j, -3, 0.5j, 1)
     assert m.norm() == 3 and dist(m, IDENTITY) == 3
     assert Mat2(float("inf"), 0, 0, 1).norm() == float("inf")
+
+
+def test_rel_is_the_relative_gate():
+    # |z| / max(1, |s| for each scale s): "|z| <= tol * max(1, scale)" as one
+    # number; NaN, which fails both `<= tol` and `> tol`, when z or a scale
+    # is inf or NaN
+    assert _rel(3) == 3 and _rel(-4j) == 4 and _rel(3 + 4j, 0.5) == 5
+    assert _rel(3, 10) == _rel(3, -10j, 2) == _rel(3, 2, -10j) == 0.3
+    assert _rel(6, 0.5, 3j, -2) == 2 and _rel(1e300, 1e300j) == 1
+    for zero in (0, 0.0, -0.0, 0j, -0j, complex(-0.0, 0.0),
+                 complex(0.0, -0.0)):
+        assert repr(_rel(zero)) == repr(_rel(zero, zero)) == "0.0"
+        assert repr(_rel(1, zero)) == "1.0"
+    inf, nan = float("inf"), float("nan")
+    for x in (inf, -inf, nan, complex(inf, 0), complex(0, -inf),
+              complex(1, nan), complex(nan, -0.0)):
+        for args in ((x,), (x, 2), (1, x), (1, 2, x), (x, x)):
+            r = _rel(*args)
+            assert math.isnan(r) and not r <= 1e-9 and not r > 1e-9, args
 
 
 class _NoDraws:

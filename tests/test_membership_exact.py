@@ -104,3 +104,51 @@ def test_towers_are_triangular_and_carry_the_samples():
             at = {T: t, **{sp.Symbol(k): smp.params[k] for k in params}}
             for p in polys:
                 assert abs(complex(p.as_expr().subs(at))) <= 1e-9, (cid, smp)
+
+
+def test_x4_polish_jacobian_is_the_raw_x4_jacobian():
+    # the X4 sampler's Newton step reads _x4_jacobian: the Jacobian in
+    # (u, eta) of the raw lin and q_eta, row by row
+    u, eta = sp.symbols("u eta")
+    eqs = raw_equations("X4", catalog._x4_vector(T, u, eta))
+    for row, name in zip(catalog._x4_jacobian(T, u, eta), ("lin", "q_eta")):
+        for got, var in zip(row, (u, eta)):
+            assert sp.expand(got - sp.diff(eqs[name], var)) == 0
+
+
+#: dyadic t, at which every coefficient of excellent_quartic is exact in
+#: binary; each coefficient has degree <= 4 in t, so agreement at five or
+#: more t is agreement for every t
+DYADIC_T = (0.0, 0.5, -1.25, 1.5, 2.75, -3.0, 0.375)
+
+
+def _charpoly_misses(m_u):
+    """The t of DYADIC_T at which excellent_quartic(t)'s coefficients are
+    not exactly those of the characteristic polynomial of m_u at t."""
+    x = sp.Symbol("x")
+    misses = []
+    for t in DYADIC_T:
+        want = sp.Matrix(m_u(sp.Rational(t))).charpoly(x).all_coeffs()
+        got = catalog.excellent_quartic(t).coeffs
+        if ([sp.Rational(c.real) for c in got] != want
+                or any(c.imag for c in got)):
+            misses.append(t)
+    return misses
+
+
+def test_excellent_quartic_is_the_charpoly_of_m_u_and_a_resultant():
+    # the X4 sampler's u are the eigenvalues of m_u, the roots of
+    # excellent_quartic; both are X4's equations with eta eliminated
+    assert _charpoly_misses(lambda t: catalog._x4_matrices(t)[0]) == []
+    u, eta = sp.symbols("u eta")
+    eqs = raw_equations("X4", catalog._x4_vector(T, u, eta))
+    charpoly = sp.Matrix(catalog._x4_matrices(T)[0]).charpoly(u).as_expr()
+    assert sp.expand(sp.resultant(eqs["lin"], eqs["q_eta"], eta)
+                     - charpoly) == 0
+
+    # negative control: one entry of m_u changed is caught
+    def bad(t):
+        m_u = [list(row) for row in catalog._x4_matrices(t)[0]]
+        m_u[3][1] += 1
+        return m_u
+    assert _charpoly_misses(bad)

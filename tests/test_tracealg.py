@@ -9,8 +9,8 @@ from conftest import random_quadruple, random_t
 from charvar.errors import ConstraintViolated, TraceMismatch
 from charvar.catalog import (COMPONENTS, membership_residual,
                              sample_component)
-from charvar.mat2 import (IDENTITY, Mat2, is_irreducible_pair, random_gt,
-                          rel_dist)
+from charvar.mat2 import (IDENTITY, Mat2, _rel, is_irreducible_pair,
+                          random_gt, rel_dist)
 from charvar.reconstruct import Quadruple
 from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
                               _gram, _s_triples, definitive_excess,
@@ -330,16 +330,23 @@ def test_nan_results_do_not_depend_on_errno():
                  RelatorSet(m, IDENTITY, IDENTITY, IDENTITY).spread):
         _leave_errno_at_erange()
         assert math.isnan(gate())
+    _leave_errno_at_erange()
+    assert math.isnan(_rel(complex(1, math.nan), 2))
+    # an infinite entry is no scalar, whatever the other entries
     for gate in (lambda: is_irreducible_pair(m, IDENTITY, 2 + 0j),
-                 Mat2(1, complex(0, math.nan), 0, 1).is_scalar):
+                 Mat2(1, complex(0, math.nan), 0, 1).is_scalar,
+                 Mat2(math.inf, 5, 5, 1).is_scalar):
         _leave_errno_at_erange()
         assert gate() is False
     _leave_errno_at_erange()
     with pytest.raises(TraceMismatch):
         trace_vector_of(m, IDENTITY, IDENTITY, IDENTITY)
-    _leave_errno_at_erange()
-    with pytest.raises(ConstraintViolated):
-        Quadruple(m, IDENTITY, IDENTITY, IDENTITY, t=2 + 0j).validate()
+    # a NaN entry; infinite entries, whose det is -inf at trace 2; and a
+    # finite det 2 whose bound's squared norm overflows
+    for bad in (m, Mat2(1, math.inf, math.inf, 1), Mat2(1e200, 0, 0, 2e-200)):
+        _leave_errno_at_erange()
+        with pytest.raises(ConstraintViolated):
+            Quadruple(bad, bad, bad, bad, t=bad.trace()).validate()
 
 
 def test_rotation_tables_match_rotated_vector(rng):
