@@ -17,7 +17,6 @@ from .reconstruct import Quadruple, realize_character
 from .tracealg import (SCoords, TraceVector, det_Sdiamond, s_from_t,
                        trace_equation_residuals, trace_vector_of,
                        typeI_residuals, typeII_residuals)
-from .wirtinger import (factors_through_fig8, is_representation,
-                        lemma31_check, relators)
+from .wirtinger import is_representation, relators
 
 __version__ = "0.1.0"

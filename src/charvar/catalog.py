@@ -63,6 +63,7 @@ _X4_EXCLUDED = (_SQRT3, -_SQRT3,
                 math.sqrt(3 - _SQRT5), -math.sqrt(3 - _SQRT5),
                 math.sqrt(6), -math.sqrt(6))
 
+# +-sqrt3, +-sqrt5: the t = m + 1/m with Delta(m^2) = 0 (Burde-de Rham)
 _BASE_EXCLUDED = {
     "X11": _EXOTIC_EXCLUDED, "X21": _EXOTIC_EXCLUDED,
     "X3": (_SQRT5, -_SQRT5), "X4": _X4_EXCLUDED,

@@ -13,10 +13,6 @@ class SingularMatrix(CharVarError):
     """2x2 inverse requested for a matrix with near-zero determinant."""
 
 
-class PreconditionViolated(CharVarError):
-    """Numerical hypotheses of a structural lemma are not met."""
-
-
 class TraceMismatch(CharVarError):
     """Quadruple members do not share a common trace."""
 

@@ -1,12 +1,13 @@
 """2x2 complex matrix core: Cayley-Hamilton calculus on the trace-t slice
-G(t) of SL(2,C), traceless parts, and irreducibility tests."""
+G(t) of SL(2,C), traceless parts, irreducibility tests, and the one rule
+each for a largest magnitude (_worst) and a relative gate (_rel)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionViolated, SingularMatrix
+from .errors import SingularMatrix
 from .numfield import solve_quadratic
 
 SCALAR_TOL = 1e-12
@@ -33,10 +34,13 @@ class Mat2:
 
     def norm(self) -> float:
         """Max entry magnitude; NaN if an entry is NaN, found before any
-        abs() of it (see _worst)."""
+        abs() of it, and inf if one overflows (see _worst)."""
         a, b, c, d = self.a, self.b, self.c, self.d
         if a == a and b == b and c == c and d == d:
-            return max(abs(a), abs(b), abs(c), abs(d))
+            try:
+                return max(abs(a), abs(b), abs(c), abs(d))
+            except OverflowError:
+                return math.inf
         return math.nan
 
     def is_scalar(self) -> bool:
@@ -90,40 +94,40 @@ def _inverse_entries(m: Mat2) -> tuple:
 def _worst(values) -> float:
     """The largest |z| of values, or NaN if one is NaN: max() alone keeps a
     NaN only when it comes first. No abs() of a NaN, which CPython makes
-    raise OverflowError when an earlier call left errno at ERANGE."""
-    mags = [abs(z) if z == z else math.nan for z in values]
+    raise OverflowError when an earlier call left errno at ERANGE. A finite
+    z whose modulus overflows makes abs() raise too: then inf, or NaN if a
+    value is NaN, read off a second pass, so values must be a collection."""
+    try:
+        mags = [abs(z) if z == z else math.nan for z in values]
+    except OverflowError:
+        return math.nan if any(z != z for z in values) else math.inf
     total = sum(mags)
     return max(mags) if total == total else total
 
 
 def _rel(z, *scales) -> float:
     """|z| / max(1, |s| for each scale s): the one form of every gate
-    "|z| <= tol * max(1, scale)". NaN when z or a scale is not finite, so
-    that such a gate fails both `<= tol` and `> tol`. x - x is 0 for a
-    finite x and NaN for inf or NaN, tested before any abs() (see _worst)."""
+    "|z| <= tol * max(1, scale)". NaN when z or a scale is not finite, or
+    its modulus overflows, so that such a gate fails both `<= tol` and
+    `> tol`. x - x is 0 for a finite x and NaN for inf or NaN, tested
+    before any abs() (see _worst)."""
     if z - z:
         return math.nan
     m = 1.0
-    for s in scales:
-        if s - s:
-            return math.nan
-        a = abs(s)
-        if a > m:
-            m = a
-    return abs(z) / m
+    try:
+        for s in scales:
+            if s - s:
+                return math.nan
+            a = abs(s)
+            if a > m:
+                m = a
+        return abs(z) / m
+    except OverflowError:
+        return math.nan
 
 
 def scalar(z) -> Mat2:
     return Mat2(complex(z), 0, 0, complex(z))
-
-
-def dist(x: Mat2, y: Mat2) -> float:
-    return (x - y).norm()
-
-
-def rel_dist(x: Mat2, y: Mat2) -> float:
-    """Entrywise distance relative to the larger operand (floored at 1)."""
-    return dist(x, y) / max(1.0, x.norm(), y.norm())
 
 
 # The identity residuals below compute in local entries and build one Mat2.
@@ -171,12 +175,6 @@ def anticommutator_residual(u: Mat2, v: Mat2) -> Mat2:
                 (ua * vb + ub * vd) + (va * ub + vb * ud),
                 (uc * va + ud * vc) + (vc * ua + vd * uc),
                 (pd + (vc * ub + vd * ud)) - z)
-
-
-def triple_trace(u: Mat2, v: Mat2, w: Mat2) -> complex:
-    """tr(uvw); alternating in its arguments on traceless input, and zero
-    exactly when u, v, w are linearly dependent."""
-    return (u @ v @ w).trace()
 
 
 def _eigenvectors(m: Mat2) -> list[tuple[complex, complex]]:
@@ -232,51 +230,6 @@ def is_irreducible_pair(x: Mat2, y: Mat2, t: complex) -> bool:
     tt = t * t
     return (_rel(txy - 2, txy, tt) > 1e-9
             and _rel(txy - (tt - 2), txy, tt) > 1e-9)
-
-
-def lemma25_apply(x1: Mat2, x2: Mat2, x3: Mat2, t: complex) -> str:
-    """Commuting-generator conclusion for an irreducible triple with
-    tr(u1 u2 u3) = 0 and tr(u1 u3) = eps * s0.
-
-    Returns "commuting" (t = +-2), "equal" (eps = +1) or "inverse" (eps = -1),
-    after asserting the corresponding matrix identities.
-    """
-    u1, u2, u3 = (x.traceless_part() for x in (x1, x2, x3))
-    s0 = t * t / 2 - 2
-    n = _worst((x1.norm(), x2.norm(), x3.norm()))
-    if has_common_eigenvector([x1, x2, x3]):
-        raise PreconditionViolated("triple is reducible")
-    if not _rel(triple_trace(u1, u2, u3), n * n * n) <= 1e-9:
-        raise PreconditionViolated("s123 does not vanish")
-    s13 = (u1 @ u3).trace()
-    if _rel(s13 - s0, s0) <= 1e-9:
-        eps = 1
-    elif _rel(s13 + s0, s0) <= 1e-9:
-        eps = -1
-    else:
-        raise PreconditionViolated("s13 is not +-s0")
-    if not rel_dist(x1 @ x3, x3 @ x1) <= 1e-9:
-        raise PreconditionViolated("conclusion failed: x1, x3 do not commute")
-    if min(abs(t - 2), abs(t + 2)) <= 1e-6:
-        return "commuting"
-    target = x1 if eps == 1 else x1.inverse()
-    if not rel_dist(x3, target) <= 1e-9:
-        raise PreconditionViolated("conclusion failed: x3 != x1^eps")
-    return "equal" if eps == 1 else "inverse"
-
-
-def random_sl2(rng, spread: float = 1.0) -> Mat2:
-    """Random SL(2,C) element with entries O(spread)."""
-    # a zero, NaN or infinite spread never passes the rejection test below
-    if not (math.isfinite(spread) and spread > 0):
-        raise ValueError(f"spread must be finite and > 0, got {spread!r}")
-    while True:
-        a, b, c, d = (complex(x, y) * spread for x, y in
-                      rng.standard_normal((4, 2)))
-        dt = a * d - b * c
-        if abs(dt) > 0.3 * spread * spread:
-            r = dt ** -0.5
-            return Mat2(a * r, b * r, c * r, d * r)
 
 
 def random_gt(rng, t: complex) -> Mat2:

@@ -62,10 +62,6 @@ class Quadruple:
             if not _rel(m.trace() - self.t, self.t) <= 1e-9:
                 raise TraceMismatch(f"trace {m.trace()} vs t = {self.t}")
 
-    def conjugated(self, g: Mat2) -> "Quadruple":
-        gi = g.inverse()
-        return Quadruple(*(g @ m @ gi for m in self.matrices()), t=self.t)
-
 
 def factor_symmetric(S: np.ndarray) -> np.ndarray:
     """Return the 3 x n M with M^T M = S for complex symmetric S of rank at

@@ -141,7 +141,8 @@ class TraceVector:
 
     def max_dev(self, other: "TraceVector") -> float:
         """Largest coordinate distance; NaN if one is NaN."""
-        return _worst(a - b for a, b in zip(_t_coords(self), _t_coords(other)))
+        return _worst([a - b for a, b in
+                       zip(_t_coords(self), _t_coords(other))])
 
     def to_json(self):
         return {k: [getattr(self, k).real, getattr(self, k).imag]
@@ -330,24 +331,6 @@ def trace_equation_residuals(v: TraceVector,
                  -d3 * t23)):
             out.append(_n6(p0, p1, p2, p3, p4, p5) if normalized
                        else 0 + p0 + p1 + p2 + p3 + p4 + p5)
-    return out
-
-
-def eq19_residuals(v: TraceVector, normalized: bool = False) -> list[complex]:
-    """The redundant fourth equation at each rotation; identically equal to
-    t*(tr1-tr2) - t^2*tr0, kept as an independent cross-check."""
-    t = v.t
-    out = []
-    for get in _EQ_IDX:
-        t12, t13, t14, t23, t24, t123, t124 = get(v)
-        p0 = t * t * (t12 - 1) * t124
-        p1 = -t * t * (t12 - 1) * t123
-        p2 = t * (t12 - 1) * t13
-        p3 = -t * (t12 - 1) * t24
-        p4 = -t * (t12 * t12 - t12 - 1) * t14
-        p5 = t * (t12 * t12 - t12 - 1) * t23
-        out.append(_n6(p0, p1, p2, p3, p4, p5) if normalized
-                   else 0 + p0 + p1 + p2 + p3 + p4 + p5)
     return out
 
 

@@ -9,8 +9,9 @@ import pytest
 
 from charvar.catalog import CLUSTER_TOL, COMPONENTS, check_admissible
 from charvar.errors import ExcludedParameter
-from charvar.mat2 import Mat2, random_gt, random_sl2
+from charvar.mat2 import Mat2, random_gt
 from charvar.numfield import Poly
+from lemmas import random_sl2
 
 
 @pytest.fixture
@@ -135,7 +136,6 @@ def reducible_pair(rng, t=None):
     k = (t + (t * t - 4) ** 0.5) / 2
     if abs(k) < 1e-6:
         k = (t - (t * t - 4) ** 0.5) / 2
-    from charvar.mat2 import Mat2
     b1, b2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     k2 = k if rng.integers(2) else 1 / k
     x = Mat2(k, b1, 0, 1 / k)

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Tolerances are fixed here and nowhere else; every expected quantity is either
-a frozen closed form or is computed in-test by an independent oracle.
+a frozen closed form or is computed in-test by an independent oracle. The
+largest residuals are taken by mat2._worst, where a NaN anywhere gives NaN
+and fails the gate; Python's max() drops a NaN that is not first.
 """
 
 import cmath
@@ -15,15 +17,16 @@ from charvar.catalog import (COMPONENTS, ROTATION_PAIR, enumerate_parabolic,
                              excellent_quartic, explore_solve,
                              membership_residual, sample_component,
                              special_points)
-from charvar.mat2 import (dist, has_common_eigenvector, is_irreducible_pair,
-                          lemma25_apply, random_gt, random_sl2, rel_dist)
+from charvar.mat2 import (_worst, has_common_eigenvector, is_irreducible_pair,
+                          random_gt)
 from charvar.numfield import Poly
 from charvar.reconstruct import Quadruple, realize_character
-from charvar.tracealg import (det_Sdiamond, eq19_residuals, s_from_t,
+from charvar.tracealg import (det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
-from charvar.wirtinger import (factors_through_fig8, is_representation,
-                               lemma31_check)
+from charvar.wirtinger import is_representation
+from lemmas import (conjugated, dist, eq19_residuals, factors_through_fig8,
+                    lemma25_apply, lemma31_check, random_sl2, rel_dist)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -32,7 +35,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def mres(cid, v):
-    return max(abs(r) for r in membership_residual(cid, v).values())
+    return _worst(membership_residual(cid, v).values())
 
 
 def test_criterion_1_universal_identities():
@@ -43,10 +46,9 @@ def test_criterion_1_universal_identities():
         t = random_t(rng, 3.0)
         xs = [random_gt(rng, t) for _ in range(4)]
         s = s_from_t(trace_vector_of(*xs))
-        worst = max(worst,
-                    max(abs(r) for r in typeI_residuals(s, normalized=True)),
-                    max(abs(r) for r in typeII_residuals(s, normalized=True)),
-                    abs(det_Sdiamond(s, normalized=True)))
+        worst = _worst((worst, *typeI_residuals(s, normalized=True),
+                        *typeII_residuals(s, normalized=True),
+                        det_Sdiamond(s, normalized=True)))
     elapsed = time.perf_counter() - start
     report("criterion-1 universal identities",
            worst <= 1e-8 and elapsed < 10.0,
@@ -64,10 +66,10 @@ def test_criterion_2_reconstruction_round_trip():
         n += 1
         v = trace_vector_of(*xs)
         q = realize_character(v)
-        worst_rt = max(worst_rt, q.trace_vector().max_dev(v))
+        worst_rt = _worst((worst_rt, q.trace_vector().max_dev(v)))
         g = random_sl2(rng, 2.0)
-        w = Quadruple(*xs, t=t).conjugated(g).trace_vector()
-        worst_conj = max(worst_conj, w.max_dev(v))
+        w = conjugated(Quadruple(*xs, t=t), g).trace_vector()
+        worst_conj = _worst((worst_conj, w.max_dev(v)))
     report("criterion-2 reconstruction round-trip",
            worst_rt <= 1e-8 and worst_conj <= 1e-9,
            f"200 quadruples, round-trip {worst_rt:.2e}, "
@@ -84,10 +86,9 @@ def test_criterion_3_theorem_soundness():
             for smp in sample_component(cid, t):
                 q = realize_character(smp.vector)
                 ok, res = is_representation(q)
-                worst_rel = max(worst_rel, res)
-                worst_teq = max(worst_teq, max(
-                    abs(r) for r in trace_equation_residuals(
-                        q.trace_vector(), normalized=True)))
+                worst_rel = _worst((worst_rel, res))
+                worst_teq = _worst((worst_teq, *trace_equation_residuals(
+                    q.trace_vector(), normalized=True)))
     elapsed = time.perf_counter() - start
     report("criterion-3 ten-component soundness",
            worst_rel <= 1e-7 and worst_teq <= 1e-8 and elapsed < 60.0,
@@ -140,7 +141,7 @@ def test_criterion_6_special_points():
     labels = set()
     for label, params, vec in special_points():
         labels.add(label.split("_root")[0].split("_eps")[0])
-        worst = max(worst, mres("X4", vec))
+        worst = _worst((worst, mres("X4", vec)))
     need = {"hyperbolicity_limit", "t0", "t2_1", "t2_3", "t2_5",
             "inverse_pattern"}
     report("criterion-6 special points",
@@ -156,8 +157,8 @@ def test_criterion_7_rotation_symmetry():
         for _ in range(10):
             t = admissible_t(rng, ids=(cid,))
             for smp in sample_component(cid, t):
-                worst = max(worst,
-                            mres(ROTATION_PAIR[cid], smp.vector.rotate()))
+                worst = _worst((worst,
+                                mres(ROTATION_PAIR[cid], smp.vector.rotate())))
                 w = smp.vector
                 for _ in range(4):
                     w = w.rotate()
@@ -212,9 +213,8 @@ def test_criterion_9_structural_lemmas():
         for _ in range(5):
             t = admissible_t(rng, ids=(cid,))
             for smp in sample_component(cid, t):
-                worst19 = max(worst19, max(
-                    abs(r) for r in eq19_residuals(smp.vector,
-                                                   normalized=True)))
+                worst19 = _worst((worst19, *eq19_residuals(
+                    smp.vector, normalized=True)))
     report("criterion-9 structural lemmas",
            lemma25_ok and lemma31_ok and worst19 <= 1e-8,
            f"commuting-generator conclusions ok={lemma25_ok and lemma31_ok}, "
@@ -230,7 +230,7 @@ def test_criterion_10_fig8_factorization():
         for smp in sample_component("X3", t):
             q = realize_character(smp.vector)
             pos_ok = pos_ok and factors_through_fig8(q, tol=1e-9)
-            worst = max(worst, dist(q.x1, q.x3), dist(q.x2, q.x4))
+            worst = _worst((worst, dist(q.x1, q.x3), dist(q.x2, q.x4)))
         for smp in sample_component("X4", t):
             q = realize_character(smp.vector)
             neg_ok = neg_ok and rel_dist(q.x1, q.x3) > 1e-3

@@ -17,11 +17,11 @@ PUBLIC_NAMES = {
     "COMPONENTS", "CensusReport", "ComponentSample", "Mat2", "Poly",
     "Quadruple", "ROTATION_PAIR", "SCoords", "TraceVector", "det_Sdiamond",
     "enumerate_parabolic", "excellent_quartic", "explore_solve",
-    "factors_through_fig8", "has_common_eigenvector", "is_irreducible_pair",
-    "is_representation", "lemma31_check", "membership_residual",
-    "realize_character", "relators", "s_from_t", "sample_component",
-    "solve_quadratic", "special_points", "trace_equation_residuals",
-    "trace_vector_of", "typeII_residuals", "typeI_residuals"}
+    "has_common_eigenvector", "is_irreducible_pair", "is_representation",
+    "membership_residual", "realize_character", "relators", "s_from_t",
+    "sample_component", "solve_quadratic", "special_points",
+    "trace_equation_residuals", "trace_vector_of", "typeII_residuals",
+    "typeI_residuals"}
 
 
 def test_public_names_are_pinned():

@@ -1,7 +1,7 @@
 """The verify kernels against their plain reference forms, bit for bit.
 
 `relators`, `RelatorSet.spread`, `trace_vector_of`, the type I, type II,
-trace-equation and eq. (19) residuals, `det_Sdiamond`,
+trace-equation and eq. (19) residuals (the last in `lemmas`), `det_Sdiamond`,
 `membership_residual`, the `mat2` identity residuals (`ch_residual`,
 `xyx_expand`, `anticommutator_residual`) and the tr(xy) of
 `is_irreducible_pair` compute in local scalars. The oracles below are the
@@ -46,7 +46,7 @@ from charvar.catalog import (COMPONENTS, ROTATION_PAIR, _alpha,
 from charvar.errors import (CharVarError, ConstraintViolated,
                             DegenerateCharacter, TraceMismatch)
 from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual,
-                          ch_residual, dist, is_irreducible_pair, random_gt,
+                          ch_residual, is_irreducible_pair, random_gt,
                           scalar, xyx_expand)
 from charvar.reconstruct import (Quadruple, _realized_matrices,
                                  realize_character)
@@ -54,10 +54,11 @@ from charvar.tracealg import (_DET4, _EQ_IDX, _NORMALIZE, _TRIPLE_ROWS,
                               _TYPEI, COORD_KEYS, SCoords, TraceVector,
                               _S_KEYS, _gram, _n, _s_triples,
                               definitive_excess,
-                              det_Sdiamond, eq19_residuals, s_from_t,
+                              det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
 from charvar.wirtinger import RelatorSet, relators
+from lemmas import dist, eq19_residuals
 
 #: corners of the verify square, where X11 and X12 coordinates reach about
 #: 1e4 and their raw definitive residuals exceed the realization gate
@@ -574,7 +575,7 @@ def worst_oracle(values):
 def test_worst_matches_nanmax_of_guarded_magnitudes(vectors):
     # the coordinates, their differences and the normalized trace-equation
     # residuals of the oracle vectors, and tuples of ints, signed zeros,
-    # NaN, inf and 1e308, whose modulus overflows
+    # NaN, inf and 1e308 + 1e308j, whose modulus 1.4e308 is just finite
     seqs = []
     for v, w in zip(vectors, vectors[1:] + vectors[:1]):
         a, b = list(v.coords().values()), list(w.coords().values())
@@ -591,14 +592,16 @@ def test_worst_matches_nanmax_of_guarded_magnitudes(vectors):
     for seq in seqs:
         assert (_normalized(mat2._worst, seq)
                 == _normalized(worst_oracle, seq)), seq
-    # a NaN gives NaN wherever it stands, and an inf without one gives inf
-    base = [1, -2.5, 0.5 + 0.25j, complex(3, -4)]
+    # a NaN gives NaN wherever it stands, and an inf without one gives inf,
+    # as does a finite value whose modulus overflows, where abs() raises
+    base, big = [1, -2.5, 0.5 + 0.25j, complex(3, -4)], 1.5e308 + 1.5e308j
     assert mat2._worst(base) == 5.0
     for k in range(len(base) + 1):
         for bad in (NAN, complex(NAN, 1), complex(float("inf"), NAN)):
-            assert cmath.isnan(mat2._worst(base[:k] + [bad] + base[k:]))
-        inf = complex(0, float("-inf"))
-        assert mat2._worst(base[:k] + [inf] + base[k:]) == float("inf")
+            for mid in ([bad], [bad, big], [big, bad]):
+                assert cmath.isnan(mat2._worst(base[:k] + mid + base[k:]))
+        for inf in (complex(0, float("-inf")), big):
+            assert mat2._worst(base[:k] + [inf] + base[k:]) == float("inf")
 
 
 #: the rotate() image of each base component in ROTATION_PAIR

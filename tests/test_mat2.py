@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import E1, E2, E3, random_t, reducible_pair
-from charvar.errors import PreconditionViolated, SingularMatrix
+from charvar.errors import SingularMatrix
 from charvar.mat2 import (IDENTITY, Mat2, _rel, anticommutator_residual,
-                          ch_residual, dist, has_common_eigenvector,
-                          is_irreducible_pair, lemma25_apply, random_gt,
-                          random_sl2, rel_dist, scalar, triple_trace,
-                          xyx_expand)
+                          ch_residual, has_common_eigenvector,
+                          is_irreducible_pair, random_gt, scalar, xyx_expand)
+from lemmas import (PreconditionViolated, dist, lemma25_apply, random_sl2,
+                    rel_dist)
 
 
 def test_inverse_identity_and_parabolic():
@@ -78,7 +78,7 @@ def test_triple_trace_basis():
     # oracle: e1 e2 = e3 by direct multiplication, tr(e3^2) = -2
     assert dist(E1 @ E2, E3) == 0
     assert (E3 @ E3).trace() == -2
-    assert triple_trace(E1, E2, E3) == -2
+    assert (E1 @ E2 @ E3).trace() == -2
 
 
 def test_triple_trace_alternating(rng):
@@ -87,12 +87,13 @@ def test_triple_trace_alternating(rng):
         v = random_sl2(rng).traceless_part()
         w = random_sl2(rng).traceless_part()
         sc = max(1.0, u.norm(), v.norm(), w.norm()) ** 3
-        assert abs(triple_trace(u, u, v)) <= 1e-10 * sc
-        assert abs(triple_trace(u, v, w) + triple_trace(v, u, w)) <= 1e-10 * sc
-        assert abs(triple_trace(u, v, w) + triple_trace(u, w, v)) <= 1e-10 * sc
+        uvw = (u @ v @ w).trace()
+        assert abs((u @ u @ v).trace()) <= 1e-10 * sc
+        assert abs(uvw + (v @ u @ w).trace()) <= 1e-10 * sc
+        assert abs(uvw + (u @ w @ v).trace()) <= 1e-10 * sc
         # dependence kills the form
         z = 2 * u + 3 * v
-        assert abs(triple_trace(u, v, z)) <= 1e-10 * sc
+        assert abs((u @ v @ z).trace()) <= 1e-10 * sc
 
 
 def test_common_eigenvector_triangular_and_basis():
@@ -185,12 +186,14 @@ def test_norm_and_distances_propagate_nan():
     m = Mat2(1 + 2j, -3, 0.5j, 1)
     assert m.norm() == 3 and dist(m, IDENTITY) == 3
     assert Mat2(float("inf"), 0, 0, 1).norm() == float("inf")
+    # a finite entry whose modulus overflows, where abs() raises
+    assert Mat2(1.5e308 + 1.5e308j, 0, 0, 1).norm() == float("inf")
 
 
 def test_rel_is_the_relative_gate():
     # |z| / max(1, |s| for each scale s): "|z| <= tol * max(1, scale)" as one
     # number; NaN, which fails both `<= tol` and `> tol`, when z or a scale
-    # is inf or NaN
+    # is inf or NaN, or its modulus overflows
     assert _rel(3) == 3 and _rel(-4j) == 4 and _rel(3 + 4j, 0.5) == 5
     assert _rel(3, 10) == _rel(3, -10j, 2) == _rel(3, 2, -10j) == 0.3
     assert _rel(6, 0.5, 3j, -2) == 2 and _rel(1e300, 1e300j) == 1
@@ -200,7 +203,7 @@ def test_rel_is_the_relative_gate():
         assert repr(_rel(1, zero)) == "1.0"
     inf, nan = float("inf"), float("nan")
     for x in (inf, -inf, nan, complex(inf, 0), complex(0, -inf),
-              complex(1, nan), complex(nan, -0.0)):
+              complex(1, nan), complex(nan, -0.0), 1.5e308 + 1.5e308j):
         for args in ((x,), (x, 2), (1, x), (1, 2, x), (x, x)):
             r = _rel(*args)
             assert math.isnan(r) and not r <= 1e-9 and not r > 1e-9, args

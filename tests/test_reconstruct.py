@@ -6,14 +6,14 @@ import pytest
 from conftest import E1, E2, E3, random_quadruple
 from charvar.catalog import COMPONENTS, sample_component
 from charvar.errors import ConstraintViolated, FactorizationFailure
-from charvar.mat2 import (Mat2, dist, has_common_eigenvector, random_sl2,
-                          scalar)
+from charvar.mat2 import Mat2, has_common_eigenvector, scalar
 from charvar.reconstruct import (_N_INV, Quadruple, _realized_matrices,
                                  factor_symmetric, realize_character)
 from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TRIPLES,
                               TraceVector, _gram, _s_triples, s_from_t,
                               trace_vector_of)
-from charvar.wirtinger import is_irreducible, is_representation
+from charvar.wirtinger import is_representation
+from lemmas import conjugated, dist, random_sl2
 
 
 def _assert_balanced(M, S):
@@ -145,7 +145,7 @@ def test_conjugation_invariance(rng):
         t, xs = random_quadruple(rng)
         q = Quadruple(*xs, t=t)
         g = random_sl2(rng, 2.0)
-        w = q.conjugated(g).trace_vector()
+        w = conjugated(q, g).trace_vector()
         assert w.max_dev(q.trace_vector()) <= 1e-9
 
 
@@ -188,7 +188,7 @@ def test_degenerate_character_unmatched():
     assert q.trace_vector().max_dev(v) <= 1e-9
     ok, spread = is_representation(q)
     assert ok and spread <= 1e-12, spread
-    assert is_irreducible(q)
+    assert not has_common_eigenvector(q.matrices())
 
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-7, 1e-8, 1e-9])

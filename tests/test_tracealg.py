@@ -9,15 +9,15 @@ from conftest import random_quadruple, random_t
 from charvar.errors import ConstraintViolated, TraceMismatch
 from charvar.catalog import (COMPONENTS, membership_residual,
                              sample_component)
-from charvar.mat2 import (IDENTITY, Mat2, _rel, is_irreducible_pair,
-                          random_gt, rel_dist)
+from charvar.mat2 import IDENTITY, Mat2, _rel, is_irreducible_pair, random_gt
 from charvar.reconstruct import Quadruple
 from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
                               _gram, _s_triples, definitive_excess,
-                              det_Sdiamond, eq19_residuals, s_from_t,
+                              det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
 from charvar.wirtinger import RelatorSet
+from lemmas import eq19_residuals, rel_dist
 
 
 def make_vec(t, pairs, t13, t24, triples):
@@ -332,18 +332,22 @@ def test_nan_results_do_not_depend_on_errno():
         assert math.isnan(gate())
     _leave_errno_at_erange()
     assert math.isnan(_rel(complex(1, math.nan), 2))
-    # an infinite entry is no scalar, whatever the other entries
+    # an infinite entry is no scalar, whatever the other entries, nor is
+    # one whose modulus overflows
+    big = Mat2(1.5e308 + 1.5e308j, 0, 0, 1)
     for gate in (lambda: is_irreducible_pair(m, IDENTITY, 2 + 0j),
+                 lambda: is_irreducible_pair(big, IDENTITY, 2 + 0j),
                  Mat2(1, complex(0, math.nan), 0, 1).is_scalar,
-                 Mat2(math.inf, 5, 5, 1).is_scalar):
+                 Mat2(math.inf, 5, 5, 1).is_scalar, big.is_scalar):
         _leave_errno_at_erange()
         assert gate() is False
     _leave_errno_at_erange()
     with pytest.raises(TraceMismatch):
         trace_vector_of(m, IDENTITY, IDENTITY, IDENTITY)
-    # a NaN entry; infinite entries, whose det is -inf at trace 2; and a
-    # finite det 2 whose bound's squared norm overflows
-    for bad in (m, Mat2(1, math.inf, math.inf, 1), Mat2(1e200, 0, 0, 2e-200)):
+    # a NaN entry; infinite entries, whose det is -inf at trace 2; a finite
+    # det 2 whose bound's squared norm overflows; and an overflowing norm
+    for bad in (m, Mat2(1, math.inf, math.inf, 1), Mat2(1e200, 0, 0, 2e-200),
+                big):
         _leave_errno_at_erange()
         with pytest.raises(ConstraintViolated):
             Quadruple(bad, bad, bad, bad, t=bad.trace()).validate()

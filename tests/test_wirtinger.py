@@ -4,14 +4,13 @@ import pytest
 
 from conftest import admissible_t, random_quadruple
 from charvar.catalog import sample_component
-from charvar.errors import PreconditionViolated
-from charvar.mat2 import IDENTITY, Mat2, dist, random_gt
+from charvar.mat2 import IDENTITY, Mat2, random_gt
 from charvar.reconstruct import Quadruple, realize_character
 from charvar.tracealg import trace_equation_residuals, trace_vector_of
-from charvar.wirtinger import (TRACE_EQ_TOL, RelatorSet,
-                               factors_through_fig8, fig8_relator_residual,
-                               is_representation, lemma31_check,
+from charvar.wirtinger import (TRACE_EQ_TOL, RelatorSet, is_representation,
                                necessary_conditions_residual, relators)
+from lemmas import (PreconditionViolated, dist, factors_through_fig8,
+                    lemma31_check)
 
 
 def test_relators_all_equal(rng):
@@ -110,7 +109,8 @@ def test_fig8_all_equal_trivial(rng):
     t = 0.9 - 1.1j
     x = random_gt(rng, t)
     assert factors_through_fig8(Quadruple(x, x, x, x, t=t))
-    assert fig8_relator_residual(x, x) <= 1e-12
+    # x1 = x3 and x2 = x4 exactly, so this tests the relation alone
+    assert factors_through_fig8(Quadruple(x, x, x, x, t=t), tol=1e-12)
 
 
 def test_representation_implies_trace_equations(rng):
@@ -120,3 +120,54 @@ def test_representation_implies_trace_equations(rng):
             v = smp.vector
             assert max(abs(r) for r in trace_equation_residuals(
                 v, normalized=True)) <= 1e-8
+
+
+def _words(step=1, back=1):
+    """r_i = x_i x_{i+step} x_i^-1 x_{i-1}^back x_i as (generator, exponent)
+    letters, x1 .. x4 as 0 .. 3: step = back = 1 is the presentation."""
+    return [[(i, 1), ((i + step) % 4, 1), (i, -1), ((i - 1) % 4, back), (i, 1)]
+            for i in range(4)]
+
+
+def test_relators_present_8_18_by_fox_calculus():
+    # Fox calculus (R. Fox, Ann. of Math. 57, 1953) on the relations
+    # r1 r2^-1, r2 r3^-1, r3 r4^-1 with x_i -> s: d(w)/dx_j sums, over w's
+    # letters, s^(exponent of the prefix) times d(letter)/dx_j, which is 1
+    # for x_j and -x_j^-1 for x_j^-1. Every 3x3 minor is +-Delta, 8_18's
+    # Alexander polynomial, with |Delta(-1)| = 45. The controls invert
+    # x_{i-1}, or put x_{i+2} in place of x_{i+1}
+    sp = pytest.importorskip("sympy")
+    s = sp.Symbol("s")
+    delta = (s**2 - 3 * s + 1) * (s**2 - s + 1)**2
+    for words, want in (
+            (_words(), delta),
+            (_words(back=-1), (2 * s - 3) * (2 * s**2 - 2 * s + 5)),
+            (_words(step=2),
+             (s**2 - s + 1) * (s**4 - 4 * s**3 + 7 * s**2 - 4 * s + 1))):
+        rows = []
+        for u, v in zip(words, words[1:]):
+            row, k = [0] * 4, 0
+            for g, e in u + [(g, -e) for g, e in reversed(v)]:
+                k += min(e, 0)
+                row[g] += e * s**k
+                k += max(e, 0)
+            rows.append(row)
+        fox = sp.Matrix(rows)
+        for j in range(4):
+            minor = sp.expand(fox[:, [c for c in range(4) if c != j]].det())
+            assert sp.expand(minor**2 - want**2) == 0, (j, sp.factor(minor))
+    assert abs(delta.subs(s, -1)) == 45
+
+
+def test_relators_multiply_the_stated_words(rng):
+    # relators() forms the words above, to rounding, and not the control's
+    for _ in range(50):
+        t, xs = random_quadruple(rng)
+        rs = relators(Quadruple(*xs, t=t)).matrices()
+        for words, agree in ((_words(), True), (_words(step=2), False)):
+            for r, word in zip(rs, words):
+                w = IDENTITY
+                for g, e in word:
+                    w = w @ (xs[g] if e == 1 else xs[g].inverse())
+                scale = max(1.0, *(x.norm() for x in xs)) ** 5
+                assert (dist(r, w) <= 1e-13 * scale) == agree
