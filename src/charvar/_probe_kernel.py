@@ -138,11 +138,15 @@ class _ProbeSystem:
     The tables that depend on t alone (d st / dy in its type II and type I
     forms, s0, and the constant trace-equation entries) are computed once
     per t. A call on an (n, 10) array y writes the entries of its n systems
-    into one new buffer, entry-major (entry e of all n rows is one
-    contiguous run), and returns the (n, 32, 11) view of it. Each entry is
-    formed by the same operations, in the same operand order, whatever the
-    other rows are, so a row's system does not depend on the rows it is
-    computed with.
+    into the first 352 n entries of a buffer the system owns, entry-major
+    (entry e of all n rows is one contiguous run), and returns the
+    (n, 32, 11) view of them. The buffer grows only when a call has more
+    rows than any before it, so a Newton loop does not allocate and free
+    its largest array every iteration; the view is valid only until the
+    next call, which overwrites it. Every entry is written on every call,
+    by the same operations in the same operand order whatever the other
+    rows are, so a row's system does not depend on the rows it is computed
+    with, nor on earlier calls.
     """
 
     def __init__(self, t: complex):
@@ -157,10 +161,13 @@ class _ProbeSystem:
         self.dst_ii = _ALT[:, None] * dst[::-1]
         self.dst_values = (0j, 1 + 0j, -t / 2)   # by _typeI_jac_table code
         self.eq_const = np.array([t, -t, -a, a])[:, None]
+        self._buf = np.empty(0, dtype=complex)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         n = len(y)
-        ent = np.empty((352, n), dtype=complex)  # entry 11 i + j of each row
+        if self._buf.size < 352 * n:
+            self._buf = np.empty(352 * n, dtype=complex)
+        ent = self._buf[:352 * n].reshape(352, n)  # entry 11 i + j of a row
         ent[_EQ_CONST] = self.eq_const
         ent[_EQ_ZERO] = 0
         self._trace_rows(y, ent)

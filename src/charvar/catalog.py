@@ -499,17 +499,17 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 #: the Newton loop's working set: at most this many starts are advanced
 #: together as one array, and a start that stops hands its row to the next
 #: unstarted one (each start's iterates do not depend on it). A row's
-#: system [J | -f] takes 5632 bytes, and an iteration about 13.5 KB a row
-#: at its peak (the system, np.linalg.qr's copy of it and the R of every
-#: row). Each iteration also pays about 100 C-level calls whatever its
-#: width (numpy and builtins, as counted by sys.setprofile); 128 rows
-#: spread them over more starts (46 iterations for the 200 starts of a
-#: call at a probe benchmark panel t, 112 at width 32: the mean of the
-#: three panel t at seed 7), and the probe benchmark ran 1.25-1.36x faster
-#: than at width 32 with 3% more peak RSS (2-vCPU Xeon VM). One
-#: explore_solve(1.7421+0.3885j, 7, 200) peaks at 1.97 MB of traced memory
-#: (numpy 2.4, Python 3.11); test_probe_working_memory_is_bounded holds it
-#: under 2.2 MB, 12% above.
+#: system [J | -f] takes 5632 bytes of the buffer that the call keeps, and
+#: an iteration about 13.4 KB a row at its peak (that system,
+#: np.linalg.qr's copy of it and the R of every row). Each iteration also
+#: pays about 100 C-level calls whatever its width (numpy and builtins, as
+#: counted by sys.setprofile); 128 rows spread them over more starts (46
+#: iterations for the 200 starts of a call at a probe benchmark panel t,
+#: 112 at width 32: the mean of the three panel t at seed 7), and the
+#: probe benchmark ran 1.25-1.36x faster than at width 32 with 3% more
+#: peak RSS (2-vCPU Xeon VM). One explore_solve(1.7421+0.3885j, 7, 200)
+#: peaks at 1.84 MB of traced memory (numpy 2.4, Python 3.11);
+#: test_probe_working_memory_is_bounded holds it under 2.06 MB, 12% above.
 _PROBE_BLOCK = 128
 
 # Newton stop rules (see _newton_starts), on the max raw residual of a start
@@ -559,13 +559,16 @@ def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _augmented_steps(aug: np.ndarray) -> np.ndarray:
+def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares solutions of jac[i] x = rhs[i] that
-    _svd_steps computes, for the (n, m, k + 1) stack of augmented systems
-    aug[i] = [jac[i] | rhs[i]] with m >= k, in any memory layout.
+    _svd_steps computes, for the systems aug[i] = [jac[i] | rhs[i]] of the
+    (n, m, k + 1) stack aug, with m >= k and in any memory layout, that the
+    (n,) bool mask keep selects; one row each, in order.
 
     One batched R-only QR of [jac | rhs] gives R and Q^H rhs for the whole
-    stack. Every system is then solved at once by back substitution,
+    stack: np.linalg.qr copies aug anyway, so it is passed unmasked, and
+    the kept rows are selected from the small R. Each kept system is then
+    solved at once by back substitution,
     R [X | x] = [I | Q^H rhs], from the last row up: X = R^-1 and
     x = R^-1 Q^H rhs. A system with
     ||R||_F^2 ||X||_F^2 <= _QR_COND_MAX^2, a Frobenius condition number at
@@ -576,12 +579,14 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
     agree to about kappa * eps. Every other system (rank-deficient, where a
     zero diagonal of R makes X inf or nan, ill-conditioned, or with an X
     that overflows) is solved by _svd_steps, numpy's lstsq one system at a
-    time. For finite input no LinAlgError is raised. Each row's step is the
-    same bytes whatever rows share its stack.
+    time; a row that keep drops never reaches it. For finite input no
+    LinAlgError is raised. Each row's step is the same bytes whatever rows
+    share its stack, kept or not.
     """
-    n, _, k = aug.shape
-    k -= 1
-    r = np.linalg.qr(aug, mode="r")
+    k = aug.shape[2] - 1
+    rows = np.flatnonzero(keep)
+    n = rows.size
+    r = np.linalg.qr(aug, mode="r")[rows]
     # contiguous: .view(float) refuses a strided view, and matmul on one
     # need not give the same bytes
     tri = r[:, :k, :k].copy()
@@ -599,7 +604,7 @@ def _augmented_steps(aug: np.ndarray) -> np.ndarray:
                 <= _QR_COND_MAX ** 2)         # true for inf and nan
     steps = z[:, :, k].copy()
     if bad.any():
-        steps[bad] = _svd_steps(aug[bad, :, :k], aug[bad, :, k])
+        steps[bad] = _svd_steps(aug[rows[bad], :, :k], aug[rows[bad], :, k])
     return steps
 
 
@@ -611,17 +616,20 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     At most _PROBE_BLOCK starts are live at a time, in start order; when a
     start stops or fails, or has taken _NEWTON_ITERS steps, the next
-    unstarted one takes its row. An iteration builds one (n, 32, 11) array
-    [J | -f] of its n live rows (_ProbeSystem, whose per-t tables are made
-    once per call), applies the stop rules, keeps the rows that go on, in
-    order, and solves them (_augmented_steps); it then checks each step. A
-    start stops when its max residual reaches _ROOT_TOL, stalls at or below
-    _STALL_TOL (less than a _STALL_RATIO decrease), or is still above
-    _WANDER_RES after _WANDER_ITER of its iterations. It also stops once
-    its residual is above _WANDER_RES and its step at most _SETTLE_STEP
-    times max(1, max|y|): settled at a stationary point of |f|^2 that is
-    not a root, it would be given up at _WANDER_ITER anyway. It fails when
-    a coordinate turns non-finite or exceeds _DIVERGED in modulus. Every rule reads only the start's own residual, step and y.
+    unstarted one takes its row. An iteration builds the (n, 32, 11) stack
+    [J | -f] of its n live rows (_ProbeSystem, whose per-t tables and
+    buffer are made once per call), applies the stop rules, and solves the
+    rows that go on, in order, from the unmasked stack (_augmented_steps
+    drops the others after its QR, which copies the stack anyway); it then
+    checks each step. A start stops when its max residual reaches
+    _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
+    decrease), or is still above _WANDER_RES after _WANDER_ITER of its
+    iterations. It also stops once its residual is above _WANDER_RES and
+    its step at most _SETTLE_STEP times max(1, max|y|): settled at a
+    stationary point of |f|^2 that is not a root, it would be given up at
+    _WANDER_ITER anyway. It fails when a coordinate turns non-finite or
+    exceeds _DIVERGED in modulus. Every rule reads only the start's own
+    residual, step and y.
     Returns each start's lowest-residual point and whether that residual is
     at most _STALL_TOL without failure.
     """
@@ -649,9 +657,9 @@ def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     # wandering; basin unlikely
                     | ((iters[live] >= _WANDER_ITER) & (fmax > _WANDER_RES)))
             prev[live] = fmax
-            live, aug = live[~stop], aug[~stop]
-            steps = _augmented_steps(aug)
-            del aug                           # before the next one is built
+            keep = ~stop
+            live = live[keep]
+            steps = _augmented_steps(aug, keep)
             # settled above the root floor: stationary, but not at a root
             scale = np.maximum(np.abs(y[live]).max(axis=1), 1.0)
             settled = ((prev[live] > _WANDER_RES)

@@ -230,6 +230,12 @@ def test_identities_report_a_nan_residual(monkeypatch, tmp_path):
 #: component. Its thinnest margin, the trace-equation gate's, is 10x at
 #: |t| = 4 and 1.4x at |t| = 5; at 5.5 the gate fails (ROADMAP item 1)
 CHECKED_RADIUS = 4
+#: the radius out to which they are tested to pass on X3, X4, X51, X52, X61
+#: and X62. Over the 40 t of each scanned circle its thinnest margin, again
+#: the trace-equation gate's, is 28x at |t| = 20 (the relator gate's 50x);
+#: at |t| = 50 some of their items fail (ROADMAP item 1)
+CHECKED_RADIUS_X3_TO_X6 = 20
+X3_TO_X6 = ("X3", "X4", "X51", "X52", "X61", "X62")
 
 
 def circle_t(rng, radius, n):
@@ -252,6 +258,15 @@ def test_verify_passes_out_to_the_checked_radius(radius):
     for t in circle_t(rng, radius, 40):
         ok, items = cli._verify_at(t, catalog.COMPONENTS)
         assert ok and len(items) == 26, (t, [it for it in items
+                                             if not it["pass"]])
+
+
+@pytest.mark.parametrize("radius", [10, CHECKED_RADIUS_X3_TO_X6])
+def test_verify_passes_x3_to_x6_out_to_their_checked_radius(radius):
+    rng = np.random.default_rng(11)
+    for t in circle_t(rng, radius, 40):
+        ok, items = cli._verify_at(t, X3_TO_X6)
+        assert ok and len(items) == 10, (t, [it for it in items
                                              if not it["pass"]])
 
 

@@ -788,7 +788,7 @@ def test_augmented_steps_match_inverse_oracle(monkeypatch):
 
     monkeypatch.setattr(catalog, "_svd_steps", spy)
     aug = np.dstack([jac, rhs])
-    got = catalog._augmented_steps(aug)
+    got = catalog._augmented_steps(aug, np.ones(n, dtype=bool))
     want = augmented_steps_oracle(aug)
     assert svd_rows == [planted, planted]      # one call each
     eps = np.finfo(float).eps
@@ -809,7 +809,8 @@ def test_explore_matches_inverse_oracle(monkeypatch):
     calls = [(-1.3585 + 1.6948j, 7, 200), (-1.7421 - 0.3885j, 7, 200),
              (0.5667 - 1.1545j, 7, 200), (2 + 1j, 3, 40)]
     got = [explore_solve(*c) for c in calls]
-    monkeypatch.setattr(catalog, "_augmented_steps", augmented_steps_oracle)
+    monkeypatch.setattr(catalog, "_augmented_steps",
+                        lambda aug, keep: augmented_steps_oracle(aug[keep]))
     want = [explore_solve(*c) for c in calls]
     for g, w in zip(got, want):
         assert [lbl for _, lbl in g] == [lbl for _, lbl in w]

@@ -9,7 +9,8 @@ from conftest import random_quadruple, random_t
 from charvar.errors import ConstraintViolated, TraceMismatch
 from charvar.catalog import (COMPONENTS, membership_residual,
                              sample_component)
-from charvar.mat2 import IDENTITY, Mat2, _rel, is_irreducible_pair, random_gt
+from charvar.mat2 import (IDENTITY, Mat2, _rel, _worst, is_irreducible_pair,
+                          random_gt)
 from charvar.reconstruct import Quadruple
 from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
                               _gram, _s_triples, definitive_excess,
@@ -60,8 +61,8 @@ def test_universal_identities(rng):
     for _ in range(100):
         t, xs = random_quadruple(rng)
         s = s_from_t(trace_vector_of(*xs))
-        assert max(abs(r) for r in typeI_residuals(s, normalized=True)) <= 1e-8
-        assert max(abs(r) for r in typeII_residuals(s, normalized=True)) <= 1e-8
+        assert _worst(typeI_residuals(s, normalized=True)) <= 1e-8
+        assert _worst(typeII_residuals(s, normalized=True)) <= 1e-8
         assert abs(det_Sdiamond(s, normalized=True)) <= 1e-8
 
 
@@ -82,7 +83,7 @@ def test_typeI_exotic_component_alpha1():
     for smp in sample_component("X11", t):
         s = s_from_t(smp.vector)
         assert abs(s.s123) > 1e-3
-        assert max(abs(r) for r in typeI_residuals(s, normalized=True)) <= 1e-12
+        assert _worst(typeI_residuals(s, normalized=True)) <= 1e-12
 
 
 def test_typeI_diagonal_gram():
@@ -106,7 +107,7 @@ def test_typeII_x21_coupling():
     smp = sample_component("X21", t)[0]
     s = s_from_t(smp.vector)
     z, g = smp.params["z"], smp.params["gamma"]
-    assert max(abs(r) for r in typeII_residuals(s, normalized=True)) <= 1e-12
+    assert _worst(typeII_residuals(s, normalized=True)) <= 1e-12
     sc = max(1.0, abs(z * s.s123), abs(g * s.s234))
     assert abs(z * s.s123 + g * s.s234) <= 1e-12 * sc
 
@@ -144,26 +145,24 @@ def test_det_sdiamond_x61(rng):
 
 def test_trace_equations_x61_t1():
     v = make_vec(1.0, (1, 1, 1, 1), 1, 1, (0, 2, 0, 2))
-    assert max(abs(r) for r in trace_equation_residuals(v)) <= 1e-10
+    assert _worst(trace_equation_residuals(v)) <= 1e-10
 
 
 def test_trace_equations_x51_t2():
     v = make_vec(2.0, (1, 2, 1, 2), 1, 1, (0, 0, 0, 0))
-    assert max(abs(r) for r in trace_equation_residuals(v)) <= 1e-10
+    assert _worst(trace_equation_residuals(v)) <= 1e-10
 
 
 def test_trace_equations_negative_control():
     # a generic asymmetric vector violates the battery decisively
     v = make_vec(3.0, (1.3, -0.7, 2.2, 0.4), 1.1, -2.0, (0.5, -1.5, 2.5, 0.9))
-    assert max(abs(r) for r in
-               trace_equation_residuals(v, normalized=True)) > 1e-3
+    assert _worst(trace_equation_residuals(v, normalized=True)) > 1e-3
     # the fully symmetric slice t_ij = t^2 - 2 satisfies the battery for any
     # common triple value: the equations degenerate there, so it is NOT a
     # usable negative control
     t = 3.0
     v = uniform_vec(t, t * t - 2, t ** 3 - 2 * t)
-    assert max(abs(r) for r in
-               trace_equation_residuals(v, normalized=True)) <= 1e-12
+    assert _worst(trace_equation_residuals(v, normalized=True)) <= 1e-12
 
 
 def test_residual_order_is_rotation_major():
@@ -216,7 +215,7 @@ def test_rotate_permutes_residual_battery(rng):
         a = trace_equation_residuals(v)
         b = trace_equation_residuals(v.rotate())
         rolled = a[3:] + a[:3]
-        assert max(abs(x - y) for x, y in zip(b, rolled)) <= 1e-12
+        assert _worst([x - y for x, y in zip(b, rolled)]) <= 1e-12
 
 
 def test_eq19_is_combination_of_eq16_eq17(rng):
