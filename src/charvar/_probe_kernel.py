@@ -1,11 +1,16 @@
-"""The batched residual-and-Jacobian kernel of the Newton probe.
+"""The Newton probe's solver: the batched [J | -f] kernel, the step solve,
+and the Newton loop with its stop rules.
 
 The probe system is {12 trace equations, 4 type II, 16 type I} in the ten
 coordinates COORD_KEYS[1:] at a fixed trace t, the same equations that
-tracealg's scalar kernels evaluate one vector at a time. Here they are
-evaluated, with their exact derivatives, for many vectors at once, from
-index tables built on tracealg's slot tables. Its caller is the Newton loop
-of catalog.explore_solve.
+tracealg's scalar kernels evaluate one vector at a time. _ProbeSystem
+evaluates them, with their exact derivatives, for many vectors at once,
+from index tables built on tracealg's slot tables; _newton_starts runs
+undamped Gauss-Newton on them from many starts at once, and
+_augmented_steps solves each iteration's steps. This module owns the
+[J | -f] system: its layout, its buffer, its step solve and the rules that
+stop a start. Its caller is catalog.explore_solve, which imports it on its
+first call, so a command that never probes does not build its tables.
 """
 
 from __future__ import annotations
@@ -256,3 +261,187 @@ class _ProbeSystem:
         flat[_TI_PAIR_ROWS] = pairs
         flat[_TI_REST_ROWS] = sums[_TI_SUM_REST]
 
+
+# ---------------------------------------------------------------------------
+# the Newton loop: working set, stop rules and step solve
+
+#: the Newton loop's working set: at most this many starts are advanced
+#: together as one array, and a start that stops hands its row to the next
+#: unstarted one (each start's iterates do not depend on it). A row's
+#: system [J | -f] takes 5632 bytes of the buffer that the call keeps, and
+#: an iteration about 13.4 KB a row at its peak (that system,
+#: np.linalg.qr's copy of it and the R of every row). Each iteration also
+#: pays about 100 C-level calls whatever its width (numpy and builtins, as
+#: counted by sys.setprofile); 128 rows spread them over more starts (46
+#: iterations for the 200 starts of a call at a probe benchmark panel t,
+#: 112 at width 32: the mean of the three panel t at seed 7), and the
+#: probe benchmark ran 1.25-1.36x faster than at width 32 with 3% more
+#: peak RSS (2-vCPU Xeon VM). One explore_solve(1.7421+0.3885j, 7, 200)
+#: peaks at 1.84 MB of traced memory (numpy 2.4, Python 3.11);
+#: test_probe_working_memory_is_bounded holds it under 2.06 MB, 12% above.
+_PROBE_BLOCK = 128
+
+# Newton stop rules (see _newton_starts), on the max raw residual of a start
+
+#: iteration cap; a start still running then is judged on its best point
+_NEWTON_ITERS = 100
+#: converged: near the double-precision floor of the raw residuals, whose
+#: roots have coordinates up to about 10 in modulus at |t| <= 2.5
+_ROOT_TOL = 1e-13
+#: the largest max residual accepted as a root: at a multiple root Newton
+#: stalls above _ROOT_TOL, with coordinate error about sqrt(residual)
+_STALL_TOL = 1e-9
+#: below _STALL_TOL, a step that lowers the residual by less than this
+#: factor has stalled: even at a double root Newton's residual falls about
+#: 4-fold a step, so a smaller decrease is rounding noise
+_STALL_RATIO = 0.7
+#: a start still above _WANDER_RES after _WANDER_ITER iterations is given
+#: up. Nearly all such starts have settled long before (see _SETTLE_STEP);
+#: this is the backstop for the rare one that never settles
+_WANDER_ITER = 50
+_WANDER_RES = 1e-1
+#: a start above _WANDER_RES whose step is at most this times
+#: max(1, max|y|) has settled at a stationary point of |f|^2 that is not a
+#: root, and is given up (MINPACK's x-convergence test, applied above the
+#: root floor). Over 50,509 starts at 254 t (|t| < 6, and a few sampler
+#: margins from every excluded t), 4,702 of the 4,847 starts given up at
+#: _WANDER_ITER had settled so, at a median iteration of 17. No start that
+#: converged took a step below 4.5e-5 relative while above _WANDER_RES,
+#: 45 times this bound.
+_SETTLE_STEP = 1e-6
+#: a coordinate beyond this modulus has diverged: far outside every root
+_DIVERGED = 1e8
+#: largest Frobenius condition number ||R||_F ||R^-1||_F of a step solved
+#: from its QR factor, tested squared on the R^-1 of the back substitution:
+#: kappa_2 <= kappa_F, so every singular value of such a system is far
+#: above lstsq's cutoff and its step is unique (see _augmented_steps)
+_QR_COND_MAX = 1e8
+
+
+def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of jac[k] x = rhs[k], by
+    np.linalg.lstsq(rcond=None) one system at a time: singular values at
+    most eps * max(jac shape) times the largest count as zero."""
+    steps = np.empty(jac.shape[::2], dtype=np.result_type(jac, rhs))
+    for k, (j, r) in enumerate(zip(jac, rhs)):
+        steps[k] = np.linalg.lstsq(j, r, rcond=None)[0]
+    return steps
+
+
+def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solutions of jac[i] x = rhs[i] that
+    _svd_steps computes, for the systems aug[i] = [jac[i] | rhs[i]] of the
+    (n, m, k + 1) stack aug, with m >= k and in any memory layout, that the
+    (n,) bool mask keep selects; one row each, in order.
+
+    One batched R-only QR of [jac | rhs] gives R and Q^H rhs for the whole
+    stack: np.linalg.qr copies aug anyway, so it is passed unmasked, and
+    the kept rows are selected from the small R. Each kept system is then
+    solved at once by back substitution,
+    R [X | x] = [I | Q^H rhs], from the last row up: X = R^-1 and
+    x = R^-1 Q^H rhs. A system with
+    ||R||_F^2 ||X||_F^2 <= _QR_COND_MAX^2, a Frobenius condition number at
+    most _QR_COND_MAX, has full column rank, lstsq drops none of its
+    singular values, and its unique solution is x (Golub & Van Loan, Matrix
+    Computations, 5.3); back substitution is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 8), so the two
+    agree to about kappa * eps. Every other system (rank-deficient, where a
+    zero diagonal of R makes X inf or nan, ill-conditioned, or with an X
+    that overflows) is solved by _svd_steps, numpy's lstsq one system at a
+    time; a row that keep drops never reaches it. For finite input no
+    LinAlgError is raised. Each row's step is the same bytes whatever rows
+    share its stack, kept or not.
+    """
+    k = aug.shape[2] - 1
+    rows = np.flatnonzero(keep)
+    n = rows.size
+    r = np.linalg.qr(aug, mode="r")[rows]
+    # contiguous: .view(float) refuses a strided view, and matmul on one
+    # need not give the same bytes
+    tri = r[:, :k, :k].copy()
+    z = np.empty((n, k, k + 1), dtype=aug.dtype)   # [X | x]
+    z[:, :, :k] = np.eye(k)
+    z[:, :, k] = r[:, :k, k]
+    del r
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(k - 1, -1, -1):
+            z[:, i] -= np.matmul(tri[:, i:i + 1, i + 1:], z[:, i + 1:])[:, 0]
+            z[:, i] /= tri[:, i, i:i + 1]     # * (1 / r_ii) rounds otherwise
+        tf, xf = tri.view(float), z[:, :, :k].view(float)
+        bad = ~(np.einsum("nij,nij->n", tf, tf)
+                * np.einsum("nij,nij->n", xf, xf)
+                <= _QR_COND_MAX ** 2)         # true for inf and nan
+    steps = z[:, :, k].copy()
+    if bad.any():
+        steps[bad] = _svd_steps(aug[rows[bad], :, :k], aug[rows[bad], :, k])
+    return steps
+
+
+def _newton_starts(t: complex, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped Gauss-Newton from every start row of y (overwritten): each
+    step is the minimum-norm least-squares solution of J dy = -f, solved by
+    QR, or by numpy's lstsq for the rare ill-conditioned J (see
+    _augmented_steps).
+
+    At most _PROBE_BLOCK starts are live at a time, in start order; when a
+    start stops or fails, or has taken _NEWTON_ITERS steps, the next
+    unstarted one takes its row. An iteration builds the (n, 32, 11) stack
+    [J | -f] of its n live rows (_ProbeSystem, whose per-t tables and
+    buffer are made once per call), applies the stop rules, and solves the
+    rows that go on, in order, from the unmasked stack (_augmented_steps
+    drops the others after its QR, which copies the stack anyway); it then
+    checks each step. A start stops when its max residual reaches
+    _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
+    decrease), or is still above _WANDER_RES after _WANDER_ITER of its
+    iterations. It also stops once its residual is above _WANDER_RES and
+    its step at most _SETTLE_STEP times max(1, max|y|): settled at a
+    stationary point of |f|^2 that is not a root, it would be given up at
+    _WANDER_ITER anyway. It fails when a coordinate turns non-finite or
+    exceeds _DIVERGED in modulus. Every rule reads only the start's own
+    residual, step and y.
+    Returns each start's lowest-residual point and whether that residual is
+    at most _STALL_TOL without failure.
+    """
+    n = len(y)
+    best_y = y.copy()
+    best_res = np.full(n, np.inf)
+    prev = np.full(n, np.inf)
+    failed = np.zeros(n, dtype=bool)
+    iters = np.zeros(n, dtype=int)            # iterations each start has taken
+    live = np.arange(min(n, _PROBE_BLOCK))
+    unstarted = live.size                     # the next start to take a row
+    system = _ProbeSystem(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            aug = system(y[live])
+            fmax = np.abs(aug[:, :, -1]).max(axis=1)   # |f|
+            better = fmax < best_res[live]
+            best_y[live[better]] = y[live[better]]
+            best_res[live[better]] = fmax[better]
+            stop = ((fmax <= _ROOT_TOL)
+                    # stalled at the rounding floor of a multiple root
+                    | ((fmax <= _STALL_TOL) & (fmax > _STALL_RATIO * prev[live]))
+                    # wandering; basin unlikely
+                    | ((iters[live] >= _WANDER_ITER) & (fmax > _WANDER_RES)))
+            prev[live] = fmax
+            keep = ~stop
+            live = live[keep]
+            steps = _augmented_steps(aug, keep)
+            # settled above the root floor: stationary, but not at a root
+            scale = np.maximum(np.abs(y[live]).max(axis=1), 1.0)
+            settled = ((prev[live] > _WANDER_RES)
+                       & (np.abs(steps).max(axis=1) <= _SETTLE_STEP * scale))
+            y[live] += steps
+            del steps
+            moved = y[live]
+            bad = (~np.isfinite(moved).all(axis=1)
+                   | (np.abs(moved).max(axis=1) > _DIVERGED))
+            failed[live[bad]] = True
+            live = live[~(bad | settled)]
+            iters[live] += 1
+            live = live[iters[live] < _NEWTON_ITERS]
+            refill = min(_PROBE_BLOCK - live.size, n - unstarted)
+            live = np.concatenate(
+                [live, np.arange(unstarted, unstarted + refill)])
+            unstarted += refill
+    return best_y, ~failed & (best_res <= _STALL_TOL)

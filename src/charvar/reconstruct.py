@@ -50,9 +50,6 @@ class Quadruple:
     def matrices(self) -> tuple[Mat2, Mat2, Mat2, Mat2]:
         return (self.x1, self.x2, self.x3, self.x4)
 
-    def trace_vector(self) -> TraceVector:
-        return trace_vector_of(*self.matrices())
-
     def validate(self) -> None:
         for m in self.matrices():
             # n * n overflows to inf, which _rel refuses, where n ** 2 raises
@@ -136,7 +133,8 @@ def realize_character(v: TraceVector) -> Quadruple:
     q = Quadruple(*_realized_matrices(S, _TRIPLE_ROWS[k], st[k],
                                       complex(v.t / 2)), t=v.t)
     q.validate()
-    for key, x, w in zip(COORD_KEYS, _t_coords(q.trace_vector()), want):
+    got = _t_coords(trace_vector_of(*q.matrices()))
+    for key, x, w in zip(COORD_KEYS, got, want):
         if not _rel(x - w, w) <= 1e-8:
             raise DegenerateCharacter(
                 f"realization misses target at {key}: {x} vs {w}")

@@ -21,10 +21,10 @@ inf never pass the raw test, so they always take the normalized path.
 Every kernel reads fixed slots: index tables built once at import from
 COORD_KEYS, PAIRS, TRIPLES and the subscript rotation say which coordinate
 (or which entry of the Gram matrix) each monomial uses. They are plain int
-tuples and the only statement of the coordinate layout: catalog's batched
-Newton probe reads the same tables as numpy index arrays. The kernels are
-plain arithmetic on the values they select, so they work unchanged on any
-number type with field arithmetic, sympy symbols included.
+tuples and the only statement of the coordinate layout: _probe_kernel, the
+Newton probe's batched kernel, reads the same tables as numpy index arrays.
+The kernels are plain arithmetic on the values they select, so they work
+unchanged on any number type with field arithmetic, sympy symbols included.
 """
 
 from __future__ import annotations
@@ -131,9 +131,6 @@ class TraceVector:
     t124: complex
     t134: complex
     t234: complex
-
-    def coords(self) -> dict[str, complex]:
-        return {k: getattr(self, k) for k in COORD_KEYS}
 
     def rotate(self) -> "TraceVector":
         """Image under the order-4 subscript rotation i -> i+1 (mod 4)."""

@@ -66,9 +66,10 @@ def test_criterion_2_reconstruction_round_trip():
         n += 1
         v = trace_vector_of(*xs)
         q = realize_character(v)
-        worst_rt = _worst((worst_rt, q.trace_vector().max_dev(v)))
+        worst_rt = _worst(
+            (worst_rt, trace_vector_of(*q.matrices()).max_dev(v)))
         g = random_sl2(rng, 2.0)
-        w = conjugated(Quadruple(*xs, t=t), g).trace_vector()
+        w = trace_vector_of(*conjugated(Quadruple(*xs, t=t), g).matrices())
         worst_conj = _worst((worst_conj, w.max_dev(v)))
     report("criterion-2 reconstruction round-trip",
            worst_rt <= 1e-8 and worst_conj <= 1e-9,
@@ -88,7 +89,7 @@ def test_criterion_3_theorem_soundness():
                 ok, res = is_representation(q)
                 worst_rel = _worst((worst_rel, res))
                 worst_teq = _worst((worst_teq, *trace_equation_residuals(
-                    q.trace_vector(), normalized=True)))
+                    trace_vector_of(*q.matrices()), normalized=True)))
     elapsed = time.perf_counter() - start
     report("criterion-3 ten-component soundness",
            worst_rel <= 1e-7 and worst_teq <= 1e-8 and elapsed < 60.0,

@@ -2,6 +2,9 @@ import cmath
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -12,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_t, match_multisets, solve_poly
+import charvar
 from charvar import _probe_kernel, catalog
-from charvar.catalog import (_PROBE_BLOCK, CLUSTER_TOL, COMPONENTS,
-                             EXCLUDED_T, ROTATION_PAIR, SAMPLER_MARGIN,
-                             ComponentSample, _augmented_steps, _dedup,
+from charvar._probe_kernel import _PROBE_BLOCK, _augmented_steps
+from charvar.catalog import (CLUSTER_TOL, COMPONENTS, EXCLUDED_T,
+                             ROTATION_PAIR, SAMPLER_MARGIN,
+                             ComponentSample, _dedup,
                              best_membership, check_admissible,
                              classify_point, enumerate_parabolic,
                              excellent_quartic, explore_solve,
@@ -26,7 +31,7 @@ from charvar.errors import (CharVarError, ConstraintViolated,
 from charvar.mat2 import _worst
 from charvar.numfield import Poly
 from charvar.reconstruct import realize_character
-from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector,
+from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, _t_coords,
                               s_from_t, typeI_residuals, typeII_residuals)
 from charvar.wirtinger import (TRACE_EQ_TOL, is_representation,
                                necessary_conditions_residual)
@@ -177,18 +182,18 @@ def _dedup_by_pairs(samples):
     coordinate lies within CLUSTER_TOL of one already kept."""
     kept = []
     for smp in samples:
-        key = list(smp.vector.coords().values())
+        key = _t_coords(smp.vector)
         if not any(max(abs(a - b) for a, b in
-                       zip(key, old.vector.coords().values())) <= CLUSTER_TOL
+                       zip(key, _t_coords(old.vector))) <= CLUSTER_TOL
                    for old in kept):
             kept.append(smp)
     return kept
 
 
 def _shifted(smp, key, delta):
-    v = smp.vector.coords()
-    return ComponentSample(smp.id, smp.branch, smp.params,
-                           TraceVector(**{**v, key: v[key] + delta}))
+    v = smp.vector
+    return ComponentSample(smp.id, smp.branch, smp.params, dataclasses.replace(
+        v, **{key: getattr(v, key) + delta}))
 
 
 def test_census_dedup_matches_pairwise_loop():
@@ -205,7 +210,7 @@ def test_census_dedup_matches_pairwise_loop():
              _shifted(a, "t13", 1.2 * CLUSTER_TOL),
              _shifted(a, "t124", 3 * CLUSTER_TOL * 1j)]
     for smp in samples[::3]:
-        key = str(rng.choice(list(smp.vector.coords())))
+        key = str(rng.choice(COORD_KEYS))
         extra.append(_shifted(smp, key, rng.uniform(-2, 2) * CLUSTER_TOL))
     mixed = samples + extra
     kept = _dedup(mixed)
@@ -436,7 +441,7 @@ def test_classify_exact_samples(rng):
     t = admissible_t(rng)
     for cid in ("X3", "X21", "X62"):
         smp = sample_component(cid, t)[0]
-        y = np.array(list(smp.vector.coords().values())[1:])
+        y = np.array(_t_coords(smp.vector)[1:])
         f, _ = probe_f_jac(t, y[None])
         assert np.abs(f).max() <= 1e-8
         assert classify_point(smp.vector) == cid
@@ -560,14 +565,14 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
     jac[10] = 0
     jac[10, :10] = np.eye(10) - 1e40 * np.triu(np.ones((10, 10)), 1)
     assert 1e9 < np.linalg.cond(jac[6]) < 1e11
-    svd_rows, svd_steps = [], catalog._svd_steps
+    svd_rows, svd_steps = [], _probe_kernel._svd_steps
 
     def spy(j, r):
         svd_rows.extend(k for k in range(len(jac))
                         if any(np.array_equal(jac[k], x) for x in j))
         return svd_steps(j, r)
 
-    monkeypatch.setattr(catalog, "_svd_steps", spy)
+    monkeypatch.setattr(_probe_kernel, "_svd_steps", spy)
     fallback = [5, 6, 7, 9, 10]
     for pick in (range(len(jac)), fallback):
         svd_rows.clear()
@@ -623,8 +628,8 @@ def test_explore_qr_steps_match_svd_steps(t, seed, attempts, monkeypatch):
     qr = explore_solve(t, seed, attempts)
     # the Newton loop solves each [J | -f] through _augmented_steps
     monkeypatch.setattr(
-        catalog, "_augmented_steps", lambda aug, keep:
-        catalog._svd_steps(aug[keep, :, :-1], aug[keep, :, -1]))
+        _probe_kernel, "_augmented_steps", lambda aug, keep:
+        _probe_kernel._svd_steps(aug[keep, :, :-1], aug[keep, :, -1]))
     svd = explore_solve(t, seed, attempts)
     assert [lbl for _, lbl in qr] == [lbl for _, lbl in svd]
     for (a, _), (b, _) in zip(qr, svd):
@@ -650,13 +655,13 @@ def test_explore_classifies(rng):
 def test_explore_at_parabolic_slice(monkeypatch):
     # at t = 2 the fallback is heaviest: 1,313 of this call's Newton rows
     # go to _svd_steps
-    svd_rows, svd_steps = [0], catalog._svd_steps
+    svd_rows, svd_steps = [0], _probe_kernel._svd_steps
 
     def spy(j, r):
         svd_rows[0] += len(j)
         return svd_steps(j, r)
 
-    monkeypatch.setattr(catalog, "_svd_steps", spy)
+    monkeypatch.setattr(_probe_kernel, "_svd_steps", spy)
     found = explore_solve(2, seed=0, attempts=100)
     assert svd_rows[0] > 1000
     assert Counter(lbl for _, lbl in found) == {
@@ -679,7 +684,7 @@ def test_explore_starts_independent_of_blocking(monkeypatch):
                               (32, _PROBE_BLOCK, _PROBE_BLOCK + 42))):
         found = []
         for width in widths:
-            monkeypatch.setattr(catalog, "_PROBE_BLOCK", width)
+            monkeypatch.setattr(_probe_kernel, "_PROBE_BLOCK", width)
             found.append(repr(explore_solve(t, seed=5, attempts=attempts)))
         assert found[0] != "[]"
         assert found == found[:1] * len(widths), (attempts, widths)
@@ -721,8 +726,9 @@ def test_settle_rule_changes_no_explore_output(monkeypatch):
               for i in range(5)]
     count = _count_probe_rows(monkeypatch)
     found, rows = [], []
-    for settle in (catalog._SETTLE_STEP, -1.0):    # -1: the rule never fires
-        monkeypatch.setattr(catalog, "_SETTLE_STEP", settle)
+    # -1: the rule never fires
+    for settle in (_probe_kernel._SETTLE_STEP, -1.0):
+        monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", settle)
         count["rows"] = 0
         found.append([repr(explore_solve(*c)) for c in calls])
         rows.append(count["rows"])
@@ -737,17 +743,17 @@ def test_settle_rule_gives_up_a_settled_start(monkeypatch):
     t = 1.7421 + 0.3885j
     count = _count_probe_rows(monkeypatch)
     iterations = []
-    for settle in (catalog._SETTLE_STEP, -1.0):
-        monkeypatch.setattr(catalog, "_SETTLE_STEP", settle)
+    for settle in (_probe_kernel._SETTLE_STEP, -1.0):
+        monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", settle)
         count["calls"] = 0
-        best, ok = catalog._newton_starts(t, _explore_start(t, 7, 5))
+        best, ok = _probe_kernel._newton_starts(t, _explore_start(t, 7, 5))
         iterations.append(count["calls"])
         assert not ok[0]
         f, _ = probe_f_jac(t, best)
-        assert np.abs(f).max() > catalog._WANDER_RES
+        assert np.abs(f).max() > _probe_kernel._WANDER_RES
     # the iteration-50 rule evaluates the system once more, after step 50
-    assert iterations[1] == catalog._WANDER_ITER + 1
-    assert iterations[0] < catalog._WANDER_ITER // 2
+    assert iterations[1] == _probe_kernel._WANDER_ITER + 1
+    assert iterations[0] < _probe_kernel._WANDER_ITER // 2
 
 
 def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
@@ -756,15 +762,15 @@ def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
     # give it up even when every step counts as settled
     t = 1.3 + 0.4j
     rng = np.random.default_rng(5)
-    monkeypatch.setattr(catalog, "_SETTLE_STEP", math.inf)
+    monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", math.inf)
     for cid, branch in (("X11", 2), ("X21", 3), ("X3", 0), ("X4", 3),
                         ("X51", 0), ("X61", 0)):
         smp = sample_component(cid, t)[branch]
-        root = np.array([list(smp.vector.coords().values())[1:]])
+        root = np.array([_t_coords(smp.vector)[1:]])
         y = root + 1e-3 * np.exp(2j * np.pi * rng.random((1, 10)))
         f, _ = probe_f_jac(t, y)
-        assert np.abs(f).max() <= catalog._WANDER_RES, cid
-        best, ok = catalog._newton_starts(t, y)
+        assert np.abs(f).max() <= _probe_kernel._WANDER_RES, cid
+        best, ok = _probe_kernel._newton_starts(t, y)
         assert ok[0], cid
         assert np.abs(best - root).max() <= 1e-6, cid
 
@@ -778,7 +784,7 @@ def test_probe_rows_bitwise_independent_of_block(rng):
             + 1j * rng.standard_normal((_PROBE_BLOCK, 10))
         for row, cid in zip((1, _PROBE_BLOCK // 2, -2), ("X51", "X61", "X3")):
             smp = sample_component(cid, t)[0]
-            y[row] = list(smp.vector.coords().values())[1:]
+            y[row] = _t_coords(smp.vector)[1:]
         f, jac = probe_f_jac(t, y)
         steps = _augmented_steps(np.dstack([jac, -f]),
                                  np.ones(len(y), dtype=bool))
@@ -811,6 +817,35 @@ def test_probe_working_memory_is_bounded():
 def test_explore_excluded_t():
     with pytest.raises(ExcludedParameter):
         explore_solve(SQRT3, seed=0, attempts=1)
+
+
+#: run in a fresh interpreter: whether the probe kernel is loaded after
+#: importing the library and the CLI, after a probe at an excluded t, and
+#: after one probe
+_PROBE_IMPORT_CHECK = """
+import math, sys
+import charvar, charvar.cli
+from charvar.errors import ExcludedParameter
+loaded = ["charvar._probe_kernel" in sys.modules]
+try:
+    charvar.explore_solve(math.sqrt(3), 0, 1)
+except ExcludedParameter:
+    loaded.append("charvar._probe_kernel" in sys.modules)
+charvar.explore_solve(2 + 1j, 3, 5)
+loaded.append("charvar._probe_kernel" in sys.modules)
+print(*loaded)
+"""
+
+
+def test_probe_kernel_loads_on_the_first_probe():
+    # `import charvar` and the CLI do not build the kernel's tables, an
+    # excluded t raises before the kernel loads, and one probe loads it
+    src = os.path.dirname(os.path.dirname(charvar.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _PROBE_IMPORT_CHECK],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, complex(1, math.nan),
@@ -861,7 +896,7 @@ def test_sampling_at_huge_t_is_finite_or_typed(t):
         except ExcludedParameter:
             continue
         for smp in samples:
-            coords = smp.vector.coords().values()
+            coords = _t_coords(smp.vector)
             assert all(cmath.isfinite(c) for c in coords), (cid, smp.branch)
             try:
                 realize_character(smp.vector)

@@ -29,6 +29,7 @@ sample is the same.
 """
 
 import cmath
+import dataclasses
 import itertools
 import json
 
@@ -37,7 +38,7 @@ import pytest
 
 from conftest import (E1, E2, E3, admissible_t, random_quadruple,
                       reducible_pair)
-from charvar import catalog, cli, mat2
+from charvar import _probe_kernel, catalog, cli, mat2
 from charvar.catalog import (COMPONENTS, ROTATION_PAIR, _alpha,
                              _is_reducible_like, best_membership,
                              classify_point, explore_solve,
@@ -52,7 +53,7 @@ from charvar.reconstruct import (Quadruple, _realized_matrices,
                                  realize_character)
 from charvar.tracealg import (_DET4, _EQ_IDX, _NORMALIZE, _TRIPLE_ROWS,
                               _TYPEI, COORD_KEYS, SCoords, TraceVector,
-                              _S_KEYS, _gram, _n, _s_triples,
+                              _S_KEYS, _gram, _n, _s_triples, _t_coords,
                               definitive_excess,
                               det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
@@ -231,7 +232,7 @@ def validate_oracle(q):
 
 
 def realize_oracle(v):
-    coords = v.coords()
+    coords = {k: getattr(v, k) for k in COORD_KEYS}
     if not all(cmath.isfinite(c) for c in coords.values()):
         raise ConstraintViolated("non-finite trace coordinate")
     try:
@@ -369,7 +370,7 @@ def quadruples(samples):
 
 
 def _with(v, key, value):
-    return TraceVector(**{**v.coords(), key: value})
+    return dataclasses.replace(v, **{key: value})
 
 
 @pytest.fixture(scope="module")
@@ -578,7 +579,7 @@ def test_worst_matches_nanmax_of_guarded_magnitudes(vectors):
     # NaN, inf and 1e308 + 1e308j, whose modulus 1.4e308 is just finite
     seqs = []
     for v, w in zip(vectors, vectors[1:] + vectors[:1]):
-        a, b = list(v.coords().values()), list(w.coords().values())
+        a, b = list(_t_coords(v)), list(_t_coords(w))
         seqs += [a, [p - q for p, q in zip(a, b)],
                  trace_equation_residuals(v, normalized=True)]
     pool = [1, 0, -1, 0.0, -0.0, -0j, NAN, complex(NAN, -0.0),
@@ -755,13 +756,14 @@ def augmented_steps_oracle(aug):
         rinv = np.linalg.inv(tri[rows])
         kappa = (np.linalg.norm(tri[rows], axis=(1, 2))
                  * np.linalg.norm(rinv, axis=(1, 2)))
-    good = kappa <= catalog._QR_COND_MAX
+    good = kappa <= _probe_kernel._QR_COND_MAX
     done = rows[good]
     steps[done] = np.einsum("nij,nj->ni", rinv[good], qtb[done])
     rest = np.ones(n, dtype=bool)
     rest[done] = False
     if rest.any():
-        steps[rest] = catalog._svd_steps(aug[rest, :, :k], aug[rest, :, k])
+        steps[rest] = _probe_kernel._svd_steps(aug[rest, :, :k],
+                                               aug[rest, :, k])
     return steps
 
 
@@ -779,16 +781,16 @@ def test_augmented_steps_match_inverse_oracle(monkeypatch):
     jac[3, :, 9] = jac[3, :, 0]                  # rank 9
     jac[planted[1]] *= np.logspace(0, -10, 10)   # kappa about 1e10
     jac[n - 2] = 0
-    svd_rows, svd_steps = [], catalog._svd_steps
+    svd_rows, svd_steps = [], _probe_kernel._svd_steps
 
     def spy(j, r):
         svd_rows.append(sorted(k for x in j for k in range(n)
                                if np.array_equal(jac[k], x)))
         return svd_steps(j, r)
 
-    monkeypatch.setattr(catalog, "_svd_steps", spy)
+    monkeypatch.setattr(_probe_kernel, "_svd_steps", spy)
     aug = np.dstack([jac, rhs])
-    got = catalog._augmented_steps(aug, np.ones(n, dtype=bool))
+    got = _probe_kernel._augmented_steps(aug, np.ones(n, dtype=bool))
     want = augmented_steps_oracle(aug)
     assert svd_rows == [planted, planted]      # one call each
     eps = np.finfo(float).eps
@@ -809,7 +811,7 @@ def test_explore_matches_inverse_oracle(monkeypatch):
     calls = [(-1.3585 + 1.6948j, 7, 200), (-1.7421 - 0.3885j, 7, 200),
              (0.5667 - 1.1545j, 7, 200), (2 + 1j, 3, 40)]
     got = [explore_solve(*c) for c in calls]
-    monkeypatch.setattr(catalog, "_augmented_steps",
+    monkeypatch.setattr(_probe_kernel, "_augmented_steps",
                         lambda aug, keep: augmented_steps_oracle(aug[keep]))
     want = [explore_solve(*c) for c in calls]
     for g, w in zip(got, want):

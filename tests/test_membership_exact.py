@@ -14,7 +14,8 @@ from exact import (BASES, T, raw_equations, remainder,  # noqa: E402
 from charvar import catalog  # noqa: E402
 from charvar.catalog import (COMPONENTS, ROTATION_PAIR,  # noqa: E402
                              membership_terms, sample_component)
-from charvar.tracealg import COORD_KEYS, TraceVector  # noqa: E402
+from charvar.tracealg import (COORD_KEYS, TraceVector,  # noqa: E402
+                              _t_coords)
 
 #: a generic trace vector: one symbol per coordinate
 GENERIC = TraceVector(*sp.symbols(COORD_KEYS))
@@ -27,7 +28,7 @@ def test_membership_terms_are_exact_polynomials_for_every_id():
         for name, terms in membership_terms(cid, GENERIC).items():
             assert isinstance(terms, tuple) and terms, (cid, name)
             for term in map(sp.sympify, terms):
-                assert term.is_polynomial(*GENERIC.coords().values())
+                assert term.is_polynomial(*_t_coords(GENERIC))
                 assert not term.atoms(sp.Float, sp.I), (cid, name, term)
 
 

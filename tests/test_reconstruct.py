@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from charvar.errors import ConstraintViolated, FactorizationFailure
 from charvar.mat2 import Mat2, has_common_eigenvector, scalar
 from charvar.reconstruct import (_N_INV, Quadruple, _realized_matrices,
                                  factor_symmetric, realize_character)
-from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TRIPLES,
-                              TraceVector, _gram, _s_triples, s_from_t,
+from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TRIPLES, _gram,
+                              _s_triples, _t_coords, s_from_t,
                               trace_vector_of)
 from charvar.wirtinger import is_representation
 from lemmas import conjugated, dist, random_sl2
@@ -79,7 +80,7 @@ def test_realize_character_flat_example():
         v = trace_vector_of(*xs)
         assert s_from_t(v).s123 == s123
         q = realize_character(v)
-        assert q.trace_vector().max_dev(v) <= 1e-10
+        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-10
         us = [x.traceless_part() for x in q.matrices()]
         assert abs((us[0] @ us[1] @ us[2]).trace() - s123) <= 1e-10
 
@@ -91,7 +92,7 @@ def test_realize_character_round_trip(rng):
             continue
         v = trace_vector_of(*xs)
         q = realize_character(v)
-        assert q.trace_vector().max_dev(v) <= 1e-8
+        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-8
         q.validate()
 
 
@@ -135,8 +136,8 @@ def test_realize_character_later_roles(rng):
                 continue
             assert max(abs(st[r]) for r in TRIPLES if r < role) <= 1e-7
             q = realize_character(v)
-            assert q.trace_vector().max_dev(v) <= 1e-8 * max(
-                1.0, max(abs(c) for c in v.coords().values()))
+            assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-8 * max(
+                1.0, max(abs(c) for c in _t_coords(v)))
             done += 1
 
 
@@ -145,8 +146,8 @@ def test_conjugation_invariance(rng):
         t, xs = random_quadruple(rng)
         q = Quadruple(*xs, t=t)
         g = random_sl2(rng, 2.0)
-        w = conjugated(q, g).trace_vector()
-        assert w.max_dev(q.trace_vector()) <= 1e-9
+        w = trace_vector_of(*conjugated(q, g).matrices())
+        assert w.max_dev(trace_vector_of(*q.matrices())) <= 1e-9
 
 
 def test_degenerate_path_x3(rng):
@@ -156,7 +157,7 @@ def test_degenerate_path_x3(rng):
     q = realize_character(v)
     assert dist(q.x1, q.x3) <= 1e-12
     assert dist(q.x2, q.x4) <= 1e-12
-    assert q.trace_vector().max_dev(v) <= 1e-9
+    assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-9
 
 
 def test_degenerate_path_x51_x52(rng):
@@ -166,7 +167,7 @@ def test_degenerate_path_x51_x52(rng):
         xs = q.matrices()
         for (i, j) in eq_pairs:
             assert dist(xs[i - 1], xs[j - 1]) <= 1e-12
-        assert q.trace_vector().max_dev(v) <= 1e-9
+        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-9
 
 
 def test_braid_identity_on_x51(rng):
@@ -185,7 +186,7 @@ def test_degenerate_character_unmatched():
     v = _x6_vector(0.0)
     assert max(map(abs, _s_triples(s_from_t(v)))) <= 1e-12
     q = realize_character(v)
-    assert q.trace_vector().max_dev(v) <= 1e-9
+    assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-9
     ok, spread = is_representation(q)
     assert ok and spread <= 1e-12, spread
     assert not has_common_eigenvector(q.matrices())
@@ -204,8 +205,8 @@ def test_realize_character_near_degenerate(delta):
         xs[2] = g @ xs[0] @ g.inverse()
         v = trace_vector_of(*xs)
         q = realize_character(v)
-        assert q.trace_vector().max_dev(v) <= 1e-8 * max(
-            1.0, max(abs(c) for c in v.coords().values()))
+        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-8 * max(
+            1.0, max(abs(c) for c in _t_coords(v)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -213,7 +214,7 @@ def test_realize_character_near_degenerate(delta):
 def test_realize_character_rejects_nonfinite(key, bad):
     v = sample_component("X4", 1.3 + 0.4j)[0].vector
     with pytest.raises(ConstraintViolated):
-        realize_character(TraceVector(**{**v.coords(), key: bad}))
+        realize_character(dataclasses.replace(v, **{key: bad}))
 
 
 @pytest.mark.parametrize("t", [0.7 + 0.3j, 1.3 + 0.4j, 2.0, 3.0,
@@ -234,7 +235,7 @@ def test_realized_quadruple_is_balanced(t):
 def test_realize_character_rejects_noncharacter(rng):
     t, xs = random_quadruple(rng)
     v = trace_vector_of(*xs)
-    bad = type(v)(**{**v.coords(), "t13": v.t13 + 0.1})
+    bad = dataclasses.replace(v, t13=v.t13 + 0.1)
     with pytest.raises(ConstraintViolated):
         realize_character(bad)
 
