@@ -12,7 +12,7 @@ from .catalog import (COMPONENTS, ROTATION_PAIR, CensusReport,
                       explore_solve, membership_residual, sample_component,
                       special_points)
 from .mat2 import Mat2, has_common_eigenvector, is_irreducible_pair
-from .numfield import Poly, solve_quadratic
+from .numfield import solve_quadratic
 from .reconstruct import Quadruple, realize_character
 from .tracealg import (SCoords, TraceVector, det_Sdiamond, s_from_t,
                        trace_equation_residuals, trace_vector_of,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
 from .mat2 import _rel, _worst
-from .numfield import Poly, solve_quadratic
+from .numfield import solve_quadratic
 from .tracealg import (_NORMALIZE, COORD_KEYS, TraceVector, _t_coords,
                        _t_pairs, definitive_excess, s_from_t)
 # no catalog code calls it; perfbench/tests/test_perfbench.py's tracer test
@@ -116,6 +116,10 @@ def check_admissible(cid: str, t: complex,
     # a NaN is near no excluded value: abs(nan - bad) < margin is False
     if not cmath.isfinite(t):
         raise ExcludedParameter(f"{cid}: t = {t} is not finite")
+    # a finite t whose modulus overflows, such as 1.5e308+1.5e308j, would
+    # make abs(t - bad) raise OverflowError
+    if math.isinf(math.hypot(t.real, t.imag)):
+        raise ExcludedParameter(f"{cid}: |t| overflows a double at t = {t}")
     for bad in EXCLUDED_T[cid]:
         if abs(t - bad) < margin:
             raise ExcludedParameter(f"{cid}: t too close to {bad}")
@@ -179,21 +183,23 @@ def _x6_vector(t) -> TraceVector:
 # ---------------------------------------------------------------------------
 # sampling
 
-def excellent_quartic(t: complex) -> Poly:
-    """The degree-4 defining polynomial of the excellent component in u.
+def excellent_quartic(t: complex) -> tuple[complex, ...]:
+    """The five coefficients, leading first, of the degree-4 defining
+    polynomial of the excellent component in u.
 
     A t that is not finite, or whose coefficients overflow, raises
     ExcludedParameter, as sample_component("X4", t) does.
     """
     t = _as_t(t, "X4")
     try:
-        return Poly([1, 2 - 2 * t * t, t ** 4 + 3, 2 - 2 * t ** 4,
-                     2 * t ** 4 - 4 * t * t + 1])
-    except (OverflowError, ValueError):
-        # complex ** raises OverflowError; Poly refuses with a ValueError a
-        # coefficient that is inf or NaN (a NaN t, or an overflowing *)
-        raise ExcludedParameter(
-            f"X4: quartic coefficients not finite at t = {t}") from None
+        coeffs = (1 + 0j, 2 - 2 * t * t, t ** 4 + 3, 2 - 2 * t ** 4,
+                  2 * t ** 4 - 4 * t * t + 1)
+        # * overflows to inf or NaN without raising, and a NaN t gives NaN
+        if all(map(cmath.isfinite, coeffs)):
+            return coeffs
+    except OverflowError:  # complex ** raises it
+        pass
+    raise ExcludedParameter(f"X4: quartic coefficients not finite at t = {t}")
 
 
 def _sorted_roots(roots):

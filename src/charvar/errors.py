@@ -6,7 +6,7 @@ class CharVarError(Exception):
 
 
 class DegenerateLeadingCoefficient(CharVarError):
-    """Poly or solve_quadratic got a leading coefficient below LEAD_TOL."""
+    """solve_quadratic got a leading coefficient of modulus <= LEAD_TOL."""
 
 
 class SingularMatrix(CharVarError):

@@ -1,7 +1,5 @@
-"""Complex scalar utilities: finite-scalar checks, polynomials of degree
-<= 4, and the quadratic formula.
-
-Everything here is double precision.
+"""The quadratic formula over the complex doubles, and LEAD_TOL, the
+smallest leading coefficient it accepts.
 """
 
 from __future__ import annotations
@@ -11,40 +9,6 @@ import cmath
 from .errors import DegenerateLeadingCoefficient
 
 LEAD_TOL = 1e-14
-
-
-def require_finite(z: complex) -> complex:
-    """Return z unchanged, rejecting NaN/Inf."""
-    z = complex(z)
-    if not (cmath.isfinite(z)):
-        raise ValueError(f"non-finite complex scalar: {z!r}")
-    return z
-
-
-class Poly:
-    """Polynomial of degree 1..4, coefficients descending (coeffs[0] leads)."""
-
-    def __init__(self, coeffs):
-        coeffs = [require_finite(c) for c in coeffs]
-        if not 2 <= len(coeffs) <= 5:
-            raise ValueError("need between 2 and 5 coefficients")
-        if abs(coeffs[0]) <= LEAD_TOL:
-            raise DegenerateLeadingCoefficient(
-                f"leading coefficient {coeffs[0]!r} below {LEAD_TOL}")
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs:
-            acc = acc * z + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
 
 
 def solve_quadratic(a: complex, b: complex, c: complex) -> tuple[complex, complex]:

@@ -35,6 +35,10 @@ _N_INV = np.diag([1 / _SQRT2, 1 / _SQRT2, -1j / _SQRT2])
 #: about 4 eps times the largest, while on rank-3 catalog samples it stays
 #: above 1e-4 times the largest
 SIGMA_RTOL = 16 * np.finfo(float).eps
+#: largest type I or II residual, each over max(1, the largest modulus of
+#: its relation's terms), that realize_character accepts: catalog samples at
+#: 300 random t with |t| <= 2.5 reach 4.4e-14, so rounding alone never nears it
+DEFINITIVE_TOL = 1e-7
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,10 +127,11 @@ def realize_character(v: TraceVector) -> Quadruple:
         s = s_from_t(v)
     except OverflowError:
         raise ConstraintViolated("trace coordinates overflow") from None
-    over = definitive_excess(s, 1e-7)
+    over = definitive_excess(s, DEFINITIVE_TOL)
     if over:
         raise ConstraintViolated(
-            f"definitive-relation residual {_worst(over):.3e} exceeds 1.0e-07")
+            f"definitive-relation residual {_worst(over):.3e} exceeds "
+            f"{DEFINITIVE_TOL:.1e}")
     st = _s_triples(s)
     k = max(range(4), key=lambda i: abs(st[i]))
     S = np.array(_gram(s), dtype=complex).reshape(4, 4)

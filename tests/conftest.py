@@ -10,7 +10,6 @@ import pytest
 from charvar.catalog import CLUSTER_TOL, COMPONENTS, check_admissible
 from charvar.errors import ExcludedParameter
 from charvar.mat2 import Mat2, random_gt
-from charvar.numfield import Poly
 from lemmas import random_sl2
 
 
@@ -49,25 +48,35 @@ _DK_MAX_ITER = 500
 _DK_PHASE = 0.7390851332151607
 
 
-def solve_poly(p: Poly) -> list[complex]:
-    """All roots of p with multiplicity, via Durand-Kerner iteration.
+def horner(coeffs, z: complex) -> complex:
+    """The polynomial with coefficients coeffs, leading first, at z."""
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def solve_poly(coeffs) -> list[complex]:
+    """All roots with multiplicity of the polynomial with coefficients
+    coeffs, leading first, via Durand-Kerner iteration.
 
     Deterministic: starts on a circle of radius 1 + max|c_i/lead| rotated by a
     fixed irrational phase. Stops when the largest per-root update drops below
     1e-13 or after 500 sweeps; each returned root must then satisfy
     |p(z)| <= 1e-9 * (1 + max|coeff|).
     """
-    q = Poly([c / p.coeffs[0] for c in p.coeffs])
-    n = q.degree
+    coeffs = [complex(c) for c in coeffs]
+    q = [c / coeffs[0] for c in coeffs]
+    n = len(q) - 1
     if n == 1:
-        return [-q.coeffs[1]]
-    radius = 1.0 + max(abs(c) for c in q.coeffs[1:])
+        return [-q[1]]
+    radius = 1.0 + max(abs(c) for c in q[1:])
     roots = [radius * cmath.exp(2j * cmath.pi * (k / n) + 1j * _DK_PHASE)
              for k in range(n)]
     for _ in range(_DK_MAX_ITER):
         biggest = 0.0
         for i in range(n):
-            num = q(roots[i])
+            num = horner(q, roots[i])
             den = 1.0 + 0j
             for j in range(n):
                 if j != i:
@@ -79,8 +88,8 @@ def solve_poly(p: Poly) -> list[complex]:
             biggest = max(biggest, abs(step))
         if biggest <= _DK_UPDATE_TOL:
             break
-    bound = 1e-9 * (1.0 + max(abs(c) for c in p.coeffs))
-    worst = max(abs(p(z)) for z in roots)
+    bound = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
+    worst = max(abs(horner(coeffs, z)) for z in roots)
     if not worst <= bound:  # a NaN residual fails too
         raise NonConvergence(
             f"worst residual {worst:.3e} above bound {bound:.3e}")

@@ -19,7 +19,6 @@ from charvar.catalog import (COMPONENTS, ROTATION_PAIR, enumerate_parabolic,
                              special_points)
 from charvar.mat2 import (_worst, has_common_eigenvector, is_irreducible_pair,
                           random_gt)
-from charvar.numfield import Poly
 from charvar.reconstruct import Quadruple, realize_character
 from charvar.tracealg import (det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
@@ -108,7 +107,7 @@ def test_criterion_4_parabolic_census():
         [(5 + 1j * s3) / 2, (5 - 1j * s3) / 2], 1e-9)
     x4_ok = match_multisets(
         [s.params["u"] for s in rep.samples if s.id == "X4"],
-        solve_poly(Poly([1, -6, 19, -30, 17])), 1e-9)
+        solve_poly([1, -6, 19, -30, 17]), 1e-9)
     report("criterion-4 parabolic census",
            rep.total == 26 and counts_ok and x3_ok and x4_ok,
            f"total {rep.total}, counts ok={counts_ok}, "
@@ -129,7 +128,7 @@ def test_criterion_5_excellent_quartic():
         us = [s.params["u"] for s in samples]
         ok_roots = ok_roots and match_multisets(
             us, solve_poly(excellent_quartic(t)), 1e-7)
-    coeffs = np.array(excellent_quartic(2.0).coeffs)
+    coeffs = np.array(excellent_quartic(2.0))
     coeff_ok = np.abs(coeffs - np.array([1, -6, 19, -30, 17])).max() <= 1e-12
     report("criterion-5 excellent quartic",
            ok_roots and coeff_ok,

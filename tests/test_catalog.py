@@ -29,7 +29,6 @@ from charvar.catalog import (CLUSTER_TOL, COMPONENTS, EXCLUDED_T,
 from charvar.errors import (CharVarError, ConstraintViolated,
                             ExcludedParameter, UnknownComponent)
 from charvar.mat2 import _worst
-from charvar.numfield import Poly
 from charvar.reconstruct import realize_character
 from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, _t_coords,
                               s_from_t, typeI_residuals, typeII_residuals)
@@ -169,7 +168,7 @@ def test_census_counts_and_parameters():
         assert match_multisets(gs, want_g, 1e-9)
     # X4 u-values are the roots of the frozen parabolic quartic
     us = [s.params["u"] for s in rep.samples if s.id == "X4"]
-    assert match_multisets(us, solve_poly(Poly([1, -6, 19, -30, 17])), 1e-9)
+    assert match_multisets(us, solve_poly([1, -6, 19, -30, 17]), 1e-9)
     # census is deterministic and dedup idempotent
     rep2 = enumerate_parabolic()
     assert [s.id for s in rep2.samples] == [s.id for s in rep.samples]
@@ -222,9 +221,8 @@ def test_census_dedup_matches_pairwise_loop():
 
 
 def test_excellent_quartic_frozen_slices():
-    assert excellent_quartic(2.0).coeffs == (1, -6 + 0j, 19 + 0j, -30 + 0j,
-                                             17 + 0j)
-    assert excellent_quartic(0.0).coeffs == (1, 2 + 0j, 3 + 0j, 2 + 0j, 1 + 0j)
+    assert excellent_quartic(2.0) == (1, -6 + 0j, 19 + 0j, -30 + 0j, 17 + 0j)
+    assert excellent_quartic(0.0) == (1, 2 + 0j, 3 + 0j, 2 + 0j, 1 + 0j)
 
 
 @pytest.mark.parametrize("t", [1e100, complex("nan")])
@@ -250,6 +248,20 @@ def test_t_beyond_double_range_is_typed(t):
             call(t)
 
 
+@pytest.mark.parametrize("t", [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j])
+def test_t_whose_modulus_overflows_is_typed(t):
+    # t is finite, but abs(t) raises OverflowError; the refusal rule must
+    # refuse it before measuring its distance to an excluded value
+    calls = [lambda t: explore_solve(t, 0, 1)]
+    calls += [lambda t, cid=cid: sample_component(cid, t)
+              for cid in COMPONENTS]
+    calls += [lambda t, cid=cid: check_admissible(cid, t)
+              for cid in COMPONENTS]
+    for call in calls:
+        with pytest.raises(ExcludedParameter, match="overflows"):
+            call(t)
+
+
 def test_excellent_quartic_elimination_oracle(rng):
     # oracle: expand (u^2+u+1-t^2)^2 + t^2 (t^2+4-2u)(u^2+u+1-t^2)
     #         - t^2 (5 t^2 u - t^4 - 4 t^2 + 6) with polynomial arithmetic
@@ -263,7 +275,7 @@ def test_excellent_quartic_elimination_oracle(rng):
         poly[1:] += mid  # degree 3 into degree 4 array
         poly[3] += -5 * t ** 4
         poly[4] += t ** 2 * (t ** 4 + 4 * t * t - 6)
-        got = np.array(excellent_quartic(t).coeffs)
+        got = np.array(excellent_quartic(t))
         assert np.abs(poly - got).max() <= 1e-9 * max(
             1.0, np.abs(poly).max())
 
@@ -311,7 +323,7 @@ def test_sampler_guards_sit_over_excluded_t():
     terms = catalog.membership_terms("X4", catalog._x4_vector(t, u, eta))
     quartic = sp.resultant(sum(terms["lin"]), sum(terms["q_eta"]), eta)
     for tv in (0.3 + 0.2j, 2.0, -1.7 + 1j):  # it is excellent_quartic
-        got = excellent_quartic(tv).coeffs
+        got = excellent_quartic(tv)
         want = [complex(c.subs(t, tv))
                 for c in sp.Poly(quartic, u).all_coeffs()]
         assert np.abs(np.array(got) - want).max() <= 1e-12
@@ -416,7 +428,7 @@ def test_special_points_quartic_roots_match_oracle():
     pts = {lbl: params for lbl, params, _ in special_points()}
     for tag, t, coeffs in (("t2_1", 1, [1, 0, 4, 0, -1]),
                            ("t2_5", cmath.sqrt(5), [1, -8, 28, -48, 31])):
-        want = catalog._sorted_roots(solve_poly(Poly(coeffs)))
+        want = catalog._sorted_roots(solve_poly(coeffs))
         for k, u in enumerate(want):
             params = pts[f"{tag}_root{k}"]
             assert abs(params["t"] - t) <= 1e-12, (tag, k)

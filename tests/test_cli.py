@@ -14,8 +14,8 @@ from charvar.errors import ExcludedParameter
 
 #: the package's public names: adding or removing one is an API change
 PUBLIC_NAMES = {
-    "COMPONENTS", "CensusReport", "ComponentSample", "Mat2", "Poly",
-    "Quadruple", "ROTATION_PAIR", "SCoords", "TraceVector", "det_Sdiamond",
+    "COMPONENTS", "CensusReport", "ComponentSample", "Mat2", "Quadruple",
+    "ROTATION_PAIR", "SCoords", "TraceVector", "det_Sdiamond",
     "enumerate_parabolic", "excellent_quartic", "explore_solve",
     "has_common_eigenvector", "is_irreducible_pair", "is_representation",
     "membership_residual", "realize_character", "relators", "s_from_t",
@@ -47,7 +47,8 @@ def test_parse_complex(text, value):
 
 
 def test_parse_complex_rejects():
-    for bad in ("", "xyz", "1+2"):
+    # unparsable text, and a value that parses but is not finite
+    for bad in ("", "xyz", "1+2", "inf", "nan", "1e400", "nan+1i"):
         with pytest.raises(ValueError):
             parse_complex(bad)
 
@@ -87,6 +88,18 @@ def test_verify_component(tmp_path):
 
 def test_verify_excluded_t_exits_2(tmp_path):
     assert main(["verify", "--t", "1.7320508+0i", "--component", "X51"]) == 2
+
+
+@pytest.mark.parametrize("t", ["1.5e308+1.5e308i", "-1.5e308-1.5e308i"])
+def test_t_whose_modulus_overflows_exits_2(t, capsys):
+    # t is finite, but abs(t) raises OverflowError: a bad parameter, not a
+    # traceback
+    for args in (["catalog", f"--t={t}"],
+                 ["verify", f"--t={t}", "--component", "X51"],
+                 ["explore", f"--t={t}"]):
+        capsys.readouterr()
+        assert main(args) == 2, args
+        assert "overflows" in capsys.readouterr().err, args
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -180,8 +193,11 @@ def test_usage_error_exits_2(capsys):
     assert main(["catalog", "--t", "-x"]) == 2
     assert main(["catalog", "--t", "--format", "csv"]) == 2
     # a negative count is a usage error, not a failed check (--n 0 is valid)
+    # and so is one that is not an integer
     for args in (["identities", "--n", "-3"], ["verify", "--samples", "-2"],
-                 ["explore", "--t", "2+1i", "--attempts", "-4"]):
+                 ["explore", "--t", "2+1i", "--attempts", "-4"],
+                 ["identities", "--n", "abc"],
+                 ["explore", "--t", "2+1i", "--attempts", "1.5"]):
         capsys.readouterr()
         assert main(args) == 2
         assert "error: argument --" in capsys.readouterr().err

@@ -101,6 +101,11 @@ def test_common_eigenvector_triangular_and_basis():
     assert has_common_eigenvector(ms)
     assert not has_common_eigenvector([E1, E2])
     assert has_common_eigenvector([IDENTITY, scalar(3)])
+    # e1, the anchor's first eigenvector, lies in the second matrix's
+    # kernel: a zero image fixes every line
+    assert has_common_eigenvector([Mat2(2, 0, 0, 0.5), Mat2(0, 0, 0, 1)])
+    with pytest.raises(ValueError):
+        has_common_eigenvector([])
 
 
 def test_constructed_reducible_pair(rng):

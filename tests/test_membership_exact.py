@@ -130,7 +130,7 @@ def _charpoly_misses(m_u):
     misses = []
     for t in DYADIC_T:
         want = sp.Matrix(m_u(sp.Rational(t))).charpoly(x).all_coeffs()
-        got = catalog.excellent_quartic(t).coeffs
+        got = catalog.excellent_quartic(t)
         if ([sp.Rational(c.real) for c in got] != want
                 or any(c.imag for c in got)):
             misses.append(t)
