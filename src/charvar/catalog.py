@@ -306,8 +306,8 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
     samples: list[ComponentSample] = []
     if base == "X11":
         k = 0
-        for mu in solve_quadratic(1, al * al - 4 * al, 4 * al * al - al ** 3):
-            roots = solve_quadratic(1, -mu, 2 * mu / al + al - 4)
+        for mu in solve_quadratic(al * al - 4 * al, 4 * al * al - al ** 3):
+            roots = solve_quadratic(-mu, 2 * mu / al + al - 4)
             for x, xp in (roots, roots[::-1]):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "mu": mu, "x": x},
@@ -315,14 +315,14 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
                 k += 1
     elif base == "X21":
         k = 0
-        for z in solve_quadratic(1, -al, al):
-            for g in solve_quadratic(1, (al - 2) * z * z - 2 * z, z * z):
+        for z in solve_quadratic(-al, al):
+            for g in solve_quadratic((al - 2) * z * z - 2 * z, z * z):
                 samples.append(ComponentSample(
                     cid, k, {"t": t, "alpha": al, "z": z, "gamma": g},
                     _x2_vector(t, z, g)))
                 k += 1
     elif base == "X3":
-        for k, u in enumerate(solve_quadratic(1, -(t * t + 1), 2 * t * t - 1)):
+        for k, u in enumerate(solve_quadratic(-(t * t + 1), 2 * t * t - 1)):
             samples.append(ComponentSample(cid, k, {"t": t, "u": u},
                                            _x3_vector(t, u)))
     elif base == "X4":

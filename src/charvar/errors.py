@@ -5,10 +5,6 @@ class CharVarError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateLeadingCoefficient(CharVarError):
-    """solve_quadratic got a leading coefficient of modulus <= LEAD_TOL."""
-
-
 class SingularMatrix(CharVarError):
     """2x2 inverse requested for a matrix with near-zero determinant."""
 

@@ -84,9 +84,10 @@ IDENTITY = Mat2(1, 0, 0, 1)
 
 
 def _inverse_entries(m: Mat2) -> tuple:
-    """Entries of m^-1, row-major; SingularMatrix for a near-zero det."""
+    """Entries of m^-1, row-major; SingularMatrix for a near-zero det. A
+    NaN det, or one whose modulus overflows, is not near zero (see _rel)."""
     dt = m.det()
-    if abs(dt) <= 1e-14:
+    if _rel(dt) <= 1e-14:
         raise SingularMatrix(f"|det| = {abs(dt):.3e}")
     return m.d / dt, -m.b / dt, -m.c / dt, m.a / dt
 
@@ -179,7 +180,7 @@ def anticommutator_residual(u: Mat2, v: Mat2) -> Mat2:
 
 def _eigenvectors(m: Mat2) -> list[tuple[complex, complex]]:
     """Eigenvectors of a non-scalar 2x2 matrix (one per distinct eigenvalue)."""
-    l1, l2 = solve_quadratic(1.0, -m.trace(), m.det())
+    l1, l2 = solve_quadratic(-m.trace(), m.det())
     lams = [l1] if _rel(l1 - l2, l1, l2) <= 1e-8 else [l1, l2]
     out = []
     for lam in lams:

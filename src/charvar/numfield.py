@@ -1,31 +1,25 @@
-"""The quadratic formula over the complex doubles, and LEAD_TOL, the
-smallest leading coefficient it accepts.
-"""
+"""The quadratic formula over the complex doubles, for the monic quadratics
+that every component's parameters solve."""
 
 from __future__ import annotations
 
 import cmath
 
-from .errors import DegenerateLeadingCoefficient
 
-LEAD_TOL = 1e-14
+def solve_quadratic(b: complex, c: complex) -> tuple[complex, complex]:
+    """Both roots of z^2 + b z + c, larger-magnitude root first.
 
-
-def solve_quadratic(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
-    """Both roots of a z^2 + b z + c, larger-magnitude root first.
-
-    The second root comes from c/(a*z1), which avoids cancellation when the
+    The second root comes from c/z1, which avoids cancellation when the
     roots differ wildly in size. When finite coefficients give a non-finite
     root (b * b overflows at |b| near 1e155), the roots are recomputed from
-    the coefficients divided by the largest of their moduli.
+    the coefficients divided by the largest of 1 and the real and imaginary
+    parts of b and c, a scale that cannot overflow where |b| could.
     """
-    a, b, c = complex(a), complex(b), complex(c)
-    if abs(a) <= LEAD_TOL:
-        raise DegenerateLeadingCoefficient(f"|a| = {abs(a)} <= {LEAD_TOL}")
+    a, b, c = 1 + 0j, complex(b), complex(c)
     roots = _quadratic_roots(a, b, c)
     if not all(map(cmath.isfinite, roots)) \
-            and all(map(cmath.isfinite, (a, b, c))):
-        scale = max(abs(a), abs(b), abs(c))
+            and cmath.isfinite(b) and cmath.isfinite(c):
+        scale = max(1.0, abs(b.real), abs(b.imag), abs(c.real), abs(c.imag))
         roots = _quadratic_roots(a / scale, b / scale, c / scale)
     return roots
 

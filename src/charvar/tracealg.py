@@ -5,7 +5,7 @@ of the rank-4 free group, and the knot-specific trace-equation battery.
 Each residual is a sum of monomials, added left to right starting from 0,
 so the bits do not depend on how a kernel holds its terms. Residual
 functions return that raw sum by default. With ``normalized=True`` the
-helpers ``_n1`` .. ``_n7`` and ``_n``, the only code that normalizes a
+helpers ``_n2`` .. ``_n7`` and ``_n``, the only code that normalizes a
 residual (``catalog.membership_residual`` uses them too), divide it by
 max(1, largest monomial magnitude), the scale of the acceptance thresholds.
 A sum that is not finite normalizes to the one constant nan+nanj, decided
@@ -180,11 +180,6 @@ _NAN = complex(math.nan, math.nan)   # every non-finite sum normalizes to it
 # One helper per arity: a variadic _n(*terms) gave the same bits but made
 # membership_residual 65% slower per call (17.5 against 10.6 us). s - s is
 # 0 for a finite sum s, and NaN (true) for a NaN or inf one.
-def _n1(a):
-    s = 0 + a
-    return _NAN if s - s else s / max(1.0, abs(a))
-
-
 def _n2(a, b):
     s = 0 + a + b
     return _NAN if s - s else s / max(1.0, abs(a), abs(b))
@@ -224,7 +219,8 @@ def _n(terms):
     return _NAN if s - s else s / max(1.0, *map(abs, terms))
 
 
-_NORMALIZE = (None, _n1, _n2, _n3, _n4, _n5, _n6, _n7)   # by number of terms
+# by number of terms: no equation or relation has fewer than two
+_NORMALIZE = (None, None, _n2, _n3, _n4, _n5, _n6, _n7)
 
 
 #: type I relation 4a + b: (a, b, getter of its minor)

@@ -2,15 +2,15 @@
 
 A quadruple (x1, .., x4) in G(t)^4 defines a representation of the knot group
 exactly when the four relator matrices r_i = x_i x_{i+1} x_i^{-1} x_{i-1} x_i
-(subscripts mod 4) coincide.
+(subscripts mod 4) coincide: when their spread, the largest pairwise entry
+distance relative to max(1, ||r1||), is within RELATOR_TOL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .mat2 import Mat2, _inverse_entries, _worst
+from .mat2 import Mat2, _inverse_entries, _rel, _worst
 from .reconstruct import Quadruple
 from .tracealg import trace_equation_residuals, trace_vector_of
 
@@ -21,27 +21,9 @@ RELATOR_TOL = 1e-7
 TRACE_EQ_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
-class RelatorSet:
-    r1: Mat2
-    r2: Mat2
-    r3: Mat2
-    r4: Mat2
-
-    def matrices(self):
-        return (self.r1, self.r2, self.r3, self.r4)
-
-    def spread(self) -> float:
-        """Largest pairwise entry distance, relative to max(1, ||r1||); NaN
-        if an entry is NaN."""
-        e = [r.entries() for r in self.matrices()]
-        gaps = [p - q for x, y in combinations(e, 2) for p, q in zip(x, y)]
-        return _worst(gaps) / max(1.0, self.r1.norm())
-
-
-def relators(q: Quadruple) -> RelatorSet:
-    """r_i = x_i x_{i+1} x_i^-1 x_{i-1} x_i, multiplied left to right in
-    local entries with the formula of Mat2.__matmul__."""
+def relators(q: Quadruple) -> tuple[Mat2, Mat2, Mat2, Mat2]:
+    """(r1, r2, r3, r4), r_i = x_i x_{i+1} x_i^-1 x_{i-1} x_i, multiplied
+    left to right in local entries with the formula of Mat2.__matmul__."""
     x = [m.entries() for m in q.matrices()]
     rs = []
     for i, xi in enumerate(q.matrices()):
@@ -51,11 +33,19 @@ def relators(q: Quadruple) -> RelatorSet:
             a, b, c, d = (a * e + b * g, a * f + b * h,
                           c * e + d * g, c * f + d * h)
         rs.append(Mat2(a, b, c, d))
-    return RelatorSet(*rs)
+    return tuple(rs)
+
+
+def spread(rs) -> float:
+    """Largest pairwise entry distance of the relators rs, relative to
+    max(1, ||rs[0]||); NaN if an entry is NaN or a modulus overflows."""
+    e = [r.entries() for r in rs]
+    gaps = [p - q for x, y in combinations(e, 2) for p, q in zip(x, y)]
+    return _rel(_worst(gaps), rs[0].norm())
 
 
 def is_representation(q: Quadruple) -> tuple[bool, float]:
-    res = relators(q).spread()
+    res = spread(relators(q))
     return res <= RELATOR_TOL, res
 
 

@@ -17,7 +17,7 @@ from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
                               det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
-from charvar.wirtinger import RelatorSet
+from charvar.wirtinger import is_representation, spread
 from lemmas import eq19_residuals, rel_dist
 
 
@@ -326,7 +326,7 @@ def test_nan_results_do_not_depend_on_errno():
     assert math.isnan(w.max_dev(v))
     m = Mat2(complex(1, math.nan), 0, 0, 1)
     for gate in (m.norm, lambda: rel_dist(m, IDENTITY),
-                 RelatorSet(m, IDENTITY, IDENTITY, IDENTITY).spread):
+                 lambda: spread((m, IDENTITY, IDENTITY, IDENTITY))):
         _leave_errno_at_erange()
         assert math.isnan(gate())
     _leave_errno_at_erange()
@@ -340,6 +340,16 @@ def test_nan_results_do_not_depend_on_errno():
                  Mat2(math.inf, 5, 5, 1).is_scalar, big.is_scalar):
         _leave_errno_at_erange()
         assert gate() is False
+    # nor is a NaN det, or one whose modulus overflows, singular: the
+    # inverse reads no abs() of it, so neither m nor big raises, and a
+    # quadruple holding one is no representation
+    _leave_errno_at_erange()
+    assert math.isnan(m.inverse().norm())
+    for x in (m, big):
+        _leave_errno_at_erange()
+        ok, res = is_representation(
+            Quadruple(x, IDENTITY, IDENTITY, IDENTITY, t=2 + 0j))
+        assert ok is False and math.isnan(res)
     _leave_errno_at_erange()
     with pytest.raises(TraceMismatch):
         trace_vector_of(m, IDENTITY, IDENTITY, IDENTITY)

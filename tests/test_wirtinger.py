@@ -7,8 +7,9 @@ from charvar.catalog import sample_component
 from charvar.mat2 import IDENTITY, Mat2, _worst, random_gt
 from charvar.reconstruct import Quadruple, realize_character
 from charvar.tracealg import trace_equation_residuals, trace_vector_of
-from charvar.wirtinger import (TRACE_EQ_TOL, RelatorSet, is_representation,
-                               necessary_conditions_residual, relators)
+from charvar.wirtinger import (TRACE_EQ_TOL, is_representation,
+                               necessary_conditions_residual, relators,
+                               spread)
 from lemmas import (PreconditionViolated, dist, factors_through_fig8,
                     lemma31_check)
 
@@ -18,7 +19,7 @@ def test_relators_all_equal(rng):
     x = random_gt(rng, t)
     q = Quadruple(x, x, x, x, t=t)
     cube = x @ x @ x
-    for r in relators(q).matrices():
+    for r in relators(q):
         assert dist(r, cube) <= 1e-12 * max(1.0, cube.norm())
     ok, res = is_representation(q)
     assert ok
@@ -31,8 +32,12 @@ def test_nan_entry_is_not_a_representation():
     q = Quadruple(IDENTITY, IDENTITY, IDENTITY, Mat2(1, nan, 0, 1), t=2 + 0j)
     ok, res = is_representation(q)
     assert ok is False and math.isnan(res)
-    rs = RelatorSet(IDENTITY, IDENTITY, IDENTITY, Mat2(1, 0, nan, 1))
-    assert math.isnan(rs.spread())
+    assert math.isnan(spread((IDENTITY, IDENTITY, IDENTITY,
+                              Mat2(1, 0, nan, 1))))
+    # nor may an r1 whose modulus overflows hide a gap of 1e300 behind
+    # the max(1, ||r1||) scale
+    m = Mat2(1.5e308 + 1.5e308j, 0, 0, 1)
+    assert math.isnan(spread((m, m + Mat2(0, 1e300, 0, 0), m, m)))
 
 
 def test_nan_trace_equation_is_not_hidden():
@@ -163,7 +168,7 @@ def test_relators_multiply_the_stated_words(rng):
     # relators() forms the words above, to rounding, and not the control's
     for _ in range(50):
         t, xs = random_quadruple(rng)
-        rs = relators(Quadruple(*xs, t=t)).matrices()
+        rs = relators(Quadruple(*xs, t=t))
         for words, agree in ((_words(), True), (_words(step=2), False)):
             for r, word in zip(rs, words):
                 w = IDENTITY
