@@ -55,10 +55,16 @@ _SQRT5 = math.sqrt(5)
 # triple invariants for the exotic components
 _EXOTIC_EXCLUDED = (0.0, 1.0, -1.0, _SQRT3, -_SQRT3, _SQRT5, -_SQRT5,
                     1 + _SQRT2, -1 - _SQRT2, _SQRT2 - 1, 1 - _SQRT2)
-# t^4 - 6t^2 + 4 = 0 is the locus where X4 degenerates to x3 = x1^(-1); the
-# u-discriminant of excellent_quartic is
-# 16 t^4 (t^2 - 6)^2 (t^2 - 3)^2 (t^2 - 2t - 1)(t^2 + 2t - 1): over t^2 = 6
-# the fiber has two double points, so its four samples are not distinct
+# t^4 - 6t^2 + 4 = 0 is the locus where X4 degenerates to x3 = x1^(-1)
+# (u = t^2/2, eta = t, t13 = 2). X4's sampler solves the tower r^2 = 6 - t^2,
+# Q_r(u) = u^2 - (t^2 - 1)u + t^2 + 1 - t*r, and excellent_quartic is
+# Q_+ Q_-, so its u-discriminant
+# 16 t^4 (t^2 - 6)^2 (t^2 - 3)^2 (t^2 - 2t - 1)(t^2 + 2t - 1) is
+# Res(Q_+, Q_-)^2 = 16 t^4 (t^2 - 6)^2 times the two u-discriminants, whose
+# product is (t^2 - 3)^2 (t^2 - 2t - 1)(t^2 + 2t - 1). The r-branches meet
+# where t*r = 0: at t = 0, eta = t(u - 2) + r = +-sqrt6 still separates the
+# points; over t^2 = 6 the fiber has two double points, so its four samples
+# are not distinct
 _X4_EXCLUDED = (_SQRT3, -_SQRT3,
                 math.sqrt(3 + _SQRT5), -math.sqrt(3 + _SQRT5),
                 math.sqrt(3 - _SQRT5), -math.sqrt(3 - _SQRT5),
@@ -185,7 +191,10 @@ def _x6_vector(t) -> TraceVector:
 
 def excellent_quartic(t: complex) -> tuple[complex, ...]:
     """The five coefficients, leading first, of the degree-4 defining
-    polynomial of the excellent component in u.
+    polynomial of the excellent component in u: its equations lin and q_eta
+    with eta eliminated. It factors over Q(t, r), r^2 = 6 - t^2, as
+    (u^2 - (t^2 - 1)u + t^2 + 1)^2 - t^2 (6 - t^2), the product of the two
+    monic quadratics that sample_component("X4", t) solves.
 
     A t that is not finite, or whose coefficients overflow, raises
     ExcludedParameter, as sample_component("X4", t) does.
@@ -204,67 +213,6 @@ def excellent_quartic(t: complex) -> tuple[complex, ...]:
 
 def _sorted_roots(roots):
     return sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
-
-
-def _x4_system(t, u, eta):
-    return (t * eta - (u * u + u - t * t + 1),
-            eta * eta + t * (t * t + 4 - 2 * u) * eta
-            - 5 * t * t * u + t ** 4 + 4 * t * t - 6)
-
-
-def _x4_jacobian(t, u, eta):
-    """The Jacobian of _x4_system in (u, eta), row by row."""
-    t2 = t * t
-    return ((-2 * u - 1, t),
-            (-2 * t * eta - 5 * t2, 2 * eta + t * (t2 + 4 - 2 * u)))
-
-
-def _x4_matrices(t):
-    """X4's multiplication matrices (m_u, m_eta) over t.
-
-    Under weights (2, 3) on (u, eta) the X4 equations lead with the coprime
-    u^2 and eta^2: a Groebner basis for every t. Row i of m_u (m_eta) is u
-    (eta) times element i of the quotient basis (1, u, eta, u*eta), and no
-    entry divides by t.
-    """
-    t2 = t * t
-    t4 = t2 * t2
-    m_u = ((0, 1, 0, 0), (t2 - 1, -1, t, 0), (0, 0, 0, 1),
-           (-t * (t4 + 4 * t2 - 6), 5 * t2 * t, -t4 - 3 * t2 - 1, 2 * t2 - 1))
-    m_eta = ((0, 0, 1, 0), (0, 0, 0, 1),
-             (-t4 - 4 * t2 + 6, 5 * t2, -t * (t2 + 4), 2 * t),
-             (-t2 * (2 * t4 + 3 * t2 - 7), 9 * t4 - 9 * t2 + 6,
-              -t * (2 * t4 + t2 + 2), t * (3 * t2 - 6)))
-    return m_u, m_eta
-
-
-def _x4_samples(t: complex) -> list[ComponentSample]:
-    """The four X4 points (u, eta) over t, read off one 4x4 matrix.
-
-    m_u + c*m_eta (`_x4_matrices`) has eigenvectors (1, u, eta, u*eta),
-    scaled; points i, j share an eigenvalue when c*(u_i + u_j + 1) = -t. So
-    c = 1 fails at t = -1, c = -1 at t = 1, both only where points coincide:
-    keep the shift with the larger least gap, then take one Newton step.
-    """
-    m_u, m_eta = _x4_matrices(t)
-    # summed in Python: an overflow reaches eig as inf or NaN, a ValueError
-    w, v = np.linalg.eig(np.array(
-        [[[a + c * b for a, b in zip(ru, re)] for ru, re in zip(m_u, m_eta)]
-         for c in (1, -1)], dtype=complex))
-    gaps = np.abs(w[:, :, None] - w[:, None, :]) + np.diag(np.full(4, np.inf))
-    out = []
-    for vec in v[gaps.min(axis=(1, 2)).argmax()].T.tolist():
-        u, eta = vec[1] / vec[0], vec[2] / vec[0]
-        f1, f2 = _x4_system(t, u, eta)
-        (j11, j12), (j21, j22) = _x4_jacobian(t, u, eta)
-        det = j11 * j22 - j12 * j21
-        u -= (f1 * j22 - f2 * j12) / det
-        eta -= (f2 * j11 - f1 * j21) / det
-        out.append((u, eta))
-    out.sort(key=lambda p: [round(x, 10) for z in p for x in (z.real, z.imag)])
-    return [ComponentSample("X4", k, {"t": t, "u": u, "eta": eta},
-                            _x4_vector(t, u, eta))
-            for k, (u, eta) in enumerate(out)]
 
 
 def sample_component(cid: str, t: complex) -> list[ComponentSample]:
@@ -291,9 +239,9 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
             if worst > SAMPLE_TOL:
                 raise ConstraintViolated(
                     f"{cid} branch {smp.branch}: residual {worst:.3e}")
-    except (OverflowError, ValueError):
-        # at a very large t, complex ** overflows, numpy's eig refuses an
-        # inf or NaN matrix, and * leaves non-finite coordinates
+    except OverflowError:
+        # at a very large t, complex ** overflows, and * leaves non-finite
+        # coordinates
         raise ExcludedParameter(
             f"{cid}: arithmetic overflows at t = {t}") from None
     return samples
@@ -326,7 +274,15 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
             samples.append(ComponentSample(cid, k, {"t": t, "u": u},
                                            _x3_vector(t, u)))
     elif base == "X4":
-        samples = _x4_samples(t)
+        # excellent_quartic is Q_+ Q_-, Q_r = u^2 - (t^2 - 1)u + t^2 + 1 - t*r
+        # with r^2 = 6 - t^2, and lin gives eta = t(u - 2) + r: no division
+        pts = [(u, t * (u - 2) + r) for r in solve_quadratic(0, t * t - 6)
+               for u in solve_quadratic(1 - t * t, t * t + 1 - t * r)]
+        pts.sort(key=lambda p: [round(x, 10) for z in p
+                                for x in (z.real, z.imag)])
+        samples = [ComponentSample(cid, k, {"t": t, "u": u, "eta": eta},
+                                   _x4_vector(t, u, eta))
+                   for k, (u, eta) in enumerate(pts)]
     elif base == "X51":
         samples = [ComponentSample(cid, 0, {"t": t}, _x5_vector(t))]
     elif base == "X61":

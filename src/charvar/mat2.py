@@ -12,6 +12,8 @@ from .numfield import solve_quadratic
 
 SCALAR_TOL = 1e-12
 EIGVEC_TOL = 1e-8
+#: has_common_eigenvector scales a matrix whose norm() reaches this first
+_HUGE = 2.0 ** 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,15 +209,30 @@ def _fixes_span(m: Mat2, v: tuple[complex, complex]) -> bool:
     return max(abs(r0), abs(r1)) / nw <= EIGVEC_TOL
 
 
+def _scaled(m: Mat2) -> Mat2:
+    """m times the power of 2 that brings its largest real or imaginary part
+    into [0.5, 1): exact, and no abs() of an entry can then overflow. A
+    matrix with a non-finite part is returned as it is."""
+    top = max(abs(x) for z in m.entries() for x in (z.real, z.imag))
+    if not math.isfinite(top):
+        return m
+    e = -math.frexp(top)[1]
+    return Mat2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                  for z in m.entries()))
+
+
 def has_common_eigenvector(ms) -> bool:
     """Brute-force reducibility test for a nonempty list of matrices.
 
     Candidates are the eigenvectors of the first non-scalar matrix; each is
-    tested for span invariance under every matrix.
+    tested for span invariance under every matrix. Neither changes when a
+    matrix is scaled, so one with an entry of modulus 2**500 or more, where
+    det() or abs() would overflow, is tested _scaled.
     """
     ms = list(ms)
     if not ms:
         raise ValueError("empty matrix list")
+    ms = [_scaled(m) if m.norm() >= _HUGE else m for m in ms]
     anchor = next((m for m in ms if not m.is_scalar()), None)
     if anchor is None:
         return True  # scalars fix every line

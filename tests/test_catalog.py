@@ -290,9 +290,11 @@ def test_quartic_matches_x4_samples(rng):
 
 def test_x4_samples_across_t():
     # one sampler for every t: just above |t| = 1e-3, where dividing by t
-    # missed the 1e-10 gate; t = 0; t where one fixed shift c of the
-    # multiplication matrix collides (c = 1 at t = -1, c = -1 at t = 1,
-    # c = 0.7390851332151607 at t = -1.3530241037995296); and larger t
+    # missed the 1e-10 gate; t = 0, where the tower's two r-branches give
+    # the same u and eta = +-sqrt6 separates them; t = 1, -1 and
+    # -1.3530241037995296, where a shift of the multiplication matrices
+    # that sampled X4 before the tower had a repeated eigenvalue; and
+    # larger t
     ts = [0.0004993895497135015 + 0.0009801071766072046j,
           -0.0004993895497135015 - 0.0009801071766072046j,
           0.0, 1.0, -1.0, -1.3530241037995296, 2.0, 100.0]
@@ -340,6 +342,53 @@ def test_sampler_guards_sit_over_excluded_t():
             for z in (float(r), -float(r)):
                 assert min(abs(z - bad) for bad in catalog.EXCLUDED_T[cid]) \
                     <= 1e-15, (cid, z)
+
+
+def test_x4_inverse_pattern_locus_is_excluded():
+    # u = t^2/2, eta = t lies on X4 exactly where t^4 - 6t^2 + 4 = 0, and
+    # there t13 = 2: the character of x3 = x1^(-1). check_admissible
+    # refuses each of its real roots +-sqrt(3 +- sqrt5); exact in sympy
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t")
+    v = catalog._x4_vector(t, t ** 2 / 2, t)
+    terms = catalog.membership_terms("X4", v)
+    locus = t ** 4 - 6 * t ** 2 + 4
+    gcd = sp.gcd(*(sp.expand(sum(terms[k])) for k in ("lin", "q_eta")))
+    assert sp.Poly(gcd, t).monic().as_expr() == locus
+    assert sp.expand(v.t13 - 2) == 0
+    roots = sp.Poly(locus, t).real_roots()
+    assert len(roots) == 4
+    for r in roots:
+        with pytest.raises(ExcludedParameter):
+            check_admissible("X4", float(r))
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1, 2.5, 100, 3000, 1e4])
+def test_x4_samples_match_mpmath_roots(radius):
+    # against the roots of excellent_quartic to 60 digits, with eta read off
+    # lin, every u and eta is right to 1e-14 relative to max(1, |c|). On
+    # these circles the multiplication-matrix sampler that preceded the
+    # tower missed by 3.2e-12 at |t| = 100 and 5.4e-5 at 3000, and raised
+    # ConstraintViolated at 1e4
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for k in range(12):
+            t = radius * cmath.exp(2j * math.pi * (k + 0.3) / 12)
+            tm = mp.mpc(t)
+            # excellent_quartic's coefficients, in 60 digits
+            quartic = [1, 2 - 2 * tm ** 2, tm ** 4 + 3, 2 - 2 * tm ** 4,
+                       2 * tm ** 4 - 4 * tm ** 2 + 1]
+            want = [(u, (u * u + u - tm * tm + 1) / tm)
+                    for u in mp.polyroots(quartic, maxsteps=200,
+                                          extraprec=200)]
+            for smp in sample_component("X4", t):
+                got = (smp.params["u"], smp.params["eta"])
+                near = min(want, key=lambda w: sum(
+                    abs(mp.mpc(g) - c) for g, c in zip(got, w)))
+                want.remove(near)
+                for g, c in zip(got, near):
+                    assert abs(mp.mpc(g) - c) <= 1e-14 * max(1, abs(c)), \
+                        (t, smp.branch)
 
 
 def test_sampler_margin_keeps_samplers_off_degenerate_fibres():

@@ -11,6 +11,7 @@ from charvar import catalog, cli
 from charvar.catalog import check_admissible
 from charvar.cli import main, parse_complex
 from charvar.errors import ExcludedParameter
+from charvar.mat2 import Mat2
 
 #: the package's public names: adding or removing one is an API change
 PUBLIC_NAMES = {
@@ -242,6 +243,27 @@ def test_identities_report_a_nan_residual(monkeypatch, tmp_path):
     assert math.isnan(check["max_residual"]) and check["pass"] is False
 
 
+def test_identities_draw_t_uniform_on_the_disc_of_radius_3(monkeypatch):
+    # the battery draws t uniform on [-3, 3]^2 and redraws while |t| > 3.
+    # random_gt is stubbed by a fixed element of G(t) that draws nothing,
+    # so the stream holds the t draws alone and the rule can be replayed
+    seen = []
+
+    def fixed_gt(rng, t):
+        seen.append(t)
+        return Mat2(t, 1, -1, 0)
+    monkeypatch.setattr(cli, "random_gt", fixed_gt)
+    cli._identity_battery(5, 300, False)
+    rng = np.random.default_rng(5)
+    want = []
+    for _ in range(300):
+        t = complex(*rng.uniform(-3, 3, 2))
+        while abs(t) > 3:
+            t = complex(*rng.uniform(-3, 3, 2))
+        want += [t] * 4
+    assert seen == want
+
+
 #: the radius out to which verify's checks are tested to pass on every
 #: component. Its thinnest margin, the trace-equation gate's, is 10x at
 #: |t| = 4 and 1.4x at |t| = 5; at 5.5 the gate fails (ROADMAP item 1)
@@ -251,6 +273,11 @@ CHECKED_RADIUS = 4
 #: the trace-equation gate's, is 28x at |t| = 20 (the relator gate's 50x);
 #: at |t| = 50 some of their items fail (ROADMAP item 1)
 CHECKED_RADIUS_X3_TO_X6 = 20
+#: the radius out to which they are tested to pass on X4. Over the 40 t of
+#: the scanned circle the relator gate's margin is 1.4x (7.3e-8), the
+#: trace-equation gate's 540x; at |t| = 150 the relator gate fails 56 of
+#: 160 items (ROADMAP item 1)
+CHECKED_RADIUS_X4 = 100
 X3_TO_X6 = ("X3", "X4", "X51", "X52", "X61", "X62")
 
 
@@ -284,6 +311,14 @@ def test_verify_passes_x3_to_x6_out_to_their_checked_radius(radius):
         ok, items = cli._verify_at(t, X3_TO_X6)
         assert ok and len(items) == 10, (t, [it for it in items
                                              if not it["pass"]])
+
+
+def test_verify_passes_x4_out_to_its_checked_radius():
+    rng = np.random.default_rng(11)
+    for t in circle_t(rng, CHECKED_RADIUS_X4, 40):
+        ok, items = cli._verify_at(t, ("X4",))
+        assert ok and len(items) == 4, (t, [it for it in items
+                                            if not it["pass"]])
 
 
 @pytest.mark.parametrize("args", [

@@ -108,6 +108,27 @@ def test_common_eigenvector_triangular_and_basis():
         has_common_eigenvector([])
 
 
+def test_common_eigenvector_near_the_top_of_the_double_range(rng):
+    # |1.5e308+1.5e308j| overflows a double: abs() of it raises, and det()
+    # of a matrix with entries near 2**1000 does; the answer is the one at
+    # a scale where neither happens
+    big = 1.5e308 + 1.5e308j
+    assert has_common_eigenvector([Mat2(big, 0, 0, 1), Mat2(1, 1, 0, 1)])
+    assert has_common_eigenvector([Mat2(1, 1, 0, 1), Mat2(big, 0, 0, 1)])
+    assert has_common_eigenvector([scalar(big), Mat2(1, 1, 0, 1)])
+    assert not has_common_eigenvector([Mat2(big, 0, 0, 1),
+                                       Mat2(1, 1, 1, 2)])
+    # a power of 2 scales exactly and moves no eigenvector
+    for _ in range(50):
+        t, x, y = reducible_pair(rng)
+        for ms in ([x, y], [random_gt(rng, t), random_gt(rng, t)]):
+            want = has_common_eigenvector(ms)
+            for k in (450, 520, 1000):
+                s = 2.0 ** k
+                assert has_common_eigenvector([m * s for m in ms]) == want
+                assert has_common_eigenvector([ms[0] * s, ms[1]]) == want
+
+
 def test_constructed_reducible_pair(rng):
     for _ in range(50):
         t, x, y = reducible_pair(rng)

@@ -52,35 +52,6 @@ def test_row_images_leave_only_the_defining_equations():
             assert left == set(names), (image_id, left)
 
 
-def test_x4_polish_system_is_the_raw_x4_equations():
-    # the X4 sampler polishes with _x4_system: the raw lin and q_eta
-    u, eta = sp.symbols("u eta")
-    eqs = raw_equations("X4", catalog._x4_vector(T, u, eta))
-    for got, name in zip(catalog._x4_system(T, u, eta), ("lin", "q_eta")):
-        assert sp.expand(got - eqs[name]) == 0
-
-
-def _x4_matrix_misses(m_u, m_eta):
-    """x * b_i - sum_j m_x[i][j] * b_j modulo X4's tower, for x = u and
-    x = eta and each b_i of the quotient basis (1, u, eta, u*eta)."""
-    u, eta = sp.symbols("u eta")
-    basis = (1, u, eta, u * eta)
-    return [remainder("X4", sp.expand(x * b - sum(
-                m_ij * b_j for m_ij, b_j in zip(row, basis))))
-            for x, m in ((u, m_u), (eta, m_eta)) for b, row in zip(basis, m)]
-
-
-def test_x4_sampler_matrices_multiply_by_u_and_eta():
-    # the X4 sampler's eigenvectors are (1, u, eta, u*eta) only if its
-    # matrices are multiplication by u and eta modulo the raw X4 equations
-    m_u, m_eta = catalog._x4_matrices(T)
-    assert all(rem == 0 for rem in _x4_matrix_misses(m_u, m_eta))
-    # negative control: one entry changed is caught
-    bad = [list(row) for row in m_u]
-    bad[3][1] += 1
-    assert any(rem != 0 for rem in _x4_matrix_misses(bad, m_eta))
-
-
 def test_towers_are_triangular_and_carry_the_samples():
     # one element per parameter, monic in it and free of the later ones;
     # the leading degrees multiply to the sampler's branch count, the
@@ -107,14 +78,45 @@ def test_towers_are_triangular_and_carry_the_samples():
                 assert abs(complex(p.as_expr().subs(at))) <= 1e-9, (cid, smp)
 
 
-def test_x4_polish_jacobian_is_the_raw_x4_jacobian():
-    # the X4 sampler's Newton step reads _x4_jacobian: the Jacobian in
-    # (u, eta) of the raw lin and q_eta, row by row
-    u, eta = sp.symbols("u eta")
-    eqs = raw_equations("X4", catalog._x4_vector(T, u, eta))
-    for row, name in zip(catalog._x4_jacobian(T, u, eta), ("lin", "q_eta")):
-        for got, var in zip(row, (u, eta)):
-            assert sp.expand(got - sp.diff(eqs[name], var)) == 0
+#: X4's sampler tower: r^2 = 6 - t^2, then u from the monic quadratic Q_r;
+#: the sampler sets eta = t(u - 2) + r
+U, R, ETA = sp.symbols("u r eta")
+X4_TOWER = (R ** 2 + T ** 2 - 6,
+            U ** 2 - (T ** 2 - 1) * U + T ** 2 + 1 - T * R)
+
+
+def _x4_tower_misses(eta):
+    """The names of X4's raw lin and q_eta that do not vanish at (u, eta)
+    modulo X4_TOWER. Its leading monomials u^2 and r^2 are coprime, so it
+    is a Groebner basis, and the remainder is 0 exactly on the tower."""
+    eqs = raw_equations("X4", catalog._x4_vector(T, U, eta))
+    return [name for name in ("lin", "q_eta")
+            if sp.reduced(sp.expand(eqs[name]), X4_TOWER, U, R, T,
+                          order="lex")[1] != 0]
+
+
+def test_x4_sampler_tower_satisfies_lin_and_q_eta():
+    # at eta = t(u - 2) + r both defining equations vanish on the tower,
+    # which divides by nothing, t = 0 included
+    assert _x4_tower_misses(T * (U - 2) + R) == []
+    # negative control: the other sign of r is caught
+    assert _x4_tower_misses(T * (U - 2) - R) == ["lin", "q_eta"]
+
+
+def test_x4_samples_are_the_tower_points():
+    # r = eta - t(u - 2) of each sample solves the tower, and each sign of
+    # sqrt(6 - t^2) carries two of the four samples
+    for t in (1.3 + 0.4j, 0j, -0.7 + 2.1j, 2.0, 1e-3j):
+        r0 = (6 - t * t) ** 0.5
+        rs = []
+        for smp in sample_component("X4", t):
+            u, eta = smp.params["u"], smp.params["eta"]
+            r = eta - t * (u - 2)
+            at = {T: t, U: u, R: r}
+            assert all(abs(complex(p.subs(at))) <= 1e-12
+                       for p in X4_TOWER), (t, smp.branch)
+            rs.append(r)
+        assert sorted(abs(r - r0) <= 1e-12 for r in rs) == [0, 0, 1, 1], t
 
 
 #: dyadic t, at which every coefficient of excellent_quartic is exact in
@@ -123,13 +125,12 @@ def test_x4_polish_jacobian_is_the_raw_x4_jacobian():
 DYADIC_T = (0.0, 0.5, -1.25, 1.5, 2.75, -3.0, 0.375)
 
 
-def _charpoly_misses(m_u):
+def _quartic_misses(quartic):
     """The t of DYADIC_T at which excellent_quartic(t)'s coefficients are
-    not exactly those of the characteristic polynomial of m_u at t."""
-    x = sp.Symbol("x")
+    not exactly those of quartic, a polynomial in u and t."""
     misses = []
     for t in DYADIC_T:
-        want = sp.Matrix(m_u(sp.Rational(t))).charpoly(x).all_coeffs()
+        want = sp.Poly(quartic.subs(T, sp.Rational(t)), U).all_coeffs()
         got = catalog.excellent_quartic(t)
         if ([sp.Rational(c.real) for c in got] != want
                 or any(c.imag for c in got)):
@@ -137,19 +138,19 @@ def _charpoly_misses(m_u):
     return misses
 
 
-def test_excellent_quartic_is_the_charpoly_of_m_u_and_a_resultant():
-    # the X4 sampler's u are the eigenvalues of m_u, the roots of
-    # excellent_quartic; both are X4's equations with eta eliminated
-    assert _charpoly_misses(lambda t: catalog._x4_matrices(t)[0]) == []
-    u, eta = sp.symbols("u eta")
-    eqs = raw_equations("X4", catalog._x4_vector(T, u, eta))
-    charpoly = sp.Matrix(catalog._x4_matrices(T)[0]).charpoly(u).as_expr()
-    assert sp.expand(sp.resultant(eqs["lin"], eqs["q_eta"], eta)
-                     - charpoly) == 0
+def _norm(q):
+    """q(r) q(-r) modulo r^2 = 6 - t^2: a polynomial in u and t."""
+    return sp.reduced(sp.expand(q * q.subs(R, -R)), X4_TOWER[:1], R, U, T,
+                      order="lex")[1]
 
-    # negative control: one entry of m_u changed is caught
-    def bad(t):
-        m_u = [list(row) for row in catalog._x4_matrices(t)[0]]
-        m_u[3][1] += 1
-        return m_u
-    assert _charpoly_misses(bad)
+
+def test_excellent_quartic_is_the_product_of_the_tower_quadratics():
+    # Q_+ Q_- is X4's raw equations with eta eliminated, and its
+    # coefficients are excellent_quartic's, exactly
+    quartic = _norm(X4_TOWER[1])
+    eqs = raw_equations("X4", catalog._x4_vector(T, U, ETA))
+    assert sp.expand(sp.resultant(eqs["lin"], eqs["q_eta"], ETA)
+                     - quartic) == 0
+    assert _quartic_misses(quartic) == []
+    # negative control: a quadratic with its constant term moved is caught
+    assert _quartic_misses(_norm(X4_TOWER[1] + 1))
