@@ -13,7 +13,9 @@ partner's membership residuals are its base's at the rotated vector.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +66,13 @@ _EXOTIC_EXCLUDED = (0.0, 1.0, -1.0, _SQRT3, -_SQRT3, _SQRT5, -_SQRT5,
 # product is (t^2 - 3)^2 (t^2 - 2t - 1)(t^2 + 2t - 1). The r-branches meet
 # where t*r = 0: at t = 0, eta = t(u - 2) + r = +-sqrt6 still separates the
 # points; over t^2 = 6 the fiber has two double points, so its four samples
-# are not distinct
+# are not distinct. Over t = +-1 +- sqrt2, where t^2 -+ 2t - 1 = 0, one
+# Q_r has a double root
 _X4_EXCLUDED = (_SQRT3, -_SQRT3,
                 math.sqrt(3 + _SQRT5), -math.sqrt(3 + _SQRT5),
                 math.sqrt(3 - _SQRT5), -math.sqrt(3 - _SQRT5),
-                math.sqrt(6), -math.sqrt(6))
+                math.sqrt(6), -math.sqrt(6),
+                1 + _SQRT2, -1 - _SQRT2, _SQRT2 - 1, 1 - _SQRT2)
 
 # +-sqrt3, +-sqrt5: the t = m + 1/m with Delta(m^2) = 0 (Burde-de Rham)
 _BASE_EXCLUDED = {
@@ -223,14 +227,40 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     samples (X12, X22, X52, X62) are the points whose rotate() is its
     base's samples (X11, X21, X51, X61), with the base's params and branch
     order; it samples, or raises the base's exception with its own id in
-    the message, exactly where its base does.
+    the message, exactly where its base does. Each call returns new
+    samples, with new params dicts, read off _checked_samples.
     """
     t = _as_t(t, cid)
     check_admissible(cid, t)
+    base = _BASE.get(cid, cid)
+    # rotate^3 = rotate^-1: each partner sample rotates onto its base
+    # sample, so its self-check is the base's, bit for bit
+    return [ComponentSample(cid, smp.branch, dict(smp.params),
+                            smp.vector if base == cid
+                            else smp.vector.rotate().rotate().rotate())
+            for smp in _checked_samples(base, t, cid)]
+
+
+#: each base id's checked samples at the last t they were computed for,
+#: under the bits of that t (0j and -0j differ): a partner sampled after its
+#: base at the same t reads them
+_LAST: dict[str, tuple[bytes, list[ComponentSample]]] = {}
+_T_BITS = struct.Struct("<2d").pack
+
+
+def _checked_samples(base: str, t: complex,
+                     who: str) -> list[ComponentSample]:
+    """_branch_samples(base, t) after the SAMPLE_TOL self-check, kept in
+    _LAST for callers to copy out. A failed check raises with `who` as the
+    id and keeps nothing."""
+    bits = _T_BITS(t.real, t.imag)
+    last = _LAST.get(base)
+    if last is not None and last[0] == bits:
+        return last[1]
     try:
-        samples = _branch_samples(cid, t)
+        samples = _branch_samples(base, t)
         for smp in samples:
-            worst = _worst(membership_residual(cid, smp.vector).values())
+            worst = _worst(membership_residual(base, smp.vector).values())
             # complex * overflows to inf or NaN without raising, in the
             # sample or in its residuals; every coordinate is a term of some
             # equation, and a non-finite sum's residual is NaN
@@ -238,18 +268,18 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
                 raise OverflowError  # reported as ExcludedParameter
             if worst > SAMPLE_TOL:
                 raise ConstraintViolated(
-                    f"{cid} branch {smp.branch}: residual {worst:.3e}")
+                    f"{who} branch {smp.branch}: residual {worst:.3e}")
     except OverflowError:
         # at a very large t, complex ** overflows, and * leaves non-finite
         # coordinates
         raise ExcludedParameter(
-            f"{cid}: arithmetic overflows at t = {t}") from None
+            f"{who}: arithmetic overflows at t = {t}") from None
+    _LAST[base] = (bits, samples)
     return samples
 
 
-def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
-    """sample_component before its self-check."""
-    base = _BASE.get(cid, cid)
+def _branch_samples(base: str, t: complex) -> list[ComponentSample]:
+    """A base component's samples before their self-check."""
     al = _alpha(t)
     samples: list[ComponentSample] = []
     if base == "X11":
@@ -258,7 +288,7 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
             roots = solve_quadratic(-mu, 2 * mu / al + al - 4)
             for x, xp in (roots, roots[::-1]):
                 samples.append(ComponentSample(
-                    cid, k, {"t": t, "alpha": al, "mu": mu, "x": x},
+                    base, k, {"t": t, "alpha": al, "mu": mu, "x": x},
                     _x1_vector(t, mu, x, xp)))
                 k += 1
     elif base == "X21":
@@ -266,12 +296,12 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
         for z in solve_quadratic(-al, al):
             for g in solve_quadratic((al - 2) * z * z - 2 * z, z * z):
                 samples.append(ComponentSample(
-                    cid, k, {"t": t, "alpha": al, "z": z, "gamma": g},
+                    base, k, {"t": t, "alpha": al, "z": z, "gamma": g},
                     _x2_vector(t, z, g)))
                 k += 1
     elif base == "X3":
         for k, u in enumerate(solve_quadratic(-(t * t + 1), 2 * t * t - 1)):
-            samples.append(ComponentSample(cid, k, {"t": t, "u": u},
+            samples.append(ComponentSample(base, k, {"t": t, "u": u},
                                            _x3_vector(t, u)))
     elif base == "X4":
         # excellent_quartic is Q_+ Q_-, Q_r = u^2 - (t^2 - 1)u + t^2 + 1 - t*r
@@ -280,19 +310,13 @@ def _branch_samples(cid: str, t: complex) -> list[ComponentSample]:
                for u in solve_quadratic(1 - t * t, t * t + 1 - t * r)]
         pts.sort(key=lambda p: [round(x, 10) for z in p
                                 for x in (z.real, z.imag)])
-        samples = [ComponentSample(cid, k, {"t": t, "u": u, "eta": eta},
+        samples = [ComponentSample(base, k, {"t": t, "u": u, "eta": eta},
                                    _x4_vector(t, u, eta))
                    for k, (u, eta) in enumerate(pts)]
     elif base == "X51":
-        samples = [ComponentSample(cid, 0, {"t": t}, _x5_vector(t))]
+        samples = [ComponentSample(base, 0, {"t": t}, _x5_vector(t))]
     elif base == "X61":
-        samples = [ComponentSample(cid, 0, {"t": t}, _x6_vector(t))]
-    if base != cid:
-        # rotate^3 = rotate^-1: each partner sample rotates onto its base
-        # sample, so its self-check is the base's, bit for bit
-        samples = [ComponentSample(cid, smp.branch, smp.params,
-                                   smp.vector.rotate().rotate().rotate())
-                   for smp in samples]
+        samples = [ComponentSample(base, 0, {"t": t}, _x6_vector(t))]
     return samples
 
 
@@ -398,10 +422,19 @@ def _dedup(samples: list[ComponentSample]) -> list[ComponentSample]:
     return [samples[i] for i in kept]
 
 
+# cached apart from _LAST: a caller sampling another t between censuses
+# (verify, every unit) takes the bases' slots
+@functools.cache
+def _census() -> tuple[ComponentSample, ...]:
+    return tuple(_dedup([smp for cid in COMPONENTS
+                         for smp in sample_component(cid, 2.0 + 0j)]))
+
+
 def enumerate_parabolic() -> CensusReport:
-    """All component samples on the slice t = 2 (26 classes after dedup)."""
-    kept = _dedup([smp for cid in COMPONENTS
-                   for smp in sample_component(cid, 2.0 + 0j)])
+    """All component samples on the slice t = 2 (26 classes after dedup),
+    computed once; each call returns new samples and containers."""
+    kept = [ComponentSample(smp.id, smp.branch, dict(smp.params), smp.vector)
+            for smp in _census()]
     counts: dict[str, int] = {cid: 0 for cid in COMPONENTS}
     for smp in kept:
         counts[smp.id] += 1

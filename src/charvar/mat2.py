@@ -87,11 +87,33 @@ IDENTITY = Mat2(1, 0, 0, 1)
 
 def _inverse_entries(m: Mat2) -> tuple:
     """Entries of m^-1, row-major; SingularMatrix for a near-zero det. A
-    NaN det, or one whose modulus overflows, is not near zero (see _rel)."""
-    dt = m.det()
-    if _rel(dt) <= 1e-14:
+    NaN det, or one whose modulus overflows, is not near zero (see _rel).
+    Complex division can overflow inside (a / a is nan, and 1 / a is -0j,
+    at a = 1.5e308+1.5e308j), so where the det's modulus overflows, or an
+    entry comes out non-finite, every entry is divided again by _quotient."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    dt = a * d - b * c
+    r = _rel(dt)
+    if r <= 1e-14:
         raise SingularMatrix(f"|det| = {abs(dt):.3e}")
-    return m.d / dt, -m.b / dt, -m.c / dt, m.a / dt
+    ia, ib, ic, id_ = d / dt, -b / dt, -c / dt, a / dt
+    s = ia + ib + ic + id_
+    if s - s or r != r:  # not finite, or |det| overflows
+        return tuple(_quotient(n, dt) for n in (d, -b, -c, a))
+    return ia, ib, ic, id_
+
+
+def _quotient(n, dt) -> complex:
+    """n / dt with both times the power of 2 that brings dt's largest part
+    into [0.5, 1), so that complex division cannot overflow inside; n / dt
+    itself for a non-finite operand, or where the quotient overflows."""
+    if n - n or dt - dt:
+        return n / dt
+    e = -_exponent((dt,))
+    try:
+        return _ldexp(n, e) / _ldexp(dt, e)
+    except OverflowError:
+        return n / dt
 
 
 def _worst(values) -> float:
@@ -129,15 +151,12 @@ def _rel(z, *scales) -> float:
         return math.nan
 
 
-def scalar(z) -> Mat2:
-    return Mat2(complex(z), 0, 0, complex(z))
-
-
 # The identity residuals below compute in local entries and build one Mat2.
 # Each takes the operations of its Mat2 expression in the same order: the
-# complex() coercions of `*` and scalar(), and the int 1 and 0 that IDENTITY
+# complex() coercions of `*` and of the scalar matrix z e =
+# Mat2(complex(z), 0, 0, complex(z)), and the int 1 and 0 that IDENTITY
 # adds (-0.0 + 0 is 0.0, so the 0 fixes the sign of a zero). The 0 that
-# scalar() subtracts off the diagonal is left out: x - 0 is x for every
+# z e subtracts off the diagonal is left out: x - 0 is x for every
 # number, -0.0 included. So the bits are those of the expression, which
 # tests/test_kernel_oracles.py keeps as the oracle.
 
@@ -151,7 +170,7 @@ def ch_residual(x: Mat2, t: complex) -> Mat2:
 
 def xyx_expand(x: Mat2, y: Mat2, t: complex) -> Mat2:
     """xyx - (tr(xy) x + y - t e), which vanishes for x, y in G(t):
-    x @ y @ x - ((x @ y).trace() * x + y - scalar(t))."""
+    x @ y @ x - ((x @ y).trace() * x + y - t e)."""
     xa, xb, xc, xd = x.a, x.b, x.c, x.d
     ya, yb, yc, yd = y.a, y.b, y.c, y.d
     pa = xa * ya + xb * yc
@@ -168,7 +187,7 @@ def xyx_expand(x: Mat2, y: Mat2, t: complex) -> Mat2:
 
 def anticommutator_residual(u: Mat2, v: Mat2) -> Mat2:
     """uv + vu - tr(uv) e for traceless u, v:
-    u @ v + v @ u - scalar((u @ v).trace())."""
+    u @ v + v @ u - (u @ v).trace() e."""
     ua, ub, uc, ud = u.a, u.b, u.c, u.d
     va, vb, vc, vd = v.a, v.b, v.c, v.d
     pa = ua * va + ub * vc
@@ -209,16 +228,25 @@ def _fixes_span(m: Mat2, v: tuple[complex, complex]) -> bool:
     return max(abs(r0), abs(r1)) / nw <= EIGVEC_TOL
 
 
+def _exponent(zs) -> int:
+    """The e with 2**(e - 1) <= largest |real or imaginary part| of the
+    finite zs < 2**e; 0 when every part is 0."""
+    return math.frexp(max(abs(x) for z in zs for x in (z.real, z.imag)))[1]
+
+
+def _ldexp(z, e: int) -> complex:
+    """z * 2**e; OverflowError above the double range, rounded below."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def _scaled(m: Mat2) -> Mat2:
     """m times the power of 2 that brings its largest real or imaginary part
     into [0.5, 1): exact, and no abs() of an entry can then overflow. A
     matrix with a non-finite part is returned as it is."""
-    top = max(abs(x) for z in m.entries() for x in (z.real, z.imag))
-    if not math.isfinite(top):
+    if any(z - z for z in m.entries()):
         return m
-    e = -math.frexp(top)[1]
-    return Mat2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-                  for z in m.entries()))
+    e = -_exponent(m.entries())
+    return Mat2(*(_ldexp(z, e) for z in m.entries()))
 
 
 def has_common_eigenvector(ms) -> bool:

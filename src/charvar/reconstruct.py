@@ -101,7 +101,7 @@ def _realized_matrices(S, rows, target: complex, h: complex) -> list[Mat2]:
     nearer `target`: over the fixed basis it is -2 det of those columns'
     coordinates, and column (c1, c2, c3) is c1 e1 + c2 e2 + c3 e3. Each
     entry takes the operations of Mat2(c1, c2 + c3, c2 - c3, -c1) +
-    scalar(h), in the same order, so it has that sum's bits."""
+    Mat2(h, 0, 0, h), in the same order, so it has that sum's bits."""
     A = _N_INV @ factor_symmetric(S)
     d = -2 * np.linalg.det(A[:, rows])
     if abs(d - target) > abs(d + target):

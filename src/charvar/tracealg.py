@@ -136,11 +136,6 @@ class TraceVector:
         """Image under the order-4 subscript rotation i -> i+1 (mod 4)."""
         return TraceVector(*_rotated(self))
 
-    def max_dev(self, other: "TraceVector") -> float:
-        """Largest coordinate distance; NaN if one is NaN."""
-        return _worst([a - b for a, b in
-                       zip(_t_coords(self), _t_coords(other))])
-
     def to_json(self):
         return {k: [getattr(self, k).real, getattr(self, k).imag]
                 for k in COORD_KEYS}

@@ -2,7 +2,8 @@
 them from: lemma 2.5 and lemma 3.1 on commuting and coinciding generators,
 the figure-eight quotient, and eq. (19), the redundant fourth trace
 equation. Criteria 9 and 10 of test_acceptance.py check them; the library
-ships none of it.
+ships none of it, nor the tools that only tests use: `scalar` and
+`max_dev`.
 """
 
 import math
@@ -10,12 +11,23 @@ from dataclasses import dataclass
 
 from charvar.mat2 import Mat2, _rel, _worst, has_common_eigenvector
 from charvar.reconstruct import Quadruple
-from charvar.tracealg import _EQ_IDX, TraceVector, _n6
+from charvar.tracealg import _EQ_IDX, TraceVector, _n6, _t_coords
 from charvar.wirtinger import is_representation
 
 
 class PreconditionViolated(Exception):
     """Numerical hypotheses of a structural lemma are not met."""
+
+
+def scalar(z) -> Mat2:
+    """z e: complex(z) on the diagonal, int 0 off it."""
+    return Mat2(complex(z), 0, 0, complex(z))
+
+
+def max_dev(v: TraceVector, w: TraceVector) -> float:
+    """Largest coordinate distance of two trace vectors; NaN if one is
+    NaN."""
+    return _worst([a - b for a, b in zip(_t_coords(v), _t_coords(w))])
 
 
 def dist(x: Mat2, y: Mat2) -> float:

@@ -25,7 +25,8 @@ from charvar.tracealg import (det_Sdiamond, s_from_t,
                               typeI_residuals, typeII_residuals)
 from charvar.wirtinger import is_representation
 from lemmas import (conjugated, dist, eq19_residuals, factors_through_fig8,
-                    lemma25_apply, lemma31_check, random_sl2, rel_dist)
+                    lemma25_apply, lemma31_check, max_dev, random_sl2,
+                    rel_dist)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -66,10 +67,10 @@ def test_criterion_2_reconstruction_round_trip():
         v = trace_vector_of(*xs)
         q = realize_character(v)
         worst_rt = _worst(
-            (worst_rt, trace_vector_of(*q.matrices()).max_dev(v)))
+            (worst_rt, max_dev(trace_vector_of(*q.matrices()), v)))
         g = random_sl2(rng, 2.0)
         w = trace_vector_of(*conjugated(Quadruple(*xs, t=t), g).matrices())
-        worst_conj = _worst((worst_conj, w.max_dev(v)))
+        worst_conj = _worst((worst_conj, max_dev(w, v)))
     report("criterion-2 reconstruction round-trip",
            worst_rt <= 1e-8 and worst_conj <= 1e-9,
            f"200 quadruples, round-trip {worst_rt:.2e}, "
@@ -162,7 +163,7 @@ def test_criterion_7_rotation_symmetry():
                 w = smp.vector
                 for _ in range(4):
                     w = w.rotate()
-                order4_ok = order4_ok and w.max_dev(smp.vector) == 0
+                order4_ok = order4_ok and max_dev(w, smp.vector) == 0
     report("criterion-7 rotation symmetry",
            worst <= 1e-10 and order4_ok,
            f"paired membership {worst:.2e}, rotate^4 = id {order4_ok}")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_t, match_multisets, solve_poly
+from lemmas import max_dev
 import charvar
 from charvar import _probe_kernel, catalog
 from charvar._probe_kernel import _PROBE_BLOCK, _augmented_steps
@@ -104,7 +105,7 @@ def test_x4_double_points_excluded(root):
         assert len(samples) == 4
         for i, a in enumerate(samples):
             for b in samples[i + 1:]:
-                assert a.vector.max_dev(b.vector) > 0.1, (step, i)
+                assert max_dev(a.vector, b.vector) > 0.1, (step, i)
 
 
 def test_membership_self_and_cross(rng):
@@ -172,7 +173,7 @@ def test_census_counts_and_parameters():
     # census is deterministic and dedup idempotent
     rep2 = enumerate_parabolic()
     assert [s.id for s in rep2.samples] == [s.id for s in rep.samples]
-    assert all(a.vector.max_dev(b.vector) == 0
+    assert all(max_dev(a.vector, b.vector) == 0
                for a, b in zip(rep.samples, rep2.samples))
 
 
@@ -363,6 +364,31 @@ def test_x4_inverse_pattern_locus_is_excluded():
             check_admissible("X4", float(r))
 
 
+def test_x4_double_u_locus_is_excluded():
+    # the u-discriminant of X4's quartic is
+    # 16 t^4 (t^2 - 6)^2 (t^2 - 3)^2 (t^2 - 2t - 1)(t^2 + 2t - 1), as
+    # catalog's comment on _X4_EXCLUDED derives it. Over the roots
+    # t = +-1 +- sqrt2 of the last two factors one u-quadratic of the tower
+    # has a double root, which two of the four samples would share (6e-8
+    # apart in floating point). check_admissible refuses each real root;
+    # exact in sympy
+    sp = pytest.importorskip("sympy")
+    t, u, eta = sp.symbols("t u eta")
+    terms = catalog.membership_terms("X4", catalog._x4_vector(t, u, eta))
+    quartic = sp.resultant(sum(terms["lin"]), sum(terms["q_eta"]), eta)
+    locus = (t ** 2 - 2 * t - 1) * (t ** 2 + 2 * t - 1)
+    want = 16 * t ** 4 * (t ** 2 - 6) ** 2 * (t ** 2 - 3) ** 2 * locus
+    ratio = sp.cancel(sp.discriminant(quartic, u) / want)
+    assert ratio.is_number and ratio != 0
+    roots = sp.Poly(locus, t).real_roots()
+    assert len(roots) == 4
+    for r in roots:
+        with pytest.raises(ExcludedParameter):
+            check_admissible("X4", float(r))
+        with pytest.raises(ExcludedParameter):
+            sample_component("X4", float(r))
+
+
 @pytest.mark.parametrize("radius", [1e-3, 1, 2.5, 100, 3000, 1e4])
 def test_x4_samples_match_mpmath_roots(radius):
     # against the roots of excellent_quartic to 60 digits, with eta read off
@@ -393,9 +419,11 @@ def test_x4_samples_match_mpmath_roots(radius):
 
 def test_sampler_margin_keeps_samplers_off_degenerate_fibres():
     # on a circle just outside SAMPLER_MARGIN around each t over a special
-    # pair or X4's u = 1, every sampler succeeds and its parameters keep
-    # their distance from the degenerate values (least seen: 3.7e-3 for
-    # (alpha, mu), 1.0e-3 for (alpha, z), 7.3e-4 for |u - 1|)
+    # pair, X4's u = 1 or a double root of one of X4's u-quadratics, every
+    # sampler succeeds and its parameters keep their distance from the
+    # degenerate values (least seen: 3.7e-3 for (alpha, mu), 1.0e-3 for
+    # (alpha, z), 7.3e-4 for |u - 1|, 6.8e-2 between two of X4's four u
+    # around t = +-(sqrt2 - 1) and 0.16 around t = +-(1 + sqrt2))
     s2 = math.sqrt(2)
     circle = [1.0001 * SAMPLER_MARGIN * cmath.exp(2j * math.pi * k / 180)
               for k in range(180)]
@@ -414,6 +442,11 @@ def test_sampler_margin_keeps_samplers_off_degenerate_fibres():
         for dt in circle:
             for smp in sample_component("X4", r + dt):
                 assert abs(smp.params["u"] - 1) >= 1e-4, (r, dt)
+    for r in (1 + s2, -1 - s2, s2 - 1, 1 - s2):
+        for dt in circle:
+            us = [smp.params["u"] for smp in sample_component("X4", r + dt)]
+            assert min(abs(a - b) for a, b in itertools.combinations(us, 2)) \
+                >= 1e-2, (r, dt)
 
 
 @pytest.mark.parametrize("partner", ["X12", "X22", "X52", "X62"])
@@ -446,6 +479,82 @@ def test_partner_self_check_matches_its_base_at_large_t(t):
         else:
             got = sample_component(partner, t)
             assert [smp.vector.rotate() for smp in got] == want, partner
+
+
+def _cold(cid, t):
+    """repr of sample_component(cid, t) computed with the memo empty."""
+    catalog._LAST.clear()
+    return repr(sample_component(cid, t))
+
+
+def test_sample_memo_matches_a_cold_computation_in_any_call_order():
+    # the memo of the base components' checked samples hands out, bit for
+    # bit, what a cold call computes: partners before or after their base,
+    # each call repeated, and other t in between
+    ts = [1.3 + 0.4j, -0.7 + 2.1j, 2.0, 30.0]
+    want = {(cid, t): _cold(cid, t) for cid in COMPONENTS for t in ts}
+    for order in (COMPONENTS, COMPONENTS[::-1]):
+        catalog._LAST.clear()
+        for cid in order:
+            for t in ts:
+                for _ in range(2):
+                    assert repr(sample_component(cid, t)) == want[cid, t]
+        catalog._LAST.clear()
+        for t in ts:
+            for cid in order:
+                assert repr(sample_component(cid, t)) == want[cid, t]
+
+
+def test_sample_memo_keeps_signed_zeros_apart():
+    # 0j, -0 + 0j and -0j compare equal but have their own bits, which the
+    # samples keep; the memo tells them apart whichever comes first
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0))
+    for cid in ("X3", "X4", "X51", "X52"):
+        want = [_cold(cid, z) for z in zeros]
+        assert len(set(want)) == 3, cid
+        for order in itertools.permutations(range(3)):
+            catalog._LAST.clear()
+            for k in order:
+                assert repr(sample_component(cid, zeros[k])) == want[k]
+
+
+def test_returned_samples_and_census_are_new_each_call():
+    # mutating what one call returns changes nothing the next call returns
+    t = 1.3 + 0.4j
+    for cid in ("X11", "X12", "X4"):
+        want = _cold(cid, t)
+        got = sample_component(cid, t)
+        got[0].params.clear()
+        got[-1].params["t"] = 5j
+        got.pop()
+        assert repr(sample_component(cid, t)) == want, cid
+    census = enumerate_parabolic()
+    want = repr(census)
+    census.samples[0].params["u"] = 0j
+    census.samples.pop()
+    census.counts["X3"] = 99
+    assert repr(enumerate_parabolic()) == want
+
+
+def test_sample_memo_keeps_no_exception():
+    # a refused sample leaves no entry behind, and each call raises anew
+    # with its own id in the message, whichever of base and partner raised
+    # first
+    for base, partner, t, exc in (
+            ("X21", "X22", 100.0, ConstraintViolated),
+            ("X11", "X12", 1e200, ExcludedParameter),
+            ("X51", "X52", 1e200, ExcludedParameter)):
+        msgs = {}
+        for order in ((base, partner), (partner, base)):
+            catalog._LAST.clear()
+            for cid in order * 2:
+                with pytest.raises(exc) as got:
+                    sample_component(cid, t)
+                msgs.setdefault(cid, str(got.value))
+                assert str(got.value) == msgs[cid]
+                assert not catalog._LAST
+        assert partner in msgs[partner] and base not in msgs[partner]
+        assert msgs[partner] == msgs[base].replace(base, partner)
 
 
 def test_one_ulp_moves_leave_row_residuals_at_rounding_level():
@@ -694,7 +803,7 @@ def test_explore_qr_steps_match_svd_steps(t, seed, attempts, monkeypatch):
     svd = explore_solve(t, seed, attempts)
     assert [lbl for _, lbl in qr] == [lbl for _, lbl in svd]
     for (a, _), (b, _) in zip(qr, svd):
-        assert a.max_dev(b) <= 1e-9
+        assert max_dev(a, b) <= 1e-9
 
 
 def test_explore_classifies(rng):

@@ -48,7 +48,7 @@ from charvar.errors import (CharVarError, ConstraintViolated,
                             DegenerateCharacter, TraceMismatch)
 from charvar.mat2 import (IDENTITY, Mat2, anticommutator_residual,
                           ch_residual, is_irreducible_pair, random_gt,
-                          scalar, xyx_expand)
+                          xyx_expand)
 from charvar.reconstruct import (Quadruple, _realized_matrices,
                                  realize_character)
 from charvar.tracealg import (_DET4, _EQ_IDX, _NORMALIZE, _TRIPLE_ROWS,
@@ -59,7 +59,7 @@ from charvar.tracealg import (_DET4, _EQ_IDX, _NORMALIZE, _TRIPLE_ROWS,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
 from charvar.wirtinger import relators, spread
-from lemmas import dist, eq19_residuals
+from lemmas import dist, eq19_residuals, max_dev, scalar
 
 #: corners of the verify square, where X11 and X12 coordinates reach about
 #: 1e4 and their raw definitive residuals exceed the realization gate
@@ -819,4 +819,4 @@ def test_explore_matches_inverse_oracle(monkeypatch):
             if lbl in COMPONENTS:
                 assert repr(a) == repr(b)
             else:
-                assert a.max_dev(b) <= 1e-6
+                assert max_dev(a, b) <= 1e-6

@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from conftest import E1, E2, E3, random_t, reducible_pair
 from charvar.errors import SingularMatrix
 from charvar.mat2 import (IDENTITY, Mat2, _rel, anticommutator_residual,
                           ch_residual, has_common_eigenvector,
-                          is_irreducible_pair, random_gt, scalar, xyx_expand)
+                          is_irreducible_pair, random_gt, xyx_expand)
 from lemmas import (PreconditionViolated, dist, lemma25_apply, random_sl2,
-                    rel_dist)
+                    rel_dist, scalar)
 
 
 def test_inverse_identity_and_parabolic():
@@ -27,6 +29,30 @@ def test_inverse_random(rng):
 def test_inverse_singular():
     with pytest.raises(SingularMatrix):
         Mat2(1, 1, 1, 1).inverse()
+
+
+def test_inverse_near_the_top_of_the_double_range():
+    # complex division overflows inside at a = 1.5e308+1.5e308j, where
+    # a / a is nan and 1 / a is -0j; the entries are divided again at a
+    # scale where it cannot. 1 / a = (1 - i) / 3e308 is subnormal, and
+    # comes out correctly rounded
+    a = 1.5e308 + 1.5e308j
+    x = float(1 / (2 * Fraction(1.5e308)))
+    inv = Mat2(a, 0, 0, 1).inverse()
+    assert inv.d == 1 and inv.a == complex(x, -x) and x > 0
+    assert inv.b == 0 and inv.c == 0
+    # here every entry comes out finite, and plain division gave the zero
+    # matrix: the det's modulus overflows, which _rel reads as NaN
+    inv = Mat2(1.5e308, 0, 0, 1 + 1j).inverse()
+    assert inv.a == float(1 / Fraction(1.5e308)) and inv.d == 0.5 - 0.5j
+    assert Mat2(1e308 + 1e308j, 0, 0, 0.5).inverse().d == 2
+    # an entry whose true value is beyond the double range stays infinite
+    inv = Mat2(0.5, 1e308 + 1e308j, 0, 1).inverse()
+    assert not cmath.isfinite(inv.b) and inv.a == 2 and inv.d == 1
+    # a NaN entry still makes every entry NaN
+    nan = float("nan")
+    for m in (Mat2(nan, 0, 0, 1), Mat2(a, nan, 0, 1)):
+        assert all(z != z for z in m.inverse().entries())
 
 
 def test_traceless_part_examples():

@@ -7,14 +7,14 @@ import pytest
 from conftest import E1, E2, E3, random_quadruple
 from charvar.catalog import COMPONENTS, sample_component
 from charvar.errors import ConstraintViolated, FactorizationFailure
-from charvar.mat2 import Mat2, has_common_eigenvector, scalar
+from charvar.mat2 import Mat2, has_common_eigenvector
 from charvar.reconstruct import (_N_INV, Quadruple, _realized_matrices,
                                  factor_symmetric, realize_character)
 from charvar.tracealg import (_TRIPLE_ROWS, COORD_KEYS, TRIPLES, _gram,
                               _s_triples, _t_coords, s_from_t,
                               trace_vector_of)
 from charvar.wirtinger import is_representation
-from lemmas import conjugated, dist, random_sl2
+from lemmas import conjugated, dist, max_dev, random_sl2, scalar
 
 
 def _assert_balanced(M, S):
@@ -80,7 +80,7 @@ def test_realize_character_flat_example():
         v = trace_vector_of(*xs)
         assert s_from_t(v).s123 == s123
         q = realize_character(v)
-        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-10
+        assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-10
         us = [x.traceless_part() for x in q.matrices()]
         assert abs((us[0] @ us[1] @ us[2]).trace() - s123) <= 1e-10
 
@@ -92,7 +92,7 @@ def test_realize_character_round_trip(rng):
             continue
         v = trace_vector_of(*xs)
         q = realize_character(v)
-        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-8
+        assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-8
         q.validate()
 
 
@@ -136,7 +136,7 @@ def test_realize_character_later_roles(rng):
                 continue
             assert max(abs(st[r]) for r in TRIPLES if r < role) <= 1e-7
             q = realize_character(v)
-            assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-8 * max(
+            assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-8 * max(
                 1.0, max(abs(c) for c in _t_coords(v)))
             done += 1
 
@@ -147,7 +147,7 @@ def test_conjugation_invariance(rng):
         q = Quadruple(*xs, t=t)
         g = random_sl2(rng, 2.0)
         w = trace_vector_of(*conjugated(q, g).matrices())
-        assert w.max_dev(trace_vector_of(*q.matrices())) <= 1e-9
+        assert max_dev(w, trace_vector_of(*q.matrices())) <= 1e-9
 
 
 def test_degenerate_path_x3(rng):
@@ -157,7 +157,7 @@ def test_degenerate_path_x3(rng):
     q = realize_character(v)
     assert dist(q.x1, q.x3) <= 1e-12
     assert dist(q.x2, q.x4) <= 1e-12
-    assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-9
+    assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-9
 
 
 def test_degenerate_path_x51_x52(rng):
@@ -167,7 +167,7 @@ def test_degenerate_path_x51_x52(rng):
         xs = q.matrices()
         for (i, j) in eq_pairs:
             assert dist(xs[i - 1], xs[j - 1]) <= 1e-12
-        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-9
+        assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-9
 
 
 def test_braid_identity_on_x51(rng):
@@ -186,7 +186,7 @@ def test_degenerate_character_unmatched():
     v = _x6_vector(0.0)
     assert max(map(abs, _s_triples(s_from_t(v)))) <= 1e-12
     q = realize_character(v)
-    assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-9
+    assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-9
     ok, spread = is_representation(q)
     assert ok and spread <= 1e-12, spread
     assert not has_common_eigenvector(q.matrices())
@@ -205,7 +205,7 @@ def test_realize_character_near_degenerate(delta):
         xs[2] = g @ xs[0] @ g.inverse()
         v = trace_vector_of(*xs)
         q = realize_character(v)
-        assert trace_vector_of(*q.matrices()).max_dev(v) <= 1e-8 * max(
+        assert max_dev(trace_vector_of(*q.matrices()), v) <= 1e-8 * max(
             1.0, max(abs(c) for c in _t_coords(v)))
 
 
