@@ -513,23 +513,37 @@ def classify_point(v: TraceVector) -> str:
     return cid if worst <= 1e-5 else "unclassified"
 
 
+def _probe_start(seed: int, k: int) -> np.ndarray:
+    """Start k of explore_solve(t, seed, ...), the same at every t: the
+    real and then the imaginary parts of its ten coordinates are one
+    default_rng([seed, k]).standard_normal(20), scaled by 1.5."""
+    y = np.empty(10, dtype=complex)
+    y.real, y.imag = np.random.default_rng([seed, k]).standard_normal(
+        (2, 10)) * 1.5
+    return y
+
+
 def explore_solve(t: complex, seed: int,
                   attempts: int) -> list[tuple[TraceVector, str]]:
     """Random-start Gauss-Newton on the combined system {12 trace equations,
     4 type II, 16 type I} over the 10 free coordinates at fixed t.
 
-    Start k draws its real and then its imaginary parts from
-    default_rng([seed, k]), scaled by 1.5. The Newton loop, its step solve
-    and its stop rules are _probe_kernel._newton_starts's; each start's
-    iterates are bitwise the same whatever starts run beside it. Snapping
+    Start k is _probe_start(seed, k). The Newton loop, its step solve and
+    its stop rules are _probe_kernel._newton_starts's; each start's
+    iterates are bitwise the same whatever starts run beside it. The loop
+    is handed the exact catalog samples at t, and a start that comes within
+    _SNAP_RADIUS of one from inside _WANDER_RES stops there. Snapping
     compares at most _PROBE_BLOCK converged points at a time with the
     samples, so its temporaries stay below the Newton loop's.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any
-    quadruple. Converged points within 1e-4 of an exact catalog sample are
-    snapped onto the first such sample (the stall radius of multiple
-    roots); the rest are classified by membership residual. Unclassified
+    quadruple. Converged points within _SNAP_RADIUS (1e-4, the stall radius
+    of multiple roots) of an exact catalog sample are snapped onto the
+    first such sample, by the test that stops the loop (_near_samples); the
+    rest are classified by membership residual. A start stopped near a
+    sample gets the output it would get if it ran on to its root
+    (test_sample_stop_changes_no_explore_output). Unclassified
     findings are returned, never dropped. Results come in start order and
     are deterministic for fixed (seed, attempts); the first n of them
     depend only on the first n starts.
@@ -541,17 +555,15 @@ def explore_solve(t: complex, seed: int,
     targets = np.array([_t_coords(smp.vector)[1:] for smp in exact])
     starts = np.empty((attempts, 10), dtype=complex)
     for k in range(attempts):
-        rng = np.random.default_rng([seed, k])
-        starts[k].real = rng.standard_normal(10) * 1.5
-        starts[k].imag = rng.standard_normal(10) * 1.5
+        starts[k] = _probe_start(seed, k)
     # imported on first use: `import charvar` need not load the probe
-    from ._probe_kernel import _PROBE_BLOCK, _newton_starts
-    best, ok = _newton_starts(t, starts)
+    from ._probe_kernel import _PROBE_BLOCK, _near_samples, _newton_starts
+    best, ok = _newton_starts(t, starts, targets)
     found = best[ok]
     out = []
     for lo in range(0, len(found), _PROBE_BLOCK):
         chunk = found[lo:lo + _PROBE_BLOCK]
-        near = np.abs(chunk[:, None, :] - targets).max(axis=2) <= 1e-4
+        near = _near_samples(chunk, targets)
         for y, hit, first in zip(chunk.tolist(), near.any(axis=1),
                                  near.argmax(axis=1)):
             if hit:

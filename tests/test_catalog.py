@@ -875,25 +875,29 @@ def _count_probe_rows(monkeypatch):
     return count
 
 
-def _explore_start(t, seed, k):
-    """Start k of explore_solve(t, seed, ...), drawn as explore_solve draws
-    it, as a (1, 10) array."""
-    rng = np.random.default_rng([seed, k])
-    y = np.empty((1, 10), dtype=complex)
-    y[0].real = rng.standard_normal(10) * 1.5
-    y[0].imag = rng.standard_normal(10) * 1.5
-    return y
+def _explore_start(seed, k):
+    """Start k of explore_solve(t, seed, ...) as a (1, 10) array."""
+    return catalog._probe_start(seed, k)[None]
 
 
-def test_settle_rule_changes_no_explore_output(monkeypatch):
-    # the perfbench probe panel, each point as one of its sign images, as
-    # the benchmark draws them; criterion 11's t values and seeds; and the
-    # pinned call of test_explore_classifies
+#: no exact samples: the Newton loop's near-sample stop never fires
+_NO_SAMPLES = np.empty((0, 10), dtype=complex)
+
+
+def _stop_rule_calls():
+    """explore_solve calls whose output a stop rule must not change: the
+    perfbench probe panel, each point as one of its sign images, as the
+    benchmark draws them; criterion 11's t values and seeds; and the pinned
+    call of test_explore_classifies."""
     calls = [(-1.3585 + 1.6948j, 7, 200), (-1.7421 - 0.3885j, 7, 200),
              (0.5667 - 1.1545j, 7, 200), (2 + 1j, 3, 40)]
     rng = np.random.default_rng(11)
-    calls += [(admissible_t(rng, margin_extra=1e-3), 100 + i, 200)
-              for i in range(5)]
+    return calls + [(admissible_t(rng, margin_extra=1e-3), 100 + i, 200)
+                    for i in range(5)]
+
+
+def test_settle_rule_changes_no_explore_output(monkeypatch):
+    calls = _stop_rule_calls()
     count = _count_probe_rows(monkeypatch)
     found, rows = [], []
     # -1: the rule never fires
@@ -906,6 +910,28 @@ def test_settle_rule_changes_no_explore_output(monkeypatch):
     assert rows[0] < rows[1]
 
 
+def test_sample_stop_changes_no_explore_output(monkeypatch):
+    # a start stopped within the snap radius of a sample is snapped onto
+    # the sample that the root it would have run on to snaps onto; the
+    # calls add the CI step's explore commands, t = 2 among them, where
+    # most converged points are reducible
+    calls = _stop_rule_calls() + [
+        (2, 0, 100), (1.7421 + 0.3885j, 7, 200), (1.7421 + 0.3885j, 7, 300)]
+    count = _count_probe_rows(monkeypatch)
+    newton = _probe_kernel._newton_starts
+
+    def run():
+        count["rows"] = 0
+        return [repr(explore_solve(*c)) for c in calls], count["rows"]
+
+    stopped = run()
+    monkeypatch.setattr(_probe_kernel, "_newton_starts",
+                        lambda t, y, samples: newton(t, y, _NO_SAMPLES))
+    ran_on = run()
+    assert stopped[0] == ran_on[0]
+    assert stopped[1] < ran_on[1]
+
+
 def test_settle_rule_gives_up_a_settled_start(monkeypatch):
     # start 5 of the panel call at t = 1.7421+0.3885i, seed 7, settles at a
     # stationary point of |f|^2 above _WANDER_RES: the rule gives it up
@@ -916,7 +942,8 @@ def test_settle_rule_gives_up_a_settled_start(monkeypatch):
     for settle in (_probe_kernel._SETTLE_STEP, -1.0):
         monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", settle)
         count["calls"] = 0
-        best, ok = _probe_kernel._newton_starts(t, _explore_start(t, 7, 5))
+        best, ok = _probe_kernel._newton_starts(t, _explore_start(7, 5),
+                                                _NO_SAMPLES)
         iterations.append(count["calls"])
         assert not ok[0]
         f, _ = probe_f_jac(t, best)
@@ -926,23 +953,47 @@ def test_settle_rule_gives_up_a_settled_start(monkeypatch):
     assert iterations[0] < _probe_kernel._WANDER_ITER // 2
 
 
+#: a catalog point of each base family at t = 1.3+0.4i: (id, branch)
+_ROOTS_AT_13 = (("X11", 2), ("X21", 3), ("X3", 0), ("X4", 3), ("X51", 0),
+                ("X61", 0))
+
+
 def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
     # a start 1e-3 from a catalog point takes ever smaller steps too, but
     # its residual is below _WANDER_RES from the first, so the rule cannot
-    # give it up even when every step counts as settled
+    # give it up even when every step counts as settled; with no samples
+    # the loop runs it on to the root
     t = 1.3 + 0.4j
     rng = np.random.default_rng(5)
     monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", math.inf)
-    for cid, branch in (("X11", 2), ("X21", 3), ("X3", 0), ("X4", 3),
-                        ("X51", 0), ("X61", 0)):
+    for cid, branch in _ROOTS_AT_13:
         smp = sample_component(cid, t)[branch]
         root = np.array([_t_coords(smp.vector)[1:]])
         y = root + 1e-3 * np.exp(2j * np.pi * rng.random((1, 10)))
         f, _ = probe_f_jac(t, y)
         assert np.abs(f).max() <= _probe_kernel._WANDER_RES, cid
-        best, ok = _probe_kernel._newton_starts(t, y)
+        best, ok = _probe_kernel._newton_starts(t, y, _NO_SAMPLES)
         assert ok[0], cid
         assert np.abs(best - root).max() <= 1e-6, cid
+
+
+def test_sample_stop_ends_a_start_near_a_sample(monkeypatch):
+    # starts 1e-5 from a catalog point, given every sample at t, stop
+    # after the first system build and its step, and snap onto that point
+    t = 1.3 + 0.4j
+    rng = np.random.default_rng(6)
+    exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
+    samples = np.array([_t_coords(smp.vector)[1:] for smp in exact])
+    roots = np.array([_t_coords(sample_component(cid, t)[branch].vector)[1:]
+                      for cid, branch in _ROOTS_AT_13])
+    y = roots + 1e-5 * np.exp(2j * np.pi * rng.random(roots.shape))
+    count = _count_probe_rows(monkeypatch)
+    best, ok = _probe_kernel._newton_starts(t, y, samples)
+    assert count == {"calls": 1, "rows": len(roots)}
+    assert ok.all()
+    near = _probe_kernel._near_samples(best, samples)
+    assert near.any(axis=1).all()
+    assert samples[near.argmax(axis=1)].tobytes() == roots.tobytes()
 
 
 def test_probe_rows_bitwise_independent_of_block(rng):
@@ -969,7 +1020,11 @@ def test_probe_rows_bitwise_independent_of_block(rng):
 
 def test_probe_working_memory_is_bounded():
     # the Newton loop's temporaries grow with _PROBE_BLOCK; the bound and
-    # its margin are stated at _PROBE_BLOCK
+    # its margin are stated at _PROBE_BLOCK. A first probe, at another t,
+    # loads what a process loads once (numpy imports numpy.random on its
+    # first use), so that the window holds the call's working memory alone
+    # whether or not an earlier test has probed
+    explore_solve(2 + 1j, seed=3, attempts=1)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
