@@ -311,9 +311,9 @@ _WANDER_RES = 1e-1
 _SETTLE_STEP = 1e-6
 #: a coordinate beyond this modulus has diverged: far outside every root
 _DIVERGED = 1e8
-#: the stall radius of multiple roots: a point within this max-norm
-#: distance of an exact catalog sample is taken for that sample, by the
-#: loop's stop and by explore_solve's snap alike (see _near_samples)
+#: the stall radius of multiple roots: a start whose step lands within this
+#: max-norm distance of an exact catalog sample from inside _WANDER_RES
+#: stops on that sample (see _newton_starts), which explore_solve returns
 _SNAP_RADIUS = 1e-4
 #: largest Frobenius condition number ||R||_F ||R^-1||_F of a step solved
 #: from its QR factor, tested squared on the R^-1 of the back substitution:
@@ -381,16 +381,8 @@ def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _near_samples(y: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """The (n, m) bool table of whether sample j, row j of the (m, 10)
-    array samples, lies within _SNAP_RADIUS of row i of the (n, 10) array
-    y in max norm. Its (n, m, 10) difference is the largest temporary, so
-    callers pass at most _PROBE_BLOCK rows at a time."""
-    return np.abs(y[:, None, :] - samples).max(axis=2) <= _SNAP_RADIUS
-
-
-def _newton_starts(t: complex, y: np.ndarray,
-                   samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Undamped Gauss-Newton from every start row of y (overwritten): each
     step is the minimum-norm least-squares solution of J dy = -f, solved by
     QR, or by numpy's lstsq for the rare ill-conditioned J (see
@@ -412,23 +404,22 @@ def _newton_starts(t: complex, y: np.ndarray,
     _WANDER_ITER anyway. It fails when a coordinate turns non-finite or
     exceeds _DIVERGED in modulus. A start whose last residual was at most
     _WANDER_RES and whose step takes it within _SNAP_RADIUS of a row of the
-    (m, 10) array samples (_near_samples) is in that sample's basin: it
-    stops before its next [J | -f] is built and counts as converged at that
-    iterate, which explore_solve's snap maps onto a sample by the same
-    test. A start that never comes that near runs as it would with no
+    (m, 10) array samples, in max norm, is in that sample's basin: it stops
+    on the first such row before its next [J | -f] is built, and counts as
+    converged. A start that never comes that near runs as it would with no
     samples; the step that ends a start's _NEWTON_ITERS is not tested, as
     no system follows it. Every rule reads only the start's own residual,
     step and y.
-    Returns each start's point, the iterate it stopped at near a sample or
-    else its lowest-residual one, and whether it stopped near a sample or
-    reached a residual of at most _STALL_TOL, without failure.
+    Returns each start's lowest-residual iterate; whether it stopped on a
+    sample or reached a residual of at most _STALL_TOL, without failure;
+    and the (n,) index of the sample it stopped on, -1 if none.
     """
     n = len(y)
     best_y = y.copy()
     best_res = np.full(n, np.inf)
     prev = np.full(n, np.inf)
     failed = np.zeros(n, dtype=bool)
-    near = np.zeros(n, dtype=bool)            # stopped near a sample
+    on = np.full(n, -1)                       # the sample a start stopped on
     iters = np.zeros(n, dtype=int)            # iterations each start has taken
     live = np.arange(min(n, _PROBE_BLOCK))
     unstarted = live.size                     # the next start to take a row
@@ -462,13 +453,17 @@ def _newton_starts(t: complex, y: np.ndarray,
             live = live[~(bad | settled)]
             iters[live] += 1
             live = live[iters[live] < _NEWTON_ITERS]
-            basin = live[prev[live] <= _WANDER_RES]
-            basin = basin[_near_samples(y[basin], samples).any(axis=1)]
-            near[basin] = True
-            best_y[basin] = y[basin]
-            live = live[~near[live]]
+            if len(samples):              # argmax of an empty table raises
+                basin = live[prev[live] <= _WANDER_RES]
+                # its (b, m, 10) difference is the largest temporary, and
+                # basin has at most _PROBE_BLOCK rows
+                near = (np.abs(y[basin, None] - samples).max(axis=2)
+                        <= _SNAP_RADIUS)
+                hit = near.any(axis=1)
+                on[basin[hit]] = near[hit].argmax(axis=1)
+                live = live[on[live] < 0]
             refill = min(_PROBE_BLOCK - live.size, n - unstarted)
             live = np.concatenate(
                 [live, np.arange(unstarted, unstarted + refill)])
             unstarted += refill
-    return best_y, ~failed & (near | (best_res <= _STALL_TOL))
+    return best_y, ~failed & ((on >= 0) | (best_res <= _STALL_TOL)), on

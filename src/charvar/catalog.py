@@ -230,8 +230,8 @@ def sample_component(cid: str, t: complex) -> list[ComponentSample]:
     the message, exactly where its base does. Each call returns new
     samples, with new params dicts, read off _checked_samples.
     """
-    t = _as_t(t, cid)
     check_admissible(cid, t)
+    t = complex(t)
     base = _BASE.get(cid, cid)
     # rotate^3 = rotate^-1: each partner sample rotates onto its base
     # sample, so its self-check is the base's, bit for bit
@@ -530,19 +530,17 @@ def explore_solve(t: complex, seed: int,
 
     Start k is _probe_start(seed, k). The Newton loop, its step solve and
     its stop rules are _probe_kernel._newton_starts's; each start's
-    iterates are bitwise the same whatever starts run beside it. The loop
-    is handed the exact catalog samples at t, and a start that comes within
-    _SNAP_RADIUS of one from inside _WANDER_RES stops there. Snapping
-    compares at most _PROBE_BLOCK converged points at a time with the
-    samples, so its temporaries stay below the Newton loop's.
+    iterates are bitwise the same whatever starts run beside it.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any
-    quadruple. Converged points within _SNAP_RADIUS (1e-4, the stall radius
-    of multiple roots) of an exact catalog sample are snapped onto the
-    first such sample, by the test that stops the loop (_near_samples); the
-    rest are classified by membership residual. A start stopped near a
-    sample gets the output it would get if it ran on to its root
+    quadruple. The loop is handed the exact catalog samples at t, and a
+    start whose step lands within _SNAP_RADIUS (1e-4, the stall radius of
+    multiple roots) of one from inside _WANDER_RES stops on the first such
+    sample, which is its output; every other converged point is classified
+    by membership residual. On every call compared this is the output of
+    running each start on to its root and snapping a root within
+    _SNAP_RADIUS of a sample onto the first such sample
     (test_sample_stop_changes_no_explore_output). Unclassified
     findings are returned, never dropped. Results come in start order and
     are deterministic for fixed (seed, attempts); the first n of them
@@ -557,18 +555,13 @@ def explore_solve(t: complex, seed: int,
     for k in range(attempts):
         starts[k] = _probe_start(seed, k)
     # imported on first use: `import charvar` need not load the probe
-    from ._probe_kernel import _PROBE_BLOCK, _near_samples, _newton_starts
-    best, ok = _newton_starts(t, starts, targets)
-    found = best[ok]
+    from ._probe_kernel import _newton_starts
+    best, ok, on = _newton_starts(t, starts, targets)
     out = []
-    for lo in range(0, len(found), _PROBE_BLOCK):
-        chunk = found[lo:lo + _PROBE_BLOCK]
-        near = _near_samples(chunk, targets)
-        for y, hit, first in zip(chunk.tolist(), near.any(axis=1),
-                                 near.argmax(axis=1)):
-            if hit:
-                out.append((exact[first].vector, exact[first].id))
-            else:
-                v = TraceVector(t, *y)
-                out.append((v, classify_point(v)))
+    for y, j in zip(best[ok].tolist(), on[ok].tolist()):
+        if j >= 0:
+            out.append((exact[j].vector, exact[j].id))
+        else:
+            v = TraceVector(t, *y)
+            out.append((v, classify_point(v)))
     return out

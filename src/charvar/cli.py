@@ -40,7 +40,7 @@ def parse_complex(text: str) -> complex:
 
 
 def _count(text: str) -> int:
-    """argparse type of --n, --samples and --attempts: an integer >= 0."""
+    """argparse type of --n, --samples, --attempts, --seed: an int >= 0."""
     try:
         n = int(text)
     except ValueError:
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--samples", type=_count, default=None,
                     help="number of random t values (default 3)")
     p.add_argument("--component", choices=catalog.COMPONENTS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     _add_output(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -266,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=500)
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one s-coordinate as a negative control")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     _add_output(p)
     p.set_defaults(fn=cmd_identities)
 
     p = sub.add_parser("explore", help="random-start Newton classification")
     p.add_argument("--t", type=parse_complex, required=True)
     p.add_argument("--attempts", type=_count, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     _add_output(p)
     p.set_defaults(fn=cmd_explore)
     return ap

@@ -31,8 +31,9 @@ from charvar.errors import (CharVarError, ConstraintViolated,
                             ExcludedParameter, UnknownComponent)
 from charvar.mat2 import _worst
 from charvar.reconstruct import realize_character
-from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, _t_coords,
-                              s_from_t, typeI_residuals, typeII_residuals)
+from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector,
+                              _t_coords, s_from_t, typeI_residuals,
+                              typeII_residuals)
 from charvar.wirtinger import (TRACE_EQ_TOL, is_representation,
                                necessary_conditions_residual)
 
@@ -910,26 +911,49 @@ def test_settle_rule_changes_no_explore_output(monkeypatch):
     assert rows[0] < rows[1]
 
 
+def _samples_at(t):
+    """The exact catalog samples at t, in explore_solve's order, and their
+    coordinates as the (m, 10) array the Newton loop is handed."""
+    exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
+    return exact, np.array([_t_coords(smp.vector)[1:] for smp in exact])
+
+
+def _run_on_and_snap(t, seed, attempts):
+    """explore_solve(t, seed, attempts) with no sample stop: every start
+    runs on to its root, and each converged point is then snapped onto the
+    first sample within _SNAP_RADIUS in max norm, or else classified."""
+    t = complex(t)
+    exact, samples = _samples_at(t)
+    starts = np.concatenate([_explore_start(seed, k) for k in range(attempts)])
+    best, ok, on = _probe_kernel._newton_starts(t, starts, _NO_SAMPLES)
+    assert (on == -1).all()
+    out = []
+    for y in best[ok]:
+        near = np.abs(y - samples).max(axis=1) <= _probe_kernel._SNAP_RADIUS
+        if near.any():
+            smp = exact[near.argmax()]
+            out.append((smp.vector, smp.id))
+        else:
+            v = TraceVector(t, *y.tolist())
+            out.append((v, classify_point(v)))
+    return out
+
+
 def test_sample_stop_changes_no_explore_output(monkeypatch):
-    # a start stopped within the snap radius of a sample is snapped onto
-    # the sample that the root it would have run on to snaps onto; the
-    # calls add the CI step's explore commands, t = 2 among them, where
-    # most converged points are reducible
+    # a start stopped on a sample gets the output that running it on to its
+    # root and snapping the root onto a sample gives; the calls add the CI
+    # step's explore commands, t = 2 among them, where most converged
+    # points are reducible
     calls = _stop_rule_calls() + [
         (2, 0, 100), (1.7421 + 0.3885j, 7, 200), (1.7421 + 0.3885j, 7, 300)]
     count = _count_probe_rows(monkeypatch)
-    newton = _probe_kernel._newton_starts
-
-    def run():
+    found, rows = [], []
+    for run in (explore_solve, _run_on_and_snap):
         count["rows"] = 0
-        return [repr(explore_solve(*c)) for c in calls], count["rows"]
-
-    stopped = run()
-    monkeypatch.setattr(_probe_kernel, "_newton_starts",
-                        lambda t, y, samples: newton(t, y, _NO_SAMPLES))
-    ran_on = run()
-    assert stopped[0] == ran_on[0]
-    assert stopped[1] < ran_on[1]
+        found.append([repr(run(*c)) for c in calls])
+        rows.append(count["rows"])
+    assert found[0] == found[1]
+    assert rows[0] < rows[1]
 
 
 def test_settle_rule_gives_up_a_settled_start(monkeypatch):
@@ -942,10 +966,11 @@ def test_settle_rule_gives_up_a_settled_start(monkeypatch):
     for settle in (_probe_kernel._SETTLE_STEP, -1.0):
         monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", settle)
         count["calls"] = 0
-        best, ok = _probe_kernel._newton_starts(t, _explore_start(7, 5),
-                                                _NO_SAMPLES)
+        best, ok, on = _probe_kernel._newton_starts(t, _explore_start(7, 5),
+                                                    _NO_SAMPLES)
         iterations.append(count["calls"])
         assert not ok[0]
+        assert on[0] == -1
         f, _ = probe_f_jac(t, best)
         assert np.abs(f).max() > _probe_kernel._WANDER_RES
     # the iteration-50 rule evaluates the system once more, after step 50
@@ -972,28 +997,54 @@ def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
         y = root + 1e-3 * np.exp(2j * np.pi * rng.random((1, 10)))
         f, _ = probe_f_jac(t, y)
         assert np.abs(f).max() <= _probe_kernel._WANDER_RES, cid
-        best, ok = _probe_kernel._newton_starts(t, y, _NO_SAMPLES)
+        best, ok, on = _probe_kernel._newton_starts(t, y, _NO_SAMPLES)
         assert ok[0], cid
+        assert on[0] == -1, cid
         assert np.abs(best - root).max() <= 1e-6, cid
 
 
 def test_sample_stop_ends_a_start_near_a_sample(monkeypatch):
-    # starts 1e-5 from a catalog point, given every sample at t, stop
-    # after the first system build and its step, and snap onto that point
+    # starts 1e-5 from a catalog point, given every sample at t twice,
+    # stop after the first system build and its step, on the first copy
+    # of that point
     t = 1.3 + 0.4j
     rng = np.random.default_rng(6)
-    exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
-    samples = np.array([_t_coords(smp.vector)[1:] for smp in exact])
+    _, samples = _samples_at(t)
     roots = np.array([_t_coords(sample_component(cid, t)[branch].vector)[1:]
                       for cid, branch in _ROOTS_AT_13])
     y = roots + 1e-5 * np.exp(2j * np.pi * rng.random(roots.shape))
     count = _count_probe_rows(monkeypatch)
-    best, ok = _probe_kernel._newton_starts(t, y, samples)
+    _, ok, on = _probe_kernel._newton_starts(
+        t, y, np.concatenate([samples, samples]))
     assert count == {"calls": 1, "rows": len(roots)}
     assert ok.all()
-    near = _probe_kernel._near_samples(best, samples)
-    assert near.any(axis=1).all()
-    assert samples[near.argmax(axis=1)].tobytes() == roots.tobytes()
+    assert ((on >= 0) & (on < len(samples))).all()
+    assert samples[on].tobytes() == roots.tobytes()
+
+
+def test_sample_stop_waits_for_a_residual_below_wander_res(monkeypatch):
+    # start 0 of seed 7 at t = 1.3+0.4i has max residual 45.3; its first
+    # iterate, handed to the loop as the only sample, lies on that sample,
+    # but the step came from above _WANDER_RES, so the start does not stop
+    # there: only a start already in a root's basin is stopped on a sample
+    t = 1.3 + 0.4j
+    y = _explore_start(7, 0)
+    f, _ = probe_f_jac(t, y)
+    assert np.abs(f).max() > _probe_kernel._WANDER_RES
+    seen = []                             # the rows of each system build
+    call = _probe_kernel._ProbeSystem.__call__
+
+    def recorded(self, rows):
+        seen.append(rows.copy())
+        return call(self, rows)
+
+    monkeypatch.setattr(_probe_kernel._ProbeSystem, "__call__", recorded)
+    _probe_kernel._newton_starts(t, y.copy(), _NO_SAMPLES)
+    first = seen[1]
+    seen.clear()
+    on = _probe_kernel._newton_starts(t, y.copy(), first)[2]
+    assert on[0] == -1
+    assert len(seen) == 10
 
 
 def test_probe_rows_bitwise_independent_of_block(rng):
@@ -1092,8 +1143,11 @@ def test_check_admissible_unknown_component():
 
 
 def test_sample_component_unknown_component():
-    with pytest.raises(UnknownComponent, match="X9"):
-        sample_component("X9", 1.3 + 0.4j)
+    # the id is checked before t: a t beyond the double range does not hide
+    # an unknown id, as in check_admissible
+    for t in (1.3 + 0.4j, 10 ** 400):
+        with pytest.raises(UnknownComponent, match="X9"):
+            sample_component("X9", t)
 
 
 def test_membership_residual_unknown_component():

@@ -198,7 +198,10 @@ def test_usage_error_exits_2(capsys):
     for args in (["identities", "--n", "-3"], ["verify", "--samples", "-2"],
                  ["explore", "--t", "2+1i", "--attempts", "-4"],
                  ["identities", "--n", "abc"],
-                 ["explore", "--t", "2+1i", "--attempts", "1.5"]):
+                 ["explore", "--t", "2+1i", "--attempts", "1.5"],
+                 # numpy's own refusal of a negative seed names no flag
+                 ["verify", "--seed", "-1"], ["identities", "--seed", "-1"],
+                 ["explore", "--t", "2+1i", "--seed", "-1"]):
         capsys.readouterr()
         assert main(args) == 2
         assert "error: argument --" in capsys.readouterr().err
