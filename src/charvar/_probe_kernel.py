@@ -1,9 +1,13 @@
 """The Newton probe's solver: the batched [J | -f] kernel, the step solve,
 and the Newton loop with its stop rules.
 
-The probe system is {12 trace equations, 4 type II, 16 type I} in the ten
+The probe system is {12 trace equations, 4 type II, 10 type I} in the ten
 coordinates COORD_KEYS[1:] at a fixed trace t, the same equations that
-tracealg's scalar kernels evaluate one vector at a time. _ProbeSystem
+tracealg's scalar kernels evaluate one vector at a time. Of the 16 type I
+relations it keeps the ten distinct ones (tracealg._TYPEI_KEPT): each of
+the six that stands for two, 4a + b and 4b + a, carries weight sqrt 2, so
+J^H J and J^H f, and with them every least-squares step, are those of all
+16, with 26 rows in place of 32. _ProbeSystem
 evaluates them, with their exact derivatives, for many vectors at once,
 from index tables built on tracealg's slot tables; _newton_starts runs
 undamped Gauss-Newton on them from many starts at once, and
@@ -17,13 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tracealg import _EQ_SLOTS, _GRAM_SLOTS, _SHIFT_PAIRS, _TYPEI_SLOTS
+from .tracealg import (_EQ_SLOTS, _GRAM_SLOTS, _SHIFT_PAIRS, _TYPEI_KEPT,
+                       _TYPEI_SLOTS)
 
 # The probe's unknowns y are COORD_KEYS[1:], so COORD_KEYS slot k of the
 # tracealg tables is column k - 1 of y; its s-array holds s0 and the six
 # s-pairs in their SCoords slots 0..6. The Newton loop solves the system
-# [J | -f]: 32 equations, each with its 10 derivatives and then its negated
+# [J | -f]: 26 equations, each with its 10 derivatives and then its negated
 # residual, so entry (i, j) of a row's system is entry 11 i + j of the row.
+_EQS = 16 + len(_TYPEI_KEPT)
 
 # columns of (t12, t13, t14, t23, t24, t123, t124) after each subscript
 # rotation p; they enter the residual rows 3p + (tr0, tr1-tr2, tr1+tr2)
@@ -49,8 +55,15 @@ _ALT = np.array([1, -1, 1, -1])
 _II_ROWS, _II_COLS, _II_J = np.array(
     [(i, _GRAM[i, j] - 1, j) for i in range(4) for j in range(4)
      if i != j]).T
-# type I: row 16 + 4a + b pairs triples I = TRIPLES[a] and J = TRIPLES[b]
-_TI_A, _TI_B = np.divmod(np.arange(16), 4)
+# type I: row 16 + r is relation _TYPEI_KEPT[r] = 4a + b, which pairs
+# triples I = TRIPLES[a] and J = TRIPLES[b]; rows 16..19 have a = b, and
+# rows 20..25, with a < b, each stand for two relations and carry weight
+# sqrt 2 (entries and residual), which the stop rules divide back out
+# (_max_residual)
+_TI_SLOTS = tuple(_TYPEI_SLOTS[r] for r in _TYPEI_KEPT)
+_TI_A, _TI_B = np.divmod(np.array(_TYPEI_KEPT), 4)
+_TI_PAIRED = 16 + int(np.count_nonzero(_TI_A == _TI_B))  # 1st weighted row
+_SQRT2 = np.sqrt(2)
 
 
 def _minor_table():
@@ -58,17 +71,18 @@ def _minor_table():
 
     Cofactor (i, j) of a 3x3 minor M is M[i', j'] M[i'', j''] -
     M[i', j''] M[i'', j'] with i' = i + 1 and i'' = i + 2 (mod 3), the same
-    for j. The 144 cofactors of the 16 minors are, up to sign, 46 distinct
-    2x2 minors s_a s_b - s_c s_d of the s-array, with operand order kept
-    (complex products need not commute bitwise). Returns the (46, 4) slots
-    (a, b, c, d); the column of each cofactor in mx = [m, -m, 0], the
-    minors, their negatives and a zero; and, as two (16, 6) tables, the mx
-    columns of the entries (row-major) of minor r that hold pair column k.
+    for j. The 90 cofactors of the ten kept minors are, up to sign, 41
+    distinct 2x2 minors s_a s_b - s_c s_d of the s-array, with operand
+    order kept (complex products need not commute bitwise). Returns the
+    (41, 4) slots (a, b, c, d); the column of each cofactor in
+    mx = [m, -m, 0], the minors, their negatives and a zero; and, as two
+    (10, 6) tables, the mx columns of the entries (row-major) of minor r
+    that hold pair column k.
     A pair sits in at most two entries, and a missing one points at the
     zero column; diagonal entries are the constant s0 and hold no pair.
     """
     seen, signed = {}, []      # minor -> its index; (index, negated)
-    for pos in _TYPEI_SLOTS:
+    for pos in _TI_SLOTS:
         g = [_GRAM_SLOTS[p] for p in pos]
         rows = g[:3], g[3:6], g[6:]
         for i in range(3):
@@ -80,8 +94,8 @@ def _minor_table():
                               else (seen.setdefault(key, len(seen)), False))
     ops = list(seen)
     cof = [k + len(ops) if negated else k for k, negated in signed]
-    gather = [[[2 * len(ops)] * 6 for _ in _TYPEI_SLOTS] for _ in range(2)]
-    for r, pos in enumerate(_TYPEI_SLOTS):
+    gather = [[[2 * len(ops)] * 6 for _ in _TI_SLOTS] for _ in range(2)]
+    for r, pos in enumerate(_TI_SLOTS):
         used = [0] * 6
         for e, p in enumerate(pos):
             k = _GRAM_SLOTS[p] - 1
@@ -92,28 +106,28 @@ def _minor_table():
 
 
 _MINOR_OPS, _COF, _TI_GATHER = map(np.array, _minor_table())
-_COF = _COF.reshape(16, 3, 3)
-_TI_GATHER = _TI_GATHER.reshape(2, 96)      # entries (r, c < 6), r-major
-_TI_ROW0 = _GRAM.ravel()[np.array(_TYPEI_SLOTS)[:, :3]]  # s-slots, row 0
+_COF = _COF.reshape(-1, 3, 3)
+_TI_GATHER = _TI_GATHER.reshape(2, -1)      # entries (r, c < 6), r-major
+_TI_ROW0 = _GRAM.ravel()[np.array(_TI_SLOTS)[:, :3]]  # s-slots, row 0
 
 
 def _typeI_jac_table():
     """Index tables of the type I Jacobian before its pair cofactors.
 
-    Entry (r, c) of row r = 4a + b is 2 (st_b dst[a, c] + st_a dst[b, c]),
-    with dst = d st / dy. An entry of dst is -t/2 on the pair columns of
-    its shift, 1 on the shift's own column and 0 elsewhere, so each product
-    is one of 12: st_i times value v, row 4 v + i of a (12, n) table. The
-    160 sums have 84 distinct operand pairs. Returns their product rows as
-    two lists, the st_b product first as the sum adds them; and the pair of
-    each entry (r, c), r-major, for c < 6 and for c >= 6.
+    Entry (r, c) of row r, relation 4a + b, is
+    2 (st_b dst[a, c] + st_a dst[b, c]), with dst = d st / dy. An entry of
+    dst is -t/2 on the pair columns of its shift, 1 on the shift's own
+    column and 0 elsewhere, so each product is one of 12: st_i times value
+    v, row 4 v + i of a (12, n) table. The 100 sums have 48 distinct
+    operand pairs. Returns their product rows as two lists, the st_b
+    product first as the sum adds them; and the pair of each entry (r, c),
+    r-major, for c < 6 and for c >= 6.
     """
     def value(i, c):                      # 0, 1 or -t/2, as 0, 1 or 2
         return 2 if c in _SHIFT_PAIRS[i] else int(c == 6 + i)
 
     seen, k = {}, []
-    for r in range(16):
-        a, b = divmod(r, 4)
+    for a, b in zip(_TI_A.tolist(), _TI_B.tolist()):
         k.append([seen.setdefault((4 * value(a, c) + b, 4 * value(b, c) + a),
                                   len(seen)) for c in range(10)])
     sum_b, sum_a = zip(*seen)
@@ -123,17 +137,19 @@ def _typeI_jac_table():
 
 _TI_SUM_B, _TI_SUM_A, _TI_SUM_PAIR, _TI_SUM_REST = map(
     np.array, _typeI_jac_table())
-# rows 11 r + c of the (176, n) type I entries, for c < 6 and for c >= 6
-_TI_PAIR_ROWS = (11 * np.arange(16)[:, None] + np.arange(6)).ravel()
-_TI_REST_ROWS = (11 * np.arange(16)[:, None] + np.arange(6, 10)).ravel()
+# rows 11 r + c of the (110, n) type I entries, for c < 6 and for c >= 6
+_TI_PAIR_ROWS = (11 * np.arange(len(_TI_A))[:, None] + np.arange(6)).ravel()
+_TI_REST_ROWS = (11 * np.arange(len(_TI_A))[:, None]
+                 + np.arange(6, 10)).ravel()
 
 
 class _ProbeSystem:
-    """The systems [J | -f] of {12 trace equations, 4 type II, 16 type I}
+    """The systems [J | -f] of {12 trace equations, 4 type II, 10 type I}
     at one trace t, for each row of y, an (n, 10) array of the coordinates
-    COORD_KEYS[1:]: the raw residuals f, ordered as trace_equation_residuals,
-    typeII_residuals and typeI_residuals list them, and their exact
-    derivatives J.
+    COORD_KEYS[1:]: the raw residuals f, ordered as trace_equation_residuals
+    and typeII_residuals list them and then as tracealg._TYPEI_KEPT picks
+    them from typeI_residuals, and their exact derivatives J. The six type
+    I rows that stand for two relations are scaled by sqrt 2, f and J alike.
 
     Every equation has degree <= 3 and the s-coordinates are affine in y,
     so the type I derivatives are the cofactors of the 3x3 Gram minors
@@ -143,9 +159,9 @@ class _ProbeSystem:
     The tables that depend on t alone (d st / dy in its type II and type I
     forms, s0, and the constant trace-equation entries) are computed once
     per t. A call on an (n, 10) array y writes the entries of its n systems
-    into the first 352 n entries of a buffer the system owns, entry-major
+    into the first 286 n entries of a buffer the system owns, entry-major
     (entry e of all n rows is one contiguous run), and returns the
-    (n, 32, 11) view of them. The buffer grows only when a call has more
+    (n, 26, 11) view of them. The buffer grows only when a call has more
     rows than any before it, so a Newton loop does not allocate and free
     its largest array every iteration; the view is valid only until the
     next call, which overwrites it. Every entry is written on every call,
@@ -169,10 +185,10 @@ class _ProbeSystem:
         self._buf = np.empty(0, dtype=complex)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        n = len(y)
-        if self._buf.size < 352 * n:
-            self._buf = np.empty(352 * n, dtype=complex)
-        ent = self._buf[:352 * n].reshape(352, n)  # entry 11 i + j of a row
+        n, size = len(y), 11 * _EQS * len(y)
+        if self._buf.size < size:
+            self._buf = np.empty(size, dtype=complex)
+        ent = self._buf[:size].reshape(11 * _EQS, n)  # entry 11 i + j of a row
         ent[_EQ_CONST] = self.eq_const
         ent[_EQ_ZERO] = 0
         self._trace_rows(y, ent)
@@ -181,9 +197,10 @@ class _ProbeSystem:
         np.subtract(y[:, :6], self.half_tt, out=s[:, 1:])
         st = (y[:, 6:] - self.half_t * y[:, _SHIFT_COLS].sum(axis=2)
               + self.half_t3)
-        ent = ent.reshape(32, 11, n)
+        ent = ent.reshape(_EQS, 11, n)
         self._typeII_rows(s, st, ent[12:16])
         self._typeI_rows(s.T, st.T, ent[16:])
+        ent[_TI_PAIRED:] *= _SQRT2
         np.negative(ent[:, 10], out=ent[:, 10])
         return ent.transpose(2, 0, 1)
 
@@ -230,15 +247,15 @@ class _ProbeSystem:
         ent[_II_ROWS, _II_COLS] += w[:, _II_J].T
 
     def _typeI_rows(self, s, st, ent):
-        """Rows 16..31: the type I relations, from the 46 minors of the
-        entry-major (7, n) s-array s and (4, n) shifts st."""
+        """Rows 16..25, unweighted: the kept type I relations, from the 41
+        minors of the entry-major (7, n) s-array s and (4, n) shifts st."""
         nm, n = len(_MINOR_OPS), s.shape[1]
         mx = np.empty((2 * nm + 1, n), dtype=complex)
         a, b, c, d = _MINOR_OPS.T
         np.subtract(s[a] * s[b], s[c] * s[d], out=mx[:nm])
         np.negative(mx[:nm], out=mx[nm:2 * nm])
         mx[2 * nm] = 0
-        row, cof = s[_TI_ROW0], mx[_COF[:, 0, :]]       # (16, 3, n) each
+        row, cof = s[_TI_ROW0], mx[_COF[:, 0, :]]       # (10, 3, n) each
         sa, sb = st[_TI_A], st[_TI_B]
         np.add(2 * sa * sb, row[:, 0] * cof[:, 0] + row[:, 1] * cof[:, 1]
                + row[:, 2] * cof[:, 2], out=ent[:, 10])
@@ -257,7 +274,7 @@ class _ProbeSystem:
         del prod
         np.multiply(2, sums, out=sums)
         np.add(sums[_TI_SUM_PAIR], pairs, out=pairs)
-        flat = ent.reshape(176, n)
+        flat = ent.reshape(11 * len(_TI_A), n)
         flat[_TI_PAIR_ROWS] = pairs
         flat[_TI_REST_ROWS] = sums[_TI_SUM_REST]
 
@@ -268,20 +285,21 @@ class _ProbeSystem:
 #: the Newton loop's working set: at most this many starts are advanced
 #: together as one array, and a start that stops hands its row to the next
 #: unstarted one (each start's iterates do not depend on it). A row's
-#: system [J | -f] takes 5632 bytes of the buffer that the call keeps, and
-#: an iteration about 13.4 KB a row at its peak (that system,
+#: system [J | -f] takes 4576 bytes of the buffer that the call keeps, and
+#: an iteration about 11.4 KB a row at its peak (that system,
 #: np.linalg.qr's copy of it and the R of every row). Each iteration also
 #: pays about 100 C-level calls whatever its width (numpy and builtins, as
-#: counted by sys.setprofile); 128 rows spread them over more starts (42
+#: counted by sys.setprofile); 128 rows spread them over more starts (41
 #: iterations for the 200 starts of a call at a probe benchmark panel t,
-#: 99 at width 32: the mean of the three panel t at seed 7), and the
+#: 92 at width 32: the mean of the three panel t at seed 7), and the
 #: probe benchmark ran 1.25-1.36x faster than at width 32 with 3% more
 #: peak RSS (2-vCPU Xeon VM). One explore_solve(1.7421+0.3885j, 7, 200)
-#: peaks at 1.84 MB of traced memory (numpy 2.4, Python 3.11);
-#: test_probe_working_memory_is_bounded holds it under 2.06 MB, 12% above.
+#: peaks at 1.60 MB of traced memory (numpy 2.4, Python 3.11);
+#: test_probe_working_memory_is_bounded holds it under 2.06 MB.
 _PROBE_BLOCK = 128
 
-# Newton stop rules (see _newton_starts), on the max raw residual of a start
+# Newton stop rules (see _newton_starts), on the max raw residual of a
+# start over the unweighted rows (_max_residual)
 
 #: iteration cap; a start still running then is judged on its best point
 _NEWTON_ITERS = 100
@@ -381,6 +399,14 @@ def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return steps
 
 
+def _max_residual(aug: np.ndarray) -> np.ndarray:
+    """Each system's max |f| over the unweighted rows of the (n, 26, 11)
+    stack aug: its max over all 32 equations, up to rounding."""
+    res = np.abs(aug[:, :, -1])
+    res[:, _TI_PAIRED:] /= _SQRT2
+    return res.max(axis=1)
+
+
 def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Undamped Gauss-Newton from every start row of y (overwritten): each
@@ -390,12 +416,14 @@ def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
 
     At most _PROBE_BLOCK starts are live at a time, in start order; when a
     start stops or fails, or has taken _NEWTON_ITERS steps, the next
-    unstarted one takes its row. An iteration builds the (n, 32, 11) stack
+    unstarted one takes its row. An iteration builds the (n, 26, 11) stack
     [J | -f] of its n live rows (_ProbeSystem, whose per-t tables and
     buffer are made once per call), applies the stop rules, and solves the
     rows that go on, in order, from the unmasked stack (_augmented_steps
     drops the others after its QR, which copies the stack anyway); it then
-    checks each step. A start stops when its max residual reaches
+    checks each step. Every rule reads a start's max |f| over the
+    unweighted rows (_max_residual), which is its max over all 32
+    equations up to rounding. A start stops when its max residual reaches
     _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
     decrease), or is still above _WANDER_RES after _WANDER_ITER of its
     iterations. It also stops once its residual is above _WANDER_RES and
@@ -427,7 +455,7 @@ def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size:
             aug = system(y[live])
-            fmax = np.abs(aug[:, :, -1]).max(axis=1)   # |f|
+            fmax = _max_residual(aug)
             better = fmax < best_res[live]
             best_y[live[better]] = y[live[better]]
             best_res[live[better]] = fmax[better]

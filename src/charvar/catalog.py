@@ -503,6 +503,13 @@ def _is_reducible_like(v: TraceVector) -> bool:
                for x in _t_pairs(v))
 
 
+def _abelian_vector(t: complex) -> TraceVector:
+    """The abelian character, x1 = x2 = x3 = x4: t_ij = t^2 - 2 and
+    t_ijk = t^3 - 3t. Every reducible start of the probe ends at it."""
+    d, c = t * t - 2, t ** 3 - 3 * t
+    return TraceVector(t, d, d, d, d, d, d, c, c, c, c)
+
+
 def classify_point(v: TraceVector) -> str:
     """Component id, or one of "reducible", "non-character", "unclassified"."""
     if definitive_excess(s_from_t(v), 1e-6):  # NaN included
@@ -529,19 +536,24 @@ def explore_solve(t: complex, seed: int,
     4 type II, 16 type I} over the 10 free coordinates at fixed t.
 
     Start k is _probe_start(seed, k). The Newton loop, its step solve and
-    its stop rules are _probe_kernel._newton_starts's; each start's
-    iterates are bitwise the same whatever starts run beside it.
+    its stop rules are _probe_kernel._newton_starts's, which solves each
+    type I relation once: the ten distinct ones, weighted so that every
+    step is that of all 16. Each start's iterates are bitwise the same
+    whatever starts run beside it.
 
     Type I relations are part of the solved system: without them the probe
     converges onto large spurious zero sets that are not characters of any
-    quadruple. The loop is handed the exact catalog samples at t, and a
-    start whose step lands within _SNAP_RADIUS (1e-4, the stall radius of
-    multiple roots) of one from inside _WANDER_RES stops on the first such
-    sample, which is its output; every other converged point is classified
-    by membership residual. On every call compared this is the output of
-    running each start on to its root and snapping a root within
-    _SNAP_RADIUS of a sample onto the first such sample
-    (test_sample_stop_changes_no_explore_output). Unclassified
+    quadruple. The loop is handed the exact catalog samples at t and, last,
+    the abelian character (_abelian_vector), a singular root toward which
+    every reducible start crawls. A start whose step lands within
+    _SNAP_RADIUS (1e-4, the stall radius of multiple roots) of one of these
+    points from inside _WANDER_RES stops on the first such point, which is
+    its output: a catalog sample with its id, or the abelian character
+    labelled "reducible", so a sample wins a tie. Every other converged
+    point is classified by membership residual. On every call compared
+    this is the output of running each start on to its root and snapping a
+    root within _SNAP_RADIUS of one of these points onto the first such
+    point (test_sample_stop_changes_no_explore_output). Unclassified
     findings are returned, never dropped. Results come in start order and
     are deterministic for fixed (seed, attempts); the first n of them
     depend only on the first n starts.
@@ -549,8 +561,10 @@ def explore_solve(t: complex, seed: int,
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
     t = _as_t(t, "explore")
-    exact = [smp for cid in COMPONENTS for smp in sample_component(cid, t)]
-    targets = np.array([_t_coords(smp.vector)[1:] for smp in exact])
+    exact = [(smp.vector, smp.id)
+             for cid in COMPONENTS for smp in sample_component(cid, t)]
+    exact.append((_abelian_vector(t), "reducible"))   # last: samples win ties
+    targets = np.array([_t_coords(v)[1:] for v, _ in exact])
     starts = np.empty((attempts, 10), dtype=complex)
     for k in range(attempts):
         starts[k] = _probe_start(seed, k)
@@ -560,7 +574,7 @@ def explore_solve(t: complex, seed: int,
     out = []
     for y, j in zip(best[ok].tolist(), on[ok].tolist()):
         if j >= 0:
-            out.append((exact[j].vector, exact[j].id))
+            out.append(exact[j])
         else:
             v = TraceVector(t, *y)
             out.append((v, classify_point(v)))

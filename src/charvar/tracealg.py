@@ -101,6 +101,12 @@ def _positions(rows, cols) -> tuple:
 #: TRIPLES[a], columns TRIPLES[b]
 _TYPEI_SLOTS = tuple(_positions(_TRIPLE_ROWS[a], _TRIPLE_ROWS[b])
                      for a in range(4) for b in range(4))
+#: the ten distinct type I relations 4a + b: the four with a = b, then the
+#: six with a < b. The Gram matrix is symmetric, so the minor of relation
+#: 4b + a is the transpose of relation 4a + b's, and the two relations are
+#: one polynomial; typeI_residuals still evaluates all 16
+_TYPEI_KEPT = (tuple(5 * a for a in range(4))
+               + tuple(4 * a + b for a in range(4) for b in range(a + 1, 4)))
 
 #: the six pair / four triple values of a TraceVector, and the four triple
 #: values of an SCoords, in PAIRS / TRIPLES order

@@ -31,8 +31,9 @@ from charvar.errors import (CharVarError, ConstraintViolated,
                             ExcludedParameter, UnknownComponent)
 from charvar.mat2 import _worst
 from charvar.reconstruct import realize_character
-from charvar.tracealg import (_TYPEI_SLOTS, COORD_KEYS, TraceVector,
-                              _t_coords, s_from_t, typeI_residuals,
+from charvar.tracealg import (_TYPEI_KEPT, _TYPEI_SLOTS, COORD_KEYS,
+                              TraceVector, _t_coords, s_from_t,
+                              trace_equation_residuals, typeI_residuals,
                               typeII_residuals)
 from charvar.wirtinger import (TRACE_EQ_TOL, is_representation,
                                necessary_conditions_residual)
@@ -40,9 +41,19 @@ from charvar.wirtinger import (TRACE_EQ_TOL, is_representation,
 SQRT3 = cmath.sqrt(3)
 
 
+#: the probe system's rows: the 12 trace equations and the 4 type II
+#: relations, then the kept type I relations, as rows of the 32 that
+#: trace_equation_residuals, typeII_residuals and typeI_residuals list
+_PROBE_ROWS = [*range(16), *(16 + r for r in _TYPEI_KEPT)]
+#: the weight of each probe row: sqrt 2 for a type I relation 4a + b with
+#: a < b, which also stands for relation 4b + a
+_PROBE_WEIGHT = np.array([1.0] * 16 + [math.sqrt(2) if r // 4 < r % 4
+                                        else 1.0 for r in _TYPEI_KEPT])
+
+
 def probe_f_jac(t, y):
-    """The raw residuals f and the Jacobian J at each row of y."""
-    aug = _probe_kernel._ProbeSystem(t)(y)
+    """The raw residuals f and the Jacobian J at each row of y, unweighted."""
+    aug = _probe_kernel._ProbeSystem(t)(y) / _PROBE_WEIGHT[:, None]
     return -aug[:, :, 10], aug[:, :, :10]
 
 
@@ -633,13 +644,12 @@ def test_nan_coordinate_is_never_labelled():
 
 def test_probe_system_matches_public_functions(rng):
     # the batched probe kernel must agree with the reference implementations
-    from charvar.tracealg import TraceVector, trace_equation_residuals
     for _ in range(10):
         coords = rng.standard_normal(11) + 1j * rng.standard_normal(11)
         v = TraceVector(*coords)
         s = s_from_t(v)
         ref = np.array(trace_equation_residuals(v) + typeII_residuals(s)
-                       + typeI_residuals(s))
+                       + typeI_residuals(s))[_PROBE_ROWS]
         got, _ = probe_f_jac(v.t, coords[None, 1:])
         assert np.abs(got[0] - ref).max() <= 1e-10 * max(
             1.0, np.abs(ref).max())
@@ -660,42 +670,145 @@ def test_probe_jacobian_matches_finite_differences(rng):
 
 
 def _typeI_by_cofactors(t, y):
-    """The type I rows of the probe system from all 144 cofactors of the 16
-    Gram minors, each Jacobian entry the sum of the cofactors of the Gram
-    entries that hold its pair, in row-major order."""
+    """The weighted type I rows of the probe system from all 90 cofactors of
+    the ten kept Gram minors, each Jacobian entry the sum of the cofactors
+    of the Gram entries that hold its pair, in row-major order."""
     n, nxt, aft, tt = len(y), [1, 2, 0], [2, 0, 1], t * t
-    ta, tb = _probe_kernel._TI_A, _probe_kernel._TI_B
+    kept = len(_TYPEI_KEPT)
+    ta, tb = np.divmod(_TYPEI_KEPT, 4)
     shift = _probe_kernel._SHIFT_COLS
     s = np.concatenate([np.full((n, 1), tt / 2 - 2), y[:, :6] - tt / 2], 1)
     st = y[:, 6:] - (t / 2) * y[:, shift].sum(axis=2) + t ** 3 / 2
     dst = np.zeros((4, 10), dtype=complex)
     dst[np.arange(4)[:, None], shift] = -t / 2
     dst[:, 6:] = np.eye(4)
-    slots = _probe_kernel._GRAM.ravel()[np.array(_TYPEI_SLOTS)]  # (16, 9)
-    minor = s[:, slots.reshape(16, 3, 3)]
+    slots = _probe_kernel._GRAM.ravel()[
+        np.array(_TYPEI_SLOTS)[list(_TYPEI_KEPT)]]             # (10, 9)
+    minor = s[:, slots.reshape(kept, 3, 3)]
     r1, r2 = minor[:, :, nxt], minor[:, :, aft]
     cof = r1[..., nxt] * r2[..., aft] - r1[..., aft] * r2[..., nxt]
     det = (minor[..., 0, 0] * cof[..., 0, 0] + minor[..., 0, 1] * cof[..., 0, 1]
            + minor[..., 0, 2] * cof[..., 0, 2])
     sa, sb = st[:, ta], st[:, tb]
     jac = 2 * (sb[:, :, None] * dst[ta] + sa[:, :, None] * dst[tb])
-    per_pair = np.zeros((n, 16, 6), dtype=complex)
+    per_pair = np.zeros((n, kept, 6), dtype=complex)
     for r, e in zip(*np.nonzero(slots)):         # slot 0 is s0, no pair
-        per_pair[:, r, slots[r, e] - 1] += cof.reshape(n, 16, 9)[:, r, e]
+        per_pair[:, r, slots[r, e] - 1] += cof.reshape(n, kept, 9)[:, r, e]
     jac[:, :, :6] += per_pair
-    return 2 * sa * sb + det, jac
+    f = 2 * sa * sb + det
+    paired = ta < tb
+    f[:, paired] *= math.sqrt(2)
+    jac[:, paired] *= math.sqrt(2)
+    return f, jac
 
 
 def test_minor_table_matches_cofactors_bitwise(rng):
-    assert len(_probe_kernel._MINOR_OPS) == 46
+    assert len(_probe_kernel._MINOR_OPS) == 41
     for t in (2 + 0j, 1e-3 + 2e-3j, 1.1 + 0.7j, -2.3 - 0.4j):
         for n in (1, 7, 32, 100):
             shape = (n, 10)
             y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            f, jac = probe_f_jac(t, y)
+            aug = _probe_kernel._ProbeSystem(t)(y)
+            f, jac = -aug[:, :, 10], aug[:, :, :10]
             ref_f, ref_jac = _typeI_by_cofactors(t, y)
             assert f[:, 16:].tobytes() == ref_f.tobytes()
             assert jac[:, 16:].tobytes() == ref_jac.tobytes()
+
+
+class _Dual:
+    """a + b e with e^2 = 0 and b a gradient. The scalar kernels are plain
+    field arithmetic, so on coordinates a + e_k e they return each residual
+    with its exact gradient (forward-mode differentiation)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.a + o.a, self.b + o.b)
+        return _Dual(self.a + o, self.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.a, -self.b)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.a * o.a, self.a * o.b + o.a * self.b)
+        return _Dual(self.a * o, self.b * o)
+
+    __rmul__ = __mul__
+
+
+def _scalar_rows(t, y):
+    """The 32 raw residuals of the scalar kernels at the coordinates y
+    (COORD_KEYS[1:]) and their (32, 10) Jacobian in y."""
+    eye = np.eye(10)
+    v = TraceVector(t, *(_Dual(c, eye[k]) for k, c in enumerate(y.tolist())))
+    s = s_from_t(v)
+    rows = (trace_equation_residuals(v) + typeII_residuals(s)
+            + typeI_residuals(s))
+    return np.array([r.a for r in rows]), np.array([r.b for r in rows])
+
+
+def test_weighted_rows_keep_the_normal_equations(rng, monkeypatch):
+    # the 26 weighted rows of the probe system have the J^H J and J^H f of
+    # all 32 equations of the scalar kernels, to rounding, so the Newton
+    # step is that of all 16 type I relations: on random y, and on rows
+    # whose rank-deficient J takes the lstsq fallback (X51's and X52's
+    # samples, and the abelian character)
+    svd_rows, svd_steps = [0], _probe_kernel._svd_steps
+
+    def spy(j, r):
+        svd_rows[0] += len(j)
+        return svd_steps(j, r)
+
+    monkeypatch.setattr(_probe_kernel, "_svd_steps", spy)
+    for t in (1.3 + 0.4j, 2 + 0j, -2.3 - 0.4j):
+        y = rng.standard_normal((5, 10)) + 1j * rng.standard_normal((5, 10))
+        singular = np.array(
+            [_t_coords(v)[1:] for v in (sample_component("X51", t)[0].vector,
+                                        sample_component("X52", t)[0].vector,
+                                        _abelian(t))])
+        for rows, fallback in ((y, 0), (singular, len(singular))):
+            aug = _probe_kernel._ProbeSystem(t)(rows)
+            svd_rows[0] = 0
+            _augmented_steps(aug, np.ones(len(rows), dtype=bool))
+            assert svd_rows[0] == fallback, t
+            for k, row in enumerate(rows):
+                f, jac = _scalar_rows(t, row)
+                jac_w, f_w = aug[k, :, :10], -aug[k, :, 10]
+                scale = np.abs(jac).max() * max(np.abs(jac).max(),
+                                                np.abs(f).max())
+                for got, want in ((jac_w.conj().T @ jac_w,
+                                   jac.conj().T @ jac),
+                                  (jac_w.conj().T @ f_w, jac.conj().T @ f)):
+                    assert np.abs(got - want).max() <= 1e-13 * scale, (t, k)
+
+
+def test_stop_rules_read_the_unweighted_residual(rng):
+    # the stop rules read each start's max |f| over all 32 equations, not
+    # the max over the weighted rows, which can be up to sqrt 2 larger
+    t = 1.3 + 0.4j
+    y = rng.standard_normal((40, 10)) + 1j * rng.standard_normal((40, 10))
+    aug = _probe_kernel._ProbeSystem(t)(y)
+    got = _probe_kernel._max_residual(aug)
+    weighted = np.abs(aug[:, :, 10]).max(axis=1)
+    larger = 0
+    for k, row in enumerate(y):
+        want = np.abs(_scalar_rows(t, row)[0]).max()
+        assert abs(got[k] - want) <= 1e-13 * want, k
+        larger += weighted[k] > 1.2 * want
+    assert larger >= 10
 
 
 def test_probe_system_buffer_keeps_no_state(rng):
@@ -824,8 +937,9 @@ def test_explore_classifies(rng):
 
 
 def test_explore_at_parabolic_slice(monkeypatch):
-    # at t = 2 the fallback is heaviest: 1,313 of this call's Newton rows
-    # go to _svd_steps
+    # at t = 2 the fallback is heaviest: 1,312 of this call's Newton rows
+    # go to _svd_steps, though the reducible starts, which took most of
+    # them, stop on the abelian character
     svd_rows, svd_steps = [0], _probe_kernel._svd_steps
 
     def spy(j, r):
@@ -833,10 +947,11 @@ def test_explore_at_parabolic_slice(monkeypatch):
         return svd_steps(j, r)
 
     monkeypatch.setattr(_probe_kernel, "_svd_steps", spy)
-    found = explore_solve(2, seed=0, attempts=100)
+    found = explore_solve(2, seed=0, attempts=300)
     assert svd_rows[0] > 1000
     assert Counter(lbl for _, lbl in found) == {
-        "reducible": 79, "X4": 20, "X61": 1}
+        "reducible": 238, "X4": 53, "X61": 3, "X52": 2, "X51": 2, "X62": 1,
+        "X3": 1}
 
 
 def test_explore_starts_independent_of_blocking(monkeypatch):
@@ -918,12 +1033,22 @@ def _samples_at(t):
     return exact, np.array([_t_coords(smp.vector)[1:] for smp in exact])
 
 
+def _abelian(t):
+    """The abelian character x1 = x2 = x3 = x4 at t."""
+    d, c = t * t - 2, t ** 3 - 3 * t
+    return TraceVector(t, *(d,) * 6, *(c,) * 4)
+
+
 def _run_on_and_snap(t, seed, attempts):
     """explore_solve(t, seed, attempts) with no sample stop: every start
     runs on to its root, and each converged point is then snapped onto the
-    first sample within _SNAP_RADIUS in max norm, or else classified."""
+    first sample within _SNAP_RADIUS in max norm, then onto the abelian
+    character, labelled "reducible", or else classified."""
     t = complex(t)
     exact, samples = _samples_at(t)
+    targets = [(smp.vector, smp.id) for smp in exact]
+    targets.append((_abelian(t), "reducible"))
+    samples = np.concatenate([samples, [_t_coords(_abelian(t))[1:]]])
     starts = np.concatenate([_explore_start(seed, k) for k in range(attempts)])
     best, ok, on = _probe_kernel._newton_starts(t, starts, _NO_SAMPLES)
     assert (on == -1).all()
@@ -931,8 +1056,7 @@ def _run_on_and_snap(t, seed, attempts):
     for y in best[ok]:
         near = np.abs(y - samples).max(axis=1) <= _probe_kernel._SNAP_RADIUS
         if near.any():
-            smp = exact[near.argmax()]
-            out.append((smp.vector, smp.id))
+            out.append(targets[near.argmax()])
         else:
             v = TraceVector(t, *y.tolist())
             out.append((v, classify_point(v)))
@@ -940,12 +1064,13 @@ def _run_on_and_snap(t, seed, attempts):
 
 
 def test_sample_stop_changes_no_explore_output(monkeypatch):
-    # a start stopped on a sample gets the output that running it on to its
-    # root and snapping the root onto a sample gives; the calls add the CI
-    # step's explore commands, t = 2 among them, where most converged
-    # points are reducible
+    # a start stopped on a sample, or on the abelian character, gets the
+    # output that running it on to its root and snapping the root onto a
+    # sample or the abelian character gives; the calls add the CI step's
+    # explore commands, t = 2 among them, where most converged points are
+    # reducible
     calls = _stop_rule_calls() + [
-        (2, 0, 100), (1.7421 + 0.3885j, 7, 200), (1.7421 + 0.3885j, 7, 300)]
+        (2, 0, 300), (1.7421 + 0.3885j, 7, 200), (1.7421 + 0.3885j, 7, 300)]
     count = _count_probe_rows(monkeypatch)
     found, rows = [], []
     for run in (explore_solve, _run_on_and_snap):
@@ -1022,6 +1147,42 @@ def test_sample_stop_ends_a_start_near_a_sample(monkeypatch):
     assert samples[on].tobytes() == roots.tobytes()
 
 
+def test_abelian_stop_ends_a_start_near_it(monkeypatch):
+    # starts 1e-5 from the abelian character, where the probe's reducible
+    # starts end, stop on it after the first system build and its step:
+    # each is labelled "reducible", with the exact vector
+    rng = np.random.default_rng(8)
+    count = _count_probe_rows(monkeypatch)
+    for t in (1.3 + 0.4j, 2 + 0j, -0.3 + 2j):
+        abelian = np.array(_t_coords(_abelian(t))[1:])
+        near = abelian + 1e-5 * np.exp(2j * np.pi * rng.random((4, 10)))
+        monkeypatch.setattr(catalog, "_probe_start", lambda seed, k: near[k])
+        count.update(calls=0, rows=0)
+        found = explore_solve(t, seed=0, attempts=len(near))
+        assert count == {"calls": 1, "rows": len(near)}, t
+        assert [lbl for _, lbl in found] == ["reducible"] * len(near), t
+        assert {repr(v) for v, _ in found} == {repr(_abelian(t))}, t
+
+
+def test_reducible_outputs_are_the_abelian_character():
+    # at the probe benchmark's panel t, and just outside SAMPLER_MARGIN
+    # around +-sqrt3 and +-sqrt5, where reducible characters meet the
+    # components (Burde-de Rham), every "reducible" output is the abelian
+    # character's exact vector
+    calls = [(t, 7, 200) for t in (1.3585 + 1.6948j, 1.7421 + 0.3885j,
+                                   0.5667 + 1.1545j)]
+    calls += [(b + 1.02 * SAMPLER_MARGIN * cmath.exp(1j * a), 9, 100)
+              for b in (SQRT3, -SQRT3, cmath.sqrt(5), -cmath.sqrt(5))
+              for a in (0.3, 2.0)]
+    reducible = 0
+    for t, seed, attempts in calls:
+        for v, lbl in explore_solve(t, seed, attempts):
+            if lbl == "reducible":
+                reducible += 1
+                assert repr(v) == repr(_abelian(t)), t
+    assert reducible >= 100
+
+
 def test_sample_stop_waits_for_a_residual_below_wander_res(monkeypatch):
     # start 0 of seed 7 at t = 1.3+0.4i has max residual 45.3; its first
     # iterate, handed to the loop as the only sample, lies on that sample,
@@ -1057,15 +1218,13 @@ def test_probe_rows_bitwise_independent_of_block(rng):
         for row, cid in zip((1, _PROBE_BLOCK // 2, -2), ("X51", "X61", "X3")):
             smp = sample_component(cid, t)[0]
             y[row] = _t_coords(smp.vector)[1:]
-        f, jac = probe_f_jac(t, y)
-        steps = _augmented_steps(np.dstack([jac, -f]),
-                                 np.ones(len(y), dtype=bool))
+        aug = _probe_kernel._ProbeSystem(t)(y)
+        steps = _augmented_steps(aug, np.ones(len(y), dtype=bool))
         for k in range(len(y)):
-            fk, jk = probe_f_jac(t, y[k:k + 1])
-            assert fk.tobytes() == f[k:k + 1].tobytes(), (t, k)
-            assert jk.tobytes() == jac[k:k + 1].tobytes(), (t, k)
-            assert _augmented_steps(np.dstack([jk, -fk]),
-                                    np.ones(1, dtype=bool)).tobytes() == \
+            alone = _probe_kernel._ProbeSystem(t)(y[k:k + 1])
+            assert alone.tobytes() == aug[k:k + 1].tobytes(), (t, k)
+            assert _augmented_steps(alone, np.ones(1, dtype=bool)
+                                    ).tobytes() == \
                 steps[k:k + 1].tobytes(), (t, k)
 
 

@@ -13,7 +13,8 @@ from charvar.mat2 import (IDENTITY, Mat2, _rel, _worst, is_irreducible_pair,
                           random_gt)
 from charvar.reconstruct import Quadruple
 from charvar.tracealg import (COORD_KEYS, TRIPLES, SCoords, TraceVector,
-                              _gram, _s_triples, _t_coords, definitive_excess,
+                              _S_KEYS, _TYPEI_KEPT, _gram, _s_triples,
+                              _t_coords, definitive_excess,
                               det_Sdiamond, s_from_t,
                               trace_equation_residuals, trace_vector_of,
                               typeI_residuals, typeII_residuals)
@@ -397,3 +398,19 @@ def test_kernels_are_generic_over_sympy_symbols():
             want = 2 * invariant[I] * invariant[J] + minor.det()
             assert sp.expand(residuals[4 * a + b] - want) == 0
     assert sp.expand(det_Sdiamond(s) - gram.det()) == 0
+
+
+def test_typeI_relation_pairs_are_one_polynomial():
+    # the Gram matrix is symmetric, so the minor of relation 4b + a is the
+    # transpose of relation 4a + b's: the two are one polynomial, and the
+    # probe keeps one relation of each such pair; the scalar kernel keeps
+    # all 16
+    sp = pytest.importorskip("sympy")
+    residuals = typeI_residuals(SCoords(*sp.symbols(_S_KEYS)))
+    assert len(residuals) == 16
+    pairs = list(itertools.combinations(range(4), 2))
+    assert len(pairs) == 6
+    for a, b in pairs:
+        assert sp.expand(residuals[4 * a + b] - residuals[4 * b + a]) == 0
+    assert sorted(tuple(sorted(divmod(r, 4))) for r in _TYPEI_KEPT) == \
+        sorted(itertools.combinations_with_replacement(range(4), 2))
