@@ -1,20 +1,17 @@
-"""The Newton probe's solver: the batched [J | -f] kernel, the step solve,
-and the Newton loop with its stop rules.
+"""The Newton probe's solver: the batched [J | -f] kernel (_ProbeSystem),
+the step solve (_augmented_steps), and the Newton loop with the rules that
+stop a start (_newton_starts).
 
 The probe system is {12 trace equations, 4 type II, 10 type I} in the ten
 coordinates COORD_KEYS[1:] at a fixed trace t, the same equations that
-tracealg's scalar kernels evaluate one vector at a time. Of the 16 type I
+tracealg's scalar kernels evaluate one vector at a time; _ProbeSystem
+evaluates them, with their exact derivatives, for many vectors at once,
+from index tables built on tracealg's slot tables. Of the 16 type I
 relations it keeps the ten distinct ones (tracealg._TYPEI_KEPT): each of
 the six that stands for two, 4a + b and 4b + a, carries weight sqrt 2, so
 J^H J and J^H f, and with them every least-squares step, are those of all
-16, with 26 rows in place of 32. _ProbeSystem
-evaluates them, with their exact derivatives, for many vectors at once,
-from index tables built on tracealg's slot tables; _newton_starts runs
-undamped Gauss-Newton on them from many starts at once, and
-_augmented_steps solves each iteration's steps. This module owns the
-[J | -f] system: its layout, its buffer, its step solve and the rules that
-stop a start. Its caller is catalog.explore_solve, which imports it on its
-first call, so a command that never probes does not build its tables.
+16, with 26 rows in place of 32. catalog imports it on first use, so a
+command that never probes does not build its tables.
 """
 
 from __future__ import annotations
@@ -289,17 +286,16 @@ class _ProbeSystem:
 #: an iteration about 11.4 KB a row at its peak (that system,
 #: np.linalg.qr's copy of it and the R of every row). Each iteration also
 #: pays about 100 C-level calls whatever its width (numpy and builtins, as
-#: counted by sys.setprofile); 128 rows spread them over more starts (41
+#: counted by sys.setprofile); 128 rows spread them over more starts (32
 #: iterations for the 200 starts of a call at a probe benchmark panel t,
-#: 92 at width 32: the mean of the three panel t at seed 7), and the
+#: 81 at width 32: the mean of the three panel t at seed 7), and the
 #: probe benchmark ran 1.25-1.36x faster than at width 32 with 3% more
 #: peak RSS (2-vCPU Xeon VM). One explore_solve(1.7421+0.3885j, 7, 200)
 #: peaks at 1.60 MB of traced memory (numpy 2.4, Python 3.11);
 #: test_probe_working_memory_is_bounded holds it under 2.06 MB.
 _PROBE_BLOCK = 128
 
-# Newton stop rules (see _newton_starts), on the max raw residual of a
-# start over the unweighted rows (_max_residual)
+# Newton stop rules (see _newton_starts)
 
 #: iteration cap; a start still running then is judged on its best point
 _NEWTON_ITERS = 100
@@ -314,19 +310,15 @@ _STALL_TOL = 1e-9
 #: 4-fold a step, so a smaller decrease is rounding noise
 _STALL_RATIO = 0.7
 #: a start still above _WANDER_RES after _WANDER_ITER iterations is given
-#: up. Nearly all such starts have settled long before (see _SETTLE_STEP);
-#: this is the backstop for the rare one that never settles
+#: up: the backstop for the rare one that never settles (see _SETTLE_COS)
 _WANDER_ITER = 50
 _WANDER_RES = 1e-1
-#: a start above _WANDER_RES whose step is at most this times
-#: max(1, max|y|) has settled at a stationary point of |f|^2 that is not a
-#: root, and is given up (MINPACK's x-convergence test, applied above the
-#: root floor). Over 50,509 starts at 254 t (|t| < 6, and a few sampler
-#: margins from every excluded t), 4,702 of the 4,847 starts given up at
-#: _WANDER_ITER had settled so, at a median iteration of 17. No start that
-#: converged took a step below 4.5e-5 relative while above _WANDER_RES,
-#: 45 times this bound.
-_SETTLE_STEP = 1e-6
+#: a start above _WANDER_RES whose cos theta (_augmented_steps) is at most
+#: this is at a stationary point of |f|^2 that is no root, where its step
+#: can lower ||f|| by at most cos^2 / 2 = 1e-5 relative: it is given up.
+#: Over 83,912 converged starts on 452 calls (|t| < 6, and the sampler
+#: margins), none fell below 1.75e-2, 3.9 times this, above _WANDER_RES.
+_SETTLE_COS = 4.47e-3
 #: a coordinate beyond this modulus has diverged: far outside every root
 _DIVERGED = 1e8
 #: the stall radius of multiple roots: a start whose step lands within this
@@ -350,18 +342,19 @@ def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _augmented_steps(aug: np.ndarray, keep: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The minimum-norm least-squares solutions of jac[i] x = rhs[i] that
     _svd_steps computes, for the systems aug[i] = [jac[i] | rhs[i]] of the
-    (n, m, k + 1) stack aug, with m >= k and in any memory layout, that the
-    (n,) bool mask keep selects; one row each, in order.
+    (n, m, k + 1) stack aug, with m > k and in any memory layout, that the
+    (n,) bool mask keep selects, one row each in order; and the cos theta
+    = ||P rhs|| / ||rhs|| of each, P the projection onto range(jac).
 
     One batched R-only QR of [jac | rhs] gives R and Q^H rhs for the whole
     stack: np.linalg.qr copies aug anyway, so it is passed unmasked, and
     the kept rows are selected from the small R. Each kept system is then
-    solved at once by back substitution,
-    R [X | x] = [I | Q^H rhs], from the last row up: X = R^-1 and
-    x = R^-1 Q^H rhs. A system with
+    solved at once by back substitution, R [X | x] = [I | Q^H rhs], from
+    the last row up: X = R^-1 and x = R^-1 Q^H rhs. A system with
     ||R||_F^2 ||X||_F^2 <= _QR_COND_MAX^2, a Frobenius condition number at
     most _QR_COND_MAX, has full column rank, lstsq drops none of its
     singular values, and its unique solution is x (Golub & Van Loan, Matrix
@@ -371,8 +364,12 @@ def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
     zero diagonal of R makes X inf or nan, ill-conditioned, or with an X
     that overflows) is solved by _svd_steps, numpy's lstsq one system at a
     time; a row that keep drops never reaches it. For finite input no
-    LinAlgError is raised. Each row's step is the same bytes whatever rows
-    share its stack, kept or not.
+    LinAlgError is raised. cos theta is ||R[:k, k]|| / ||R[:, k]||, as
+    R[:k, k] = Q1^H rhs (MINPACK's orthogonality test); Q1 spans more than
+    a rank-deficient jac's range, so there it can only read high, and a
+    zero rhs, or one whose squares underflow or overflow, reads nan. A
+    row's step and cos theta are the same bytes whatever rows share its
+    stack, kept or not.
     """
     k = aug.shape[2] - 1
     rows = np.flatnonzero(keep)
@@ -384,8 +381,10 @@ def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
     z = np.empty((n, k, k + 1), dtype=aug.dtype)   # [X | x]
     z[:, :, :k] = np.eye(k)
     z[:, :, k] = r[:, :k, k]
-    del r
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        col = np.abs(r[:, :, k]) ** 2   # |Q^H rhs|^2, summing to ||rhs||^2
+        del r
+        cos = np.sqrt(col[:, :k].sum(axis=1) / col.sum(axis=1))
         for i in range(k - 1, -1, -1):
             z[:, i] -= np.matmul(tri[:, i:i + 1, i + 1:], z[:, i + 1:])[:, 0]
             z[:, i] /= tri[:, i, i:i + 1]     # * (1 / r_ii) rounds otherwise
@@ -396,7 +395,15 @@ def _augmented_steps(aug: np.ndarray, keep: np.ndarray) -> np.ndarray:
     steps = z[:, :, k].copy()
     if bad.any():
         steps[bad] = _svd_steps(aug[rows[bad], :, :k], aug[rows[bad], :, k])
-    return steps
+    return steps, cos
+
+
+def _near(y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Which rows of the (n, 10) y lie within _SNAP_RADIUS of which rows of
+    the (m, 10) points, in max norm, as an (n, m) bool array: the loop's
+    stop on an exact point (its largest temporary, at most _PROBE_BLOCK
+    rows), and classify_point's abelian test."""
+    return np.abs(y[:, None] - points).max(axis=2) <= _SNAP_RADIUS
 
 
 def _max_residual(aug: np.ndarray) -> np.ndarray:
@@ -421,23 +428,22 @@ def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
     buffer are made once per call), applies the stop rules, and solves the
     rows that go on, in order, from the unmasked stack (_augmented_steps
     drops the others after its QR, which copies the stack anyway); it then
-    checks each step. Every rule reads a start's max |f| over the
-    unweighted rows (_max_residual), which is its max over all 32
-    equations up to rounding. A start stops when its max residual reaches
-    _ROOT_TOL, stalls at or below _STALL_TOL (less than a _STALL_RATIO
-    decrease), or is still above _WANDER_RES after _WANDER_ITER of its
-    iterations. It also stops once its residual is above _WANDER_RES and
-    its step at most _SETTLE_STEP times max(1, max|y|): settled at a
-    stationary point of |f|^2 that is not a root, it would be given up at
-    _WANDER_ITER anyway. It fails when a coordinate turns non-finite or
-    exceeds _DIVERGED in modulus. A start whose last residual was at most
-    _WANDER_RES and whose step takes it within _SNAP_RADIUS of a row of the
-    (m, 10) array samples, in max norm, is in that sample's basin: it stops
-    on the first such row before its next [J | -f] is built, and counts as
-    converged. A start that never comes that near runs as it would with no
-    samples; the step that ends a start's _NEWTON_ITERS is not tested, as
-    no system follows it. Every rule reads only the start's own residual,
-    step and y.
+    checks each step. Every rule reads a start's max |f| over all 32
+    equations, to rounding (_max_residual). A start stops when its max
+    residual reaches _ROOT_TOL, stalls at or below _STALL_TOL (less than a
+    _STALL_RATIO decrease), or is still above _WANDER_RES after
+    _WANDER_ITER of its iterations; or once its residual is above
+    _WANDER_RES and its cos theta (_augmented_steps) at most _SETTLE_COS:
+    settled at a stationary point of |f|^2 that is not a root, it would be
+    given up at _WANDER_ITER anyway. It fails when a coordinate turns
+    non-finite or exceeds _DIVERGED in modulus. A start whose last residual
+    was at most _WANDER_RES and whose step takes it within _SNAP_RADIUS of
+    a row of the (m, 10) array samples (_near) is in that sample's basin:
+    it stops on the first such row before its next [J | -f] is built, and
+    counts as converged. A start that never comes that near runs as it
+    would with no samples; the step that ends a start's _NEWTON_ITERS is
+    not tested, as no system follows it. Every rule reads only the start's
+    own residual, cos theta, step and y.
     Returns each start's lowest-residual iterate; whether it stopped on a
     sample or reached a residual of at most _STALL_TOL, without failure;
     and the (n,) index of the sample it stopped on, -1 if none.
@@ -467,11 +473,8 @@ def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
             prev[live] = fmax
             keep = ~stop
             live = live[keep]
-            steps = _augmented_steps(aug, keep)
-            # settled above the root floor: stationary, but not at a root
-            scale = np.maximum(np.abs(y[live]).max(axis=1), 1.0)
-            settled = ((prev[live] > _WANDER_RES)
-                       & (np.abs(steps).max(axis=1) <= _SETTLE_STEP * scale))
+            steps, cos = _augmented_steps(aug, keep)
+            settled = (prev[live] > _WANDER_RES) & (cos <= _SETTLE_COS)
             y[live] += steps
             del steps
             moved = y[live]
@@ -483,10 +486,7 @@ def _newton_starts(t: complex, y: np.ndarray, samples: np.ndarray
             live = live[iters[live] < _NEWTON_ITERS]
             if len(samples):              # argmax of an empty table raises
                 basin = live[prev[live] <= _WANDER_RES]
-                # its (b, m, 10) difference is the largest temporary, and
-                # basin has at most _PROBE_BLOCK rows
-                near = (np.abs(y[basin, None] - samples).max(axis=2)
-                        <= _SNAP_RADIUS)
+                near = _near(y[basin], samples)
                 hit = near.any(axis=1)
                 on[basin[hit]] = near[hit].argmax(axis=1)
                 live = live[on[live] < 0]

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, ExcludedParameter, UnknownComponent
-from .mat2 import _rel, _worst
+from .mat2 import _worst
 from .numfield import solve_quadratic
 from .tracealg import (_NORMALIZE, COORD_KEYS, TraceVector, _t_coords,
-                       _t_pairs, definitive_excess, s_from_t)
+                       definitive_excess, s_from_t)
 # no catalog code calls it; perfbench/tests/test_perfbench.py's tracer test
 # is its only reader here (it checks catalog.typeI_residuals)
 from .tracealg import typeI_residuals  # noqa: F401
@@ -492,17 +492,6 @@ def special_points() -> list[tuple[str, dict[str, complex], TraceVector]]:
 # ---------------------------------------------------------------------------
 # Newton probe
 
-def _is_reducible_like(v: TraceVector) -> bool:
-    """All six pair traces sit in {2, t^2 - 2}: the diagonal-character locus.
-
-    The tolerance is loose because the locus is singular for the probe
-    system, so Newton stalls with coordinate error around sqrt(residual).
-    """
-    tt = v.t * v.t
-    return all(any(_rel(x - w, tt) <= 1e-4 for w in (2.0, tt - 2))
-               for x in _t_pairs(v))
-
-
 def _abelian_vector(t: complex) -> TraceVector:
     """The abelian character, x1 = x2 = x3 = x4: t_ij = t^2 - 2 and
     t_ijk = t^3 - 3t. Every reducible start of the probe ends at it."""
@@ -511,10 +500,17 @@ def _abelian_vector(t: complex) -> TraceVector:
 
 
 def classify_point(v: TraceVector) -> str:
-    """Component id, or one of "reducible", "non-character", "unclassified"."""
+    """Component id, or one of "reducible", "non-character", "unclassified".
+
+    "reducible" is the Newton loop's own stop test (_probe_kernel._near)
+    against the abelian character, the only reducible character at v.t:
+    every coordinate within _SNAP_RADIUS of _abelian_vector(v.t).
+    """
     if definitive_excess(s_from_t(v), 1e-6):  # NaN included
         return "non-character"
-    if _is_reducible_like(v):
+    from ._probe_kernel import _near
+    if _near(np.array([_t_coords(v)[1:]]),
+             np.array([_t_coords(_abelian_vector(v.t))[1:]]))[0, 0]:
         return "reducible"
     cid, worst = best_membership(v)
     return cid if worst <= 1e-5 else "unclassified"
@@ -550,7 +546,7 @@ def explore_solve(t: complex, seed: int,
     points from inside _WANDER_RES stops on the first such point, which is
     its output: a catalog sample with its id, or the abelian character
     labelled "reducible", so a sample wins a tie. Every other converged
-    point is classified by membership residual. On every call compared
+    point is labelled by classify_point. On every call compared
     this is the output of running each start on to its root and snapping a
     root within _SNAP_RADIUS of one of these points onto the first such
     point (test_sample_stop_changes_no_explore_output). Unclassified

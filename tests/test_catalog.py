@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import admissible_t, match_multisets, solve_poly
 from lemmas import max_dev
+from test_cli import (CHECKED_RADIUS, CHECKED_RADIUS_X3_TO_X6,
+                      CHECKED_RADIUS_X4, X3_TO_X6, circle_t)
 import charvar
 from charvar import _probe_kernel, catalog
 from charvar._probe_kernel import _PROBE_BLOCK, _augmented_steps
@@ -629,6 +631,22 @@ def test_classify_exact_samples(rng):
         assert classify_point(smp.vector) == cid
 
 
+def test_classify_labels_samples_within_the_checked_radii():
+    # out to each family's checked radius, classify_point labels every
+    # exact sample with its own id: "reducible" is the abelian stop's test,
+    # which calls no sample reducible, where a pair-trace test relative to
+    # |t|^2 called X3's second branch reducible from |t| = 10
+    rng = np.random.default_rng(22)
+    for radius, ids in ((CHECKED_RADIUS, COMPONENTS), (10, X3_TO_X6),
+                        (CHECKED_RADIUS_X3_TO_X6, X3_TO_X6),
+                        (CHECKED_RADIUS_X4, ("X4",))):
+        for t in circle_t(rng, radius, 12):
+            for cid in ids:
+                for smp in sample_component(cid, t):
+                    assert classify_point(smp.vector) == cid, \
+                        (t, cid, smp.branch)
+
+
 def test_nan_coordinate_is_never_labelled():
     # a NaN anywhere fails the definitive relations, and a component whose
     # membership residuals hold a NaN never wins, wherever the NaN sits
@@ -795,6 +813,23 @@ def test_weighted_rows_keep_the_normal_equations(rng, monkeypatch):
                     assert np.abs(got - want).max() <= 1e-13 * scale, (t, k)
 
 
+def test_probe_trace_rows_have_rank_eleven(rng):
+    # rows 0, 3, 6 and 9 of the probe system, trace equation 0 under the
+    # four rotations, sum to zero in f and in J; the twelve trace rows
+    # have no other dependency: stacked over 40 random y, their [J | -f]
+    # entries have rank 11 (a 25-row system with the same normal equations
+    # is possible)
+    for t in (1.3 + 0.4j, 2 + 0j, -2.3 - 0.4j, 0.5667 + 1.1545j):
+        y = rng.standard_normal((40, 10)) + 1j * rng.standard_normal((40, 10))
+        aug = _probe_kernel._ProbeSystem(t)(y)
+        rows = aug[:, 0:12:3]
+        total = np.abs(rows.sum(axis=1)).max(axis=1)
+        assert (total <= 1e-14 * np.abs(rows).max(axis=(1, 2))).all(), t
+        sv = np.linalg.svd(aug[:, :12].transpose(1, 0, 2).reshape(12, -1),
+                           compute_uv=False)
+        assert sv[10] > 1e-3 * sv[0] and sv[11] <= 1e-14 * sv[0], t
+
+
 def test_stop_rules_read_the_unweighted_residual(rng):
     # the stop rules read each start's max |f| over all 32 equations, not
     # the max over the weighted rows, which can be up to sqrt 2 larger
@@ -860,8 +895,8 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
     fallback = [5, 6, 7, 9, 10]
     for pick in (range(len(jac)), fallback):
         svd_rows.clear()
-        got = _augmented_steps(np.dstack([jac[pick], rhs[pick]]),
-                               np.ones(len(pick), dtype=bool))
+        got, _ = _augmented_steps(np.dstack([jac[pick], rhs[pick]]),
+                                  np.ones(len(pick), dtype=bool))
         assert sorted(svd_rows) == fallback
         for k, step in zip(pick, got):
             ref = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
@@ -883,13 +918,14 @@ def test_lstsq_steps_match_lstsq(rng, monkeypatch):
         svd_rows.clear()
         got = _augmented_steps(stack, keep)
         assert sorted(svd_rows) == [6, 9, 10]
-        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got, want):          # the steps, then cos theta
+            assert g.tobytes() == w.tobytes()
     svd_rows.clear()
     for stack, mask in ((aug, np.zeros(len(aug), dtype=bool)),
                         (np.empty((0, 32, 11), dtype=complex),
                          np.ones(0, dtype=bool))):
-        got = _augmented_steps(stack, mask)
-        assert got.shape == (0, 10) and svd_rows == []
+        got, cos = _augmented_steps(stack, mask)
+        assert got.shape == (0, 10) and cos.shape == (0,) and svd_rows == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -901,8 +937,9 @@ def test_lstsq_steps_at_subnormal_scale(rng):
         + 1j * rng.standard_normal((1, 32, 10))
     x = rng.standard_normal((1, 10)) + 1j * rng.standard_normal((1, 10))
     jac *= 1e-310
-    got = _augmented_steps(np.dstack([jac, np.einsum("nij,nj->ni", jac, x)]),
-                           np.ones(1, dtype=bool))
+    got, _ = _augmented_steps(
+        np.dstack([jac, np.einsum("nij,nj->ni", jac, x)]),
+        np.ones(1, dtype=bool))
     assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -911,9 +948,11 @@ def test_lstsq_steps_at_subnormal_scale(rng):
 def test_explore_qr_steps_match_svd_steps(t, seed, attempts, monkeypatch):
     qr = explore_solve(t, seed, attempts)
     # the Newton loop solves each [J | -f] through _augmented_steps
+    solve = _probe_kernel._augmented_steps
     monkeypatch.setattr(
-        _probe_kernel, "_augmented_steps", lambda aug, keep:
-        _probe_kernel._svd_steps(aug[keep, :, :-1], aug[keep, :, -1]))
+        _probe_kernel, "_augmented_steps", lambda aug, keep: (
+            _probe_kernel._svd_steps(aug[keep, :, :-1], aug[keep, :, -1]),
+            solve(aug, keep)[1]))
     svd = explore_solve(t, seed, attempts)
     assert [lbl for _, lbl in qr] == [lbl for _, lbl in svd]
     for (a, _), (b, _) in zip(qr, svd):
@@ -1016,14 +1055,26 @@ def test_settle_rule_changes_no_explore_output(monkeypatch):
     calls = _stop_rule_calls()
     count = _count_probe_rows(monkeypatch)
     found, rows = [], []
-    # -1: the rule never fires
-    for settle in (_probe_kernel._SETTLE_STEP, -1.0):
-        monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", settle)
+    # -1: the rule never fires (cos theta >= 0, and a nan compares False)
+    for settle in (_probe_kernel._SETTLE_COS, -1.0):
+        monkeypatch.setattr(_probe_kernel, "_SETTLE_COS", settle)
         count["rows"] = 0
         found.append([repr(explore_solve(*c)) for c in calls])
         rows.append(count["rows"])
     assert found[0] == found[1]
     assert rows[0] < rows[1]
+
+
+def test_settle_rule_margin(monkeypatch):
+    # no start that converges has cos theta <= 4 _SETTLE_COS while above
+    # _WANDER_RES: with the rule at four times its bound, such a start
+    # would be given up there, and its point would go from the output
+    calls = _stop_rule_calls()
+    found = []
+    for settle in (4 * _probe_kernel._SETTLE_COS, -1.0):
+        monkeypatch.setattr(_probe_kernel, "_SETTLE_COS", settle)
+        found.append([repr(explore_solve(*c)) for c in calls])
+    assert found[0] == found[1]
 
 
 def _samples_at(t):
@@ -1088,8 +1139,8 @@ def test_settle_rule_gives_up_a_settled_start(monkeypatch):
     t = 1.7421 + 0.3885j
     count = _count_probe_rows(monkeypatch)
     iterations = []
-    for settle in (_probe_kernel._SETTLE_STEP, -1.0):
-        monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", settle)
+    for settle in (_probe_kernel._SETTLE_COS, -1.0):
+        monkeypatch.setattr(_probe_kernel, "_SETTLE_COS", settle)
         count["calls"] = 0
         best, ok, on = _probe_kernel._newton_starts(t, _explore_start(7, 5),
                                                     _NO_SAMPLES)
@@ -1109,13 +1160,13 @@ _ROOTS_AT_13 = (("X11", 2), ("X21", 3), ("X3", 0), ("X4", 3), ("X51", 0),
 
 
 def test_settle_rule_spares_a_start_near_a_root(monkeypatch):
-    # a start 1e-3 from a catalog point takes ever smaller steps too, but
-    # its residual is below _WANDER_RES from the first, so the rule cannot
-    # give it up even when every step counts as settled; with no samples
-    # the loop runs it on to the root
+    # a start 1e-3 from a catalog point has its residual below _WANDER_RES
+    # from the first, so the rule cannot give it up even when every
+    # iteration counts as settled; with no samples the loop runs it on to
+    # the root
     t = 1.3 + 0.4j
     rng = np.random.default_rng(5)
-    monkeypatch.setattr(_probe_kernel, "_SETTLE_STEP", math.inf)
+    monkeypatch.setattr(_probe_kernel, "_SETTLE_COS", math.inf)
     for cid, branch in _ROOTS_AT_13:
         smp = sample_component(cid, t)[branch]
         root = np.array([_t_coords(smp.vector)[1:]])
@@ -1219,13 +1270,13 @@ def test_probe_rows_bitwise_independent_of_block(rng):
             smp = sample_component(cid, t)[0]
             y[row] = _t_coords(smp.vector)[1:]
         aug = _probe_kernel._ProbeSystem(t)(y)
-        steps = _augmented_steps(aug, np.ones(len(y), dtype=bool))
+        steps, cos = _augmented_steps(aug, np.ones(len(y), dtype=bool))
         for k in range(len(y)):
             alone = _probe_kernel._ProbeSystem(t)(y[k:k + 1])
             assert alone.tobytes() == aug[k:k + 1].tobytes(), (t, k)
-            assert _augmented_steps(alone, np.ones(1, dtype=bool)
-                                    ).tobytes() == \
-                steps[k:k + 1].tobytes(), (t, k)
+            step, c = _augmented_steps(alone, np.ones(1, dtype=bool))
+            assert step.tobytes() == steps[k:k + 1].tobytes(), (t, k)
+            assert c.tobytes() == cos[k:k + 1].tobytes(), (t, k)
 
 
 def test_probe_working_memory_is_bounded():

@@ -40,8 +40,7 @@ from conftest import (E1, E2, E3, admissible_t, random_quadruple,
                       reducible_pair)
 from charvar import _probe_kernel, catalog, cli, mat2
 from charvar.catalog import (COMPONENTS, ROTATION_PAIR, _alpha,
-                             _is_reducible_like, best_membership,
-                             classify_point, explore_solve,
+                             best_membership, classify_point, explore_solve,
                              membership_residual, membership_terms,
                              sample_component)
 from charvar.errors import (CharVarError, ConstraintViolated,
@@ -261,7 +260,14 @@ def realize_oracle(v):
 def classify_oracle(v):
     if definitive_oracle(s_from_t(v), 1e-6):
         return "non-character"
-    if _is_reducible_like(v):
+    # the abelian character: every pair trace t^2 - 2, every triple trace
+    # t^3 - 3t
+    t = v.t
+    pairs = (v.t12, v.t13, v.t14, v.t23, v.t24, v.t34)
+    triples = (v.t123, v.t124, v.t134, v.t234)
+    if (max(abs(x - (t * t - 2)) for x in pairs) <= _probe_kernel._SNAP_RADIUS
+            and max(abs(x - (t ** 3 - 3 * t)) for x in triples)
+            <= _probe_kernel._SNAP_RADIUS):
         return "reducible"
     cid, worst = best_membership(v)
     return cid if worst <= 1e-5 else "unclassified"
@@ -662,6 +668,28 @@ def test_definitive_gates_match_normalized_gates(vectors):
         assert classify_point(v) == classify_oracle(v)
 
 
+def test_classify_reducible_is_the_abelian_stop():
+    # "reducible" is the Newton loop's stop test against the abelian
+    # character: the character itself, and points within _SNAP_RADIUS of it
+    # in one coordinate that the definitive relations let through, but no
+    # point twice that far, whatever |t|
+    r = _probe_kernel._SNAP_RADIUS
+    for t in (1.3 + 0.4j, 2 + 0j, 101 + 0j, 1000 + 1j):
+        ab = catalog._abelian_vector(t)
+        assert classify_point(ab) == classify_oracle(ab) == "reducible", t
+        for key in COORD_KEYS[1:]:
+            for d, labels in ((0.5, {"reducible", "non-character"}),
+                              (-0.5j, {"reducible", "non-character"}),
+                              (2, None), (-2j, None)):
+                v = _with(ab, key, getattr(ab, key) + d * r)
+                got = classify_point(v)
+                assert got == classify_oracle(v), (t, key, d)
+                if labels:
+                    assert got in labels, (t, key, d)
+                else:
+                    assert got != "reducible", (t, key, d)
+
+
 def test_raw_misses_take_the_normalized_fallback():
     # at the verify-square corners the first two branches of X11 and X12
     # miss the raw test of the realization gate (raw residuals 3.3e-7 to
@@ -766,6 +794,95 @@ def augmented_steps_oracle(aug):
     return steps
 
 
+def projection_cos_oracle(aug):
+    """cos theta = ||P f|| / ||f|| of each system [J | f] of the stack, P
+    the projection onto the range of J, from np.linalg.lstsq one system at
+    a time: P f = J x for the least-squares solution x, and f - J x is
+    orthogonal to it, so ||P f||^2 = ||f||^2 - ||J x - f||^2. Returns both
+    forms, ||J x|| / ||f|| and sqrt(1 - ||J x - f||^2 / ||f||^2)."""
+    out = np.empty((2, len(aug)))
+    for i, a in enumerate(aug):
+        jac, f = a[:, :-1], a[:, -1]
+        x = np.linalg.lstsq(jac, f, rcond=None)[0]
+        norm = np.linalg.norm(f)
+        out[:, i] = (np.linalg.norm(jac @ x) / norm,
+                     np.sqrt(max(0.0, 1 - (np.linalg.norm(jac @ x - f)
+                                           / norm) ** 2)))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_augmented_cos_matches_lstsq_projection():
+    # cos theta, read off the R of the step solve's QR, against lstsq's
+    # projection: on random 26-row systems with cos theta planted from 0.5
+    # down to 1e-7, _SETTLE_COS among them; on rank-deficient ones, where
+    # it reads high and never low; and each row's bytes are those it has
+    # alone, beside non-finite rows too
+    rng = np.random.default_rng(41)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n = 48
+    jac, rhs = cplx(n, 26, 10), cplx(n, 26)
+    jac *= np.logspace(0, -1, 10) ** rng.uniform(0, 3, (n, 1, 1))
+    planted = (0.5, 0.1, _probe_kernel._SETTLE_COS, 1e-3, 1e-4, 1e-7)
+    for i, cos in enumerate(planted):
+        # rhs = w cos + J a sin, w orthogonal to the range of J and of
+        # unit length, as J a
+        x = np.linalg.lstsq(jac[i], rhs[i], rcond=None)[0]
+        w = rhs[i] - jac[i] @ x
+        a = jac[i] @ cplx(10)
+        rhs[i] = (np.sqrt(1 - cos ** 2) * w / np.linalg.norm(w)
+                  + cos * a / np.linalg.norm(a))
+    deficient = list(range(40, n))
+    jac[40, :, 9] = jac[40, :, 2]                # a repeated column
+    jac[41, :, 0] = 0                            # a zero column
+    jac[42, :, 5:] = jac[42, :, :5] * (1 + 2j)   # rank 5
+    jac[43] = 0                                  # all-zero J
+    jac[44:] = np.einsum("nik,nkj->nij", cplx(4, 26, 3), cplx(4, 3, 10))
+    aug = np.dstack([jac, rhs])
+    _, got = _probe_kernel._augmented_steps(aug, np.ones(n, dtype=bool))
+    proj, comp = projection_cos_oracle(aug)
+    assert np.abs(comp - proj).max() <= 1e-7
+    for k in range(n):
+        if k in deficient:
+            assert got[k] >= proj[k] - 1e-12, k
+        else:
+            assert abs(got[k] - proj[k]) <= 1e-12, k
+    assert np.abs(got[:len(planted)] - planted).max() <= 1e-12
+    # a row's cos theta is the same bytes alone and in any stack, beside
+    # rows with inf or nan entries that the keep mask drops, and in the
+    # kernel's entry-major layout
+    bad = cplx(6, 26, 11)
+    bad[0, 3, 4] = np.nan
+    bad[1, :, 10] = np.inf
+    bad[2] = complex(np.inf, np.nan)
+    bad[3, 7, 7] = -np.inf
+    bad[4, 0] = np.nan
+    bad[5] *= 1e300
+    mixed = np.concatenate([bad[:3], aug, bad[3:]])
+    keep = np.ones(len(mixed), dtype=bool)
+    keep[:3] = keep[-3:] = False
+    entry_major = np.ascontiguousarray(mixed.transpose(1, 2, 0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stack in (mixed, entry_major.transpose(2, 0, 1)):
+            assert _probe_kernel._augmented_steps(stack, keep)[1].tobytes() \
+                == got.tobytes()
+        for k in range(n):
+            alone = _probe_kernel._augmented_steps(aug[k:k + 1],
+                                                   np.ones(1, dtype=bool))[1]
+            assert alone.tobytes() == got[k:k + 1].tobytes(), k
+    # a zero rhs, and one whose squares overflow, read nan, which the
+    # settle rule's <= never takes for settled
+    zero = np.dstack([jac[:2], np.zeros((2, 26))])
+    zero[1, :, 10] = rhs[1] * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = _probe_kernel._augmented_steps(zero, np.ones(2, dtype=bool))[1]
+    assert np.isnan(cos).all()
+    assert not (cos <= _probe_kernel._SETTLE_COS).any()
+
+
 def test_augmented_steps_match_inverse_oracle(monkeypatch):
     # 135 systems with condition numbers up to about 1e6, and three planted
     # ones that the gate sends to _svd_steps
@@ -789,7 +906,7 @@ def test_augmented_steps_match_inverse_oracle(monkeypatch):
 
     monkeypatch.setattr(_probe_kernel, "_svd_steps", spy)
     aug = np.dstack([jac, rhs])
-    got = _probe_kernel._augmented_steps(aug, np.ones(n, dtype=bool))
+    got, _ = _probe_kernel._augmented_steps(aug, np.ones(n, dtype=bool))
     want = augmented_steps_oracle(aug)
     assert svd_rows == [planted, planted]      # one call each
     eps = np.finfo(float).eps
@@ -810,8 +927,10 @@ def test_explore_matches_inverse_oracle(monkeypatch):
     calls = [(-1.3585 + 1.6948j, 7, 200), (-1.7421 - 0.3885j, 7, 200),
              (0.5667 - 1.1545j, 7, 200), (2 + 1j, 3, 40)]
     got = [explore_solve(*c) for c in calls]
-    monkeypatch.setattr(_probe_kernel, "_augmented_steps",
-                        lambda aug, keep: augmented_steps_oracle(aug[keep]))
+    monkeypatch.setattr(
+        _probe_kernel, "_augmented_steps", lambda aug, keep: (
+            augmented_steps_oracle(aug[keep]),
+            projection_cos_oracle(aug[keep])[0]))
     want = [explore_solve(*c) for c in calls]
     for g, w in zip(got, want):
         assert [lbl for _, lbl in g] == [lbl for _, lbl in w]

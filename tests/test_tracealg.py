@@ -154,6 +154,18 @@ def test_trace_equations_x51_t2():
     assert _worst(trace_equation_residuals(v)) <= 1e-10
 
 
+def test_trace_equation_0_sums_to_zero_over_the_rotations():
+    # tr0 summed over the four subscript rotations (residuals 0, 3, 6 and
+    # 9) vanishes identically, so the twelve trace equations hold at most
+    # eleven independent conditions; tr1 - tr2 and tr1 + tr2 do not sum
+    # to zero so (exact in sympy)
+    sp = pytest.importorskip("sympy")
+    r = trace_equation_residuals(TraceVector(*sp.symbols(COORD_KEYS)))
+    assert sp.expand(r[0] + r[3] + r[6] + r[9]) == 0
+    for k in (1, 2):
+        assert sp.expand(r[k] + r[k + 3] + r[k + 6] + r[k + 9]) != 0
+
+
 def test_trace_equations_negative_control():
     # a generic asymmetric vector violates the battery decisively
     v = make_vec(3.0, (1.3, -0.7, 2.2, 0.4), 1.1, -2.0, (0.5, -1.5, 2.5, 0.9))
